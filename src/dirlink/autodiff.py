@@ -1,21 +1,29 @@
 """Minimal dense reverse-mode autodiff over float64 matrices.
 
-Every value is a 2-D array wrapped in a Tensor.  Ops record their parents and
-a backward closure on the output; backward() linearizes the graph into a Tape
+Every value is a 2-D array wrapped in a Tensor.  While recording (the
+default), an op whose inputs require gradients records its parents and a
+backward rule on the output; backward() linearizes the graph into a Tape
 (insertion order = topological order) and replays it in reverse exactly once.
-No broadcasting beyond the dedicated row-gather and bias ops, no higher-order
-derivatives.
+Rules capture their inputs, never their own output, so a graph holds no
+reference cycles and is freed as soon as its last tensor is dropped.  Inside
+``no_grad()`` ops record nothing.  No broadcasting beyond the dedicated
+row-gather and bias ops, no higher-order derivatives.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import numpy as np
+import scipy.sparse as _sp
 
 from .graph import spmm as _spmm, spmm_t as _spmm_t
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "tape_id", "_backward", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "tape_id", "_backward", "_done",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False, op="leaf", parents=()):
         data = np.asarray(data, dtype=np.float64)
@@ -61,6 +69,25 @@ class Tape:
         return len(self.records)
 
 
+_mode = threading.local()
+
+
+def _recording():
+    return getattr(_mode, "record", True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Forward-only mode for this thread: ops record no parents and no rules,
+    so their outputs are plain values that never join a tape."""
+    previous = _recording()
+    _mode.record = False
+    try:
+        yield
+    finally:
+        _mode.record = previous
+
+
 def _trace(loss):
     order = []
     visited = set()
@@ -82,10 +109,13 @@ def _trace(loss):
 
 
 def backward(loss, params=()):
-    """Populate .grad on every tensor reachable from loss.
+    """Populate .grad on every leaf tensor reachable from loss.
 
     Parameters listed in ``params`` but not touched by the forward pass get a
-    zero gradient.  Calling backward twice on the same loss is an error; the
+    zero gradient.  The tape frees itself as it replays: once a node's rule
+    has run, the rule and the node's gradient are dropped, so only leaf
+    gradients survive the call.  Backward through the same loss, or through
+    any node a previous backward already replayed, is therefore an error; the
     forward pass must be rebuilt first.
     """
     if loss.data.shape != (1, 1):
@@ -96,109 +126,115 @@ def backward(loss, params=()):
         raise RuntimeError("backward already called on this loss; rebuild the forward pass")
     loss._done = True
     tape = _trace(loss)
-    in_tape = {id(t) for t in tape.records}
-    for t in tape.records:
-        t.grad = np.zeros_like(t.data)
-    for p in params:
-        if id(p) not in in_tape:
-            p.grad = np.zeros_like(p.data)
+    for t in (*tape.records, *params):
+        t.grad = None
     loss.grad = np.ones((1, 1))
     for t in reversed(tape.records):
         if t._backward is not None:
-            t._backward()
+            t._backward(t.grad)
+            t._backward = _released
+            t.grad = None
+    for p in params:
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
     return tape
 
 
-def _binary_requires(a, b):
-    return a.requires_grad or b.requires_grad
+def _released(g):
+    raise RuntimeError("backward already ran through this tensor; rebuild the forward pass")
+
+
+def _accumulate(t, g):
+    """Add g into t.grad.  The first contribution is copied (and broadcast to
+    t's shape), so no gradient ever aliases another node's array."""
+    if t.grad is None:
+        t.grad = np.array(np.broadcast_to(g, t.data.shape))
+    else:
+        t.grad += g
+
+
+def _result(data, op, parents, rule):
+    """The output tensor of an op.  It records its parents and backward rule
+    only while recording and when some parent requires gradients."""
+    if _recording() and any(p.requires_grad for p in parents):
+        out = Tensor(data, True, op, parents)
+        out._backward = rule
+        return out
+    return Tensor(data, op=op)
 
 
 def matmul(a, b):
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, _binary_requires(a, b), "matmul", (a, b))
 
-    def _back():
+    def rule(g):
         if a.requires_grad:
-            a.grad += out.grad @ b.data.T
+            _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            b.grad += a.data.T @ out.grad
+            _accumulate(b, a.data.T @ g)
 
-    out._backward = _back
-    return out
+    return _result(a.data @ b.data, "matmul", (a, b), rule)
 
 
 def add(a, b):
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data + b.data, _binary_requires(a, b), "add", (a, b))
 
-    def _back():
+    def rule(g):
         if a.requires_grad:
-            a.grad += out.grad
+            _accumulate(a, g)
         if b.requires_grad:
-            b.grad += out.grad
+            _accumulate(b, g)
 
-    out._backward = _back
-    return out
+    return _result(a.data + b.data, "add", (a, b), rule)
 
 
 def add_bias(x, b):
     """Add a (1, d) bias row to every row of x."""
     if b.data.shape != (1, x.data.shape[1]):
         raise ValueError(f"bias shape {b.data.shape} incompatible with {x.data.shape}")
-    out = Tensor(x.data + b.data, _binary_requires(x, b), "add_bias", (x, b))
 
-    def _back():
+    def rule(g):
         if x.requires_grad:
-            x.grad += out.grad
+            _accumulate(x, g)
         if b.requires_grad:
-            b.grad += out.grad.sum(axis=0, keepdims=True)
+            _accumulate(b, g.sum(axis=0, keepdims=True))
 
-    out._backward = _back
-    return out
+    return _result(x.data + b.data, "add_bias", (x, b), rule)
 
 
 def hadamard(a, b):
     if a.data.shape != b.data.shape:
         raise ValueError(f"hadamard shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data * b.data, _binary_requires(a, b), "hadamard", (a, b))
 
-    def _back():
+    def rule(g):
         if a.requires_grad:
-            a.grad += out.grad * b.data
+            _accumulate(a, g * b.data)
         if b.requires_grad:
-            b.grad += out.grad * a.data
+            _accumulate(b, g * a.data)
 
-    out._backward = _back
-    return out
+    return _result(a.data * b.data, "hadamard", (a, b), rule)
 
 
 def concat_cols(a, b):
     if a.data.shape[0] != b.data.shape[0]:
         raise ValueError(f"concat_cols row mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(np.hstack([a.data, b.data]), _binary_requires(a, b), "concat_cols", (a, b))
     split = a.data.shape[1]
 
-    def _back():
+    def rule(g):
         if a.requires_grad:
-            a.grad += out.grad[:, :split]
+            _accumulate(a, g[:, :split])
         if b.requires_grad:
-            b.grad += out.grad[:, split:]
+            _accumulate(b, g[:, split:])
 
-    out._backward = _back
-    return out
+    return _result(np.hstack([a.data, b.data]), "concat_cols", (a, b), rule)
 
 
 def relu(x):
-    out = Tensor(np.maximum(x.data, 0.0), x.requires_grad, "relu", (x,))
+    def rule(g):
+        _accumulate(x, g * (x.data > 0.0))
 
-    def _back():
-        if x.requires_grad:
-            x.grad += out.grad * (x.data > 0.0)
-
-    out._backward = _back
-    return out
+    return _result(np.maximum(x.data, 0.0), "relu", (x,), rule)
 
 
 def _sigmoid(z):
@@ -211,97 +247,84 @@ def _sigmoid(z):
 
 
 def sigmoid(x):
-    out = Tensor(_sigmoid(x.data), x.requires_grad, "sigmoid", (x,))
+    y = _sigmoid(x.data)
 
-    def _back():
-        if x.requires_grad:
-            x.grad += out.grad * out.data * (1.0 - out.data)
+    def rule(g):
+        _accumulate(x, g * y * (1.0 - y))
 
-    out._backward = _back
-    return out
+    return _result(y, "sigmoid", (x,), rule)
 
 
 def gather_rows(x, idx):
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
         raise ValueError("gather_rows takes a 1-D index array")
-    if len(idx) and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
+    n = x.data.shape[0]
+    if len(idx) and (idx.min() < 0 or idx.max() >= n):
         raise IndexError("gather_rows index out of range")
-    out = Tensor(x.data[idx], x.requires_grad, "gather_rows", (x,))
 
-    def _back():
-        if x.requires_grad:
-            np.add.at(x.grad, idx, out.grad)
+    def rule(g):
+        # row r of the scatter matrix selects the positions i with idx[i] == r
+        # in ascending i, so each row sums in index order, like np.add.at
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
+        order = np.argsort(idx, kind="stable")
+        scatter = _sp.csr_matrix((np.ones(len(idx)), order, indptr), shape=(n, len(idx)))
+        _accumulate(x, scatter @ g)
 
-    out._backward = _back
-    return out
+    return _result(x.data[idx], "gather_rows", (x,), rule)
 
 
 def row_sum(x):
     """Sum each row to a single column: (n, d) -> (n, 1)."""
-    out = Tensor(x.data.sum(axis=1, keepdims=True), x.requires_grad, "row_sum", (x,))
 
-    def _back():
-        if x.requires_grad:
-            x.grad += out.grad
+    def rule(g):
+        _accumulate(x, g)
 
-    out._backward = _back
-    return out
+    return _result(x.data.sum(axis=1, keepdims=True), "row_sum", (x,), rule)
 
 
 def sum_all(x):
-    out = Tensor(x.data.sum().reshape(1, 1), x.requires_grad, "sum_all", (x,))
+    def rule(g):
+        _accumulate(x, g[0, 0])
 
-    def _back():
-        if x.requires_grad:
-            x.grad += out.grad[0, 0]
-
-    out._backward = _back
-    return out
+    return _result(x.data.sum().reshape(1, 1), "sum_all", (x,), rule)
 
 
 def scale(x, s):
     """Multiply a matrix by a scalar held in a (1, 1) tensor."""
     if s.data.shape != (1, 1):
         raise ValueError("scale factor must be a 1x1 tensor")
-    out = Tensor(x.data * s.data[0, 0], _binary_requires(x, s), "scale", (x, s))
 
-    def _back():
+    def rule(g):
         if x.requires_grad:
-            x.grad += out.grad * s.data[0, 0]
+            _accumulate(x, g * s.data[0, 0])
         if s.requires_grad:
-            s.grad += (out.grad * x.data).sum()
+            _accumulate(s, (g * x.data).sum())
 
-    out._backward = _back
-    return out
+    return _result(x.data * s.data[0, 0], "scale", (x, s), rule)
 
 
 def spmm_const(m, x):
     """Multiply a constant CsrMatrix into a tensor: out = m @ x."""
     if x.data.shape[0] != m.cols:
         raise ValueError(f"spmm_const shape mismatch: {m.rows}x{m.cols} @ {x.data.shape}")
-    out = Tensor(_spmm(m, x.data), x.requires_grad, "spmm_const", (x,))
 
-    def _back():
-        if x.requires_grad:
-            x.grad += _spmm_t(m, out.grad)
+    def rule(g):
+        _accumulate(x, _spmm_t(m, g))
 
-    out._backward = _back
-    return out
+    return _result(_spmm(m, x.data), "spmm_const", (x,), rule)
 
 
 def spmm_t_const(m, x):
     """Multiply the transpose of a constant CsrMatrix into a tensor: out = m.T @ x."""
     if x.data.shape[0] != m.rows:
         raise ValueError(f"spmm_t_const shape mismatch: {m.cols}x{m.rows} @ {x.data.shape}")
-    out = Tensor(_spmm_t(m, x.data), x.requires_grad, "spmm_t_const", (x,))
 
-    def _back():
-        if x.requires_grad:
-            x.grad += _spmm(m, out.grad)
+    def rule(g):
+        _accumulate(x, _spmm(m, g))
 
-    out._backward = _back
-    return out
+    return _result(_spmm_t(m, x.data), "spmm_t_const", (x,), rule)
 
 
 def bce_with_logits(logits, labels):
@@ -321,15 +344,12 @@ def bce_with_logits(logits, labels):
     val = per.mean()
     if not np.isfinite(val):
         raise FloatingPointError("non-finite loss")
-    out = Tensor(np.array([[val]]), logits.requires_grad, "bce_with_logits", (logits,))
     inv_n = 1.0 / z.shape[0]
 
-    def _back():
-        if logits.requires_grad:
-            logits.grad += out.grad[0, 0] * (_sigmoid(z) - y) * inv_n
+    def rule(g):
+        _accumulate(logits, g[0, 0] * (_sigmoid(z) - y) * inv_n)
 
-    out._backward = _back
-    return out
+    return _result(np.array([[val]]), "bce_with_logits", (logits,), rule)
 
 
 def ce_pairwise(logits, classes):
@@ -349,17 +369,14 @@ def ce_pairwise(logits, classes):
     val = per.mean()
     if not np.isfinite(val):
         raise FloatingPointError("non-finite loss")
-    out = Tensor(np.array([[val]]), logits.requires_grad, "ce_pairwise", (logits,))
     inv_n = 1.0 / z.shape[0]
 
-    def _back():
-        if logits.requires_grad:
-            soft = np.exp(z - lse)
-            soft[rows, cls] -= 1.0
-            logits.grad += out.grad[0, 0] * soft * inv_n
+    def rule(g):
+        soft = np.exp(z - lse)
+        soft[rows, cls] -= 1.0
+        _accumulate(logits, g[0, 0] * soft * inv_n)
 
-    out._backward = _back
-    return out
+    return _result(np.array([[val]]), "ce_pairwise", (logits,), rule)
 
 
 class AdamState:

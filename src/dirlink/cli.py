@@ -17,6 +17,7 @@ import configparser
 import numpy as np
 
 from . import analysis, datasets, models, training
+from . import autodiff as ad
 from .graph import (
     DataError,
     graph_stats,
@@ -336,22 +337,21 @@ def _restore_model(checkpoint, dataset_override=None):
     feats = init_features(init, bundle.train_graph, original)
     model = training.build_model(tcfg, bundle.train_graph, feats, np.random.default_rng(0))
     models.load_state(model, arrays)
-    return model, bundle
+    return model, bundle, g
 
 
 def cmd_eval(args):
-    model, bundle = _restore_model(args.checkpoint, args.dataset)
+    model, bundle, _ = _restore_model(args.checkpoint, args.dataset)
     report = training.evaluate(model, bundle)
     print(_metrics_line(report))
     return 0
 
 
 def cmd_reconstruct(args):
-    model, bundle = _restore_model(args.checkpoint, args.dataset)
-    g = _load_graph(args.dataset) if args.dataset else _load_graph(
-        models.load_checkpoint(args.checkpoint)[0]["dataset"])
+    model, _, g = _restore_model(args.checkpoint, args.dataset)
     m_prime = args.m_prime if args.m_prime is not None else g.edge_count
-    enc = model.encode()
+    with ad.no_grad():
+        enc = model.encode()
 
     def score_fn(pairs):
         return models.ranking_scores(model.dec_params, enc, pairs)
@@ -364,8 +364,7 @@ def cmd_reconstruct(args):
     for tag, hist in (("true", true_hist), ("recon", recon_hist)):
         analysis.write_degree_tsv(os.path.join(args.out, f"out_degree_{tag}.tsv"), hist.out_hist)
         analysis.write_degree_tsv(os.path.join(args.out, f"in_degree_{tag}.tsv"), hist.in_hist)
-    true_keys = {(int(u), int(v)) for u, v in g.edges}
-    hit = sum((int(u), int(v)) in true_keys for u, v in recon)
+    hit = int(np.isin(recon[:, 0] * np.int64(g.n) + recon[:, 1], g.edge_keys()).sum())
     print(f"reconstructed {m_prime} pairs; {hit} of {g.edge_count} true edges recovered")
     return 0
 

@@ -207,16 +207,22 @@ class DigaeParams:
         return out
 
 
-def digae_encode(p, g, x):
+def digae_operator(p, g):
+    """The propagation operator of a DiGAE encoder on graph g: the self-looped
+    adjacency normalized by the encoder's exponents.  It depends on the graph
+    and the exponents only, so a run builds it once."""
+    return normalize_adj(g, p.alpha, p.beta)
+
+
+def digae_encode(p, b, x):
     """Layered directed convolution starting from S = T = X:
 
     S <- act(B @ (T @ W_t)) and T <- act(B.T @ (S @ W_s)), where B is the
-    normalized self-looped adjacency and act is relu except on the last layer.
+    operator from digae_operator and act is relu except on the last layer.
     """
-    b = normalize_adj(g, p.alpha, p.beta)
     xt = _as_tensor(x)
-    if xt.shape[0] != g.n:
-        raise ValueError(f"feature rows {xt.shape[0]} != node count {g.n}")
+    if xt.shape[0] != b.rows:
+        raise ValueError(f"feature rows {xt.shape[0]} != node count {b.rows}")
     s = t = xt
     last = len(p.w_s) - 1
     for layer, (w_s, w_t) in enumerate(zip(p.w_s, p.w_t)):
@@ -344,8 +350,9 @@ def decode(dec, enc, pairs):
 
 def ranking_scores(dec, enc, pairs):
     """Scalar scores for ranking: the logit, or the logit margin of the
-    edge-present column for two-logit heads."""
-    z = decode(dec, enc, pairs).data
+    edge-present column for two-logit heads.  Forward-only: no tape is built."""
+    with ad.no_grad():
+        z = decode(dec, enc, pairs).data
     if dec.out_dim == 1:
         return z[:, 0].copy()
     return z[:, 0] - z[:, 1]
@@ -354,8 +361,8 @@ def ranking_scores(dec, enc, pairs):
 def encoder_forward(enc_params, ctx, x):
     """Dispatch an encoder forward pass.
 
-    ctx is the precomputed normalized adjacency for SdgaeParams, the graph
-    for DigaeParams, and ignored for MlpParams.
+    ctx is the precomputed normalized adjacency for SdgaeParams, the
+    precomputed digae_operator for DigaeParams, and ignored for MlpParams.
     """
     if isinstance(enc_params, SdgaeParams):
         return sdgae_encode(enc_params, ctx, x)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models
-from .graph import normalize_sym
+from .graph import DataError, normalize_sym
 from .metrics import MetricsReport, auc
 from .splits import FeatureInit, init_features, sample_train_negatives
 
@@ -26,7 +26,8 @@ LOSSES = ("bce", "ce")
 
 
 class TrainingError(RuntimeError):
-    """A run aborted (non-finite loss or an infeasible sampling request)."""
+    """A run aborted (non-finite loss, an infeasible sampling request, or an
+    empty validation split)."""
 
 
 @dataclass
@@ -93,9 +94,11 @@ class TrainedModel:
         return models.encoder_forward(self.enc_params, self.ctx, self.feats)
 
     def score_many(self, pair_groups):
-        """Ranking scores for several pair arrays with a single encoder pass."""
-        enc = self.encode()
-        return [models.ranking_scores(self.dec_params, enc, pairs) for pairs in pair_groups]
+        """Ranking scores for several pair arrays with a single encoder pass.
+        Forward-only: no tape is built."""
+        with ad.no_grad():
+            enc = self.encode()
+            return [models.ranking_scores(self.dec_params, enc, pairs) for pairs in pair_groups]
 
     def score(self, pairs):
         return self.score_many([pairs])[0]
@@ -114,7 +117,7 @@ def build_model(cfg, train_graph, feats, rng):
             rng, in_dim, hidden=cfg.hidden, emb=cfg.emb, layers=cfg.digae_layers,
             alpha=cfg.alpha, beta=cfg.beta,
         )
-        ctx = train_graph
+        ctx = models.digae_operator(enc, train_graph)
     else:
         enc = models.MlpParams.init(rng, in_dim, hidden=cfg.hidden, emb=cfg.emb, layers=2)
         ctx = None
@@ -133,12 +136,29 @@ class FitResult:
     epochs_run: int
 
 
+def _train_step(model, cfg, params, optimizer, pairs, labels, classes):
+    """One forward, backward and optimizer step; returns the loss value.
+
+    The epoch's graph lives in this frame only, so it is released on return,
+    before validation and the next forward pass allocate theirs."""
+    enc = model.encode()
+    logits = models.decode(model.dec_params, enc, pairs)
+    if cfg.loss == "bce":
+        loss = ad.bce_with_logits(logits, labels)
+    else:
+        loss = ad.ce_pairwise(logits, classes)
+    ad.backward(loss, params)
+    optimizer.step()
+    return float(loss.data[0, 0])
+
+
 def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
     """Train on the training graph alone, early-stopping on the callback score.
 
     The callback receives score_many (pairs -> ranking scores) once per epoch
     after the optimizer step and returns a scalar to maximize.  Returns the
-    model restored to its best-scoring epoch.
+    model restored to its best-scoring epoch.  Raises TrainingError when the
+    loss diverges or the training negatives cannot be sampled.
     """
     root = np.random.SeedSequence(_run_entropy(cfg, split_seed))
     init_ss, neg_ss = root.spawn(2)
@@ -152,9 +172,15 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
     labels = np.concatenate([np.ones(count), np.zeros(count)])
     classes = np.concatenate([np.zeros(count, np.int64), np.ones(count, np.int64)])
 
+    def negatives(strategy, epoch=0):
+        try:
+            return sample_train_negatives(train_graph, count, neg_seed, strategy, epoch)
+        except DataError as exc:
+            raise TrainingError(f"{exc} [{config_id(cfg)}]") from exc
+
     negs = None
     if cfg.neg_strategy == "per_run":
-        negs = sample_train_negatives(train_graph, count, neg_seed, "per_run")
+        negs = negatives("per_run")
 
     losses = []
     vals = []
@@ -165,16 +191,9 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
     try:
         for epoch in range(1, cfg.max_epochs + 1):
             if cfg.neg_strategy == "per_epoch":
-                negs = sample_train_negatives(train_graph, count, neg_seed, "per_epoch", epoch)
+                negs = negatives("per_epoch", epoch)
             pairs = np.vstack([pos_pairs, negs])
-            enc = model.encode()
-            logits = models.decode(model.dec_params, enc, pairs)
-            if cfg.loss == "bce":
-                loss = ad.bce_with_logits(logits, labels)
-            else:
-                loss = ad.ce_pairwise(logits, classes)
-            ad.backward(loss, params)
-            optimizer.step()
+            loss_value = _train_step(model, cfg, params, optimizer, pairs, labels, classes)
 
             # a diverged model first shows up here as NaN ranking scores
             try:
@@ -183,7 +202,7 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
                 raise TrainingError(
                     f"aborted at epoch {epoch}: {exc} [{config_id(cfg)}]"
                 ) from exc
-            losses.append(float(loss.data[0, 0]))
+            losses.append(loss_value)
             vals.append(val)
             if val > best_val:
                 best_val = val
@@ -207,9 +226,17 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
 
 
 def make_validation_scorer(bundle):
-    """Validation AUC callback over the bundle's validation pairs only."""
+    """Validation AUC callback over the bundle's validation pairs only.
+
+    Raises TrainingError up front when either validation set is empty, as
+    the floor rule leaves it on very small graphs: AUC needs both."""
     val_pos = np.array(bundle.val_pos, dtype=np.int64)
     val_neg = np.array(bundle.val_neg, dtype=np.int64)
+    if len(val_pos) == 0 or len(val_neg) == 0:
+        raise TrainingError(
+            f"empty validation split (seed {bundle.seed}): {len(val_pos)} positive and "
+            f"{len(val_neg)} negative pairs; early stopping needs at least one of each"
+        )
 
     def scorer(score_many):
         pos_scores, neg_scores = score_many([val_pos, val_neg])

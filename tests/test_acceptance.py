@@ -16,6 +16,7 @@ from dirlink.graph import (
     bipartite_block,
     load_edge_list,
     load_features,
+    normalize_adj,
     normalize_sym,
     preprocess,
 )
@@ -57,7 +58,7 @@ def test_criterion_2_digae_layer_equals_bipartite_gcn():
             for beta in (0.0, 0.4, 0.8):
                 p = models.DigaeParams.init(rng, 5, hidden=7, emb=6,
                                             layers=1, alpha=alpha, beta=beta)
-                layered = models.digae_encode(p, g, x)
+                layered = models.digae_encode(p, normalize_adj(g, p.alpha, p.beta), x)
                 lifted = models.digae_encode_bipartite(p, g, x)
                 worst = max(worst,
                             float(np.max(np.abs(layered.S.data - lifted.S.data))),

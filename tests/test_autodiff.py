@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,18 @@ def test_gather_rows_accumulates_duplicate_indices():
     loss = ad.sum_all(out)
     ad.backward(loss)
     assert np.array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+
+
+def test_gather_rows_scatter_matches_add_at_bitwise():
+    # the CSR scatter sums each row in index order, exactly as np.add.at does
+    rng = np.random.default_rng(20)
+    x = _param(rng, 50, 7)
+    idx = rng.integers(0, 50, size=1000)
+    g = rng.standard_normal((1000, 7))
+    ad.backward(ad.sum_all(ad.hadamard(ad.gather_rows(x, idx), ad.Tensor(g))))
+    ref = np.zeros_like(x.data)
+    np.add.at(ref, idx, g)
+    assert np.array_equal(x.grad, ref)
 
 
 def test_gather_rows_bounds_check():
@@ -222,3 +237,61 @@ def test_adam_requires_gradients():
     opt = ad.AdamState([p], lr=0.1)
     with pytest.raises(ValueError, match="no gradient"):
         opt.step()
+
+
+def test_backward_releases_the_graph():
+    rng = np.random.default_rng(21)
+    x = _param(rng, 4, 3)
+    w = _param(rng, 3, 2)
+    gc.disable()
+    try:
+        h = ad.relu(ad.matmul(x, w))
+        loss = ad.sum_all(h)
+        ref = weakref.ref(h)
+        ad.backward(loss, [x, w])
+        assert h.grad is None and h.parents  # non-leaf grad freed, parents kept
+        assert x.grad is not None and w.grad is not None
+        del h
+        assert ref() is not None  # still reachable from the loss
+        del loss
+        assert ref() is None  # no reference cycle keeps it alive
+
+        # a forward pass that never reaches backward is freed just the same
+        h = ad.relu(ad.matmul(x, w))
+        ref = weakref.ref(h)
+        del h
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_backward_through_a_replayed_node_raises():
+    rng = np.random.default_rng(22)
+    x = _param(rng, 2, 2)
+    h = ad.relu(x)
+    ad.backward(ad.sum_all(h))
+    with pytest.raises(RuntimeError, match="rebuild"):
+        ad.backward(ad.sum_all(h))
+
+
+def test_first_gradient_write_is_a_copy():
+    rng = np.random.default_rng(23)
+    a = _param(rng, 2, 2)
+    b = _param(rng, 2, 2)
+    ad.backward(ad.sum_all(ad.add(a, b)))
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad += 1.0
+    assert np.array_equal(b.grad, np.ones((2, 2)))
+    ad.backward(ad.sum_all(ad.add(a, a)))
+    assert np.array_equal(a.grad, np.full((2, 2), 2.0))
+
+
+def test_no_grad_records_nothing():
+    rng = np.random.default_rng(24)
+    x = _param(rng, 3, 3)
+    with ad.no_grad():
+        out = ad.relu(ad.matmul(x, x))
+    assert not out.requires_grad and out.parents == () and out._backward is None
+    with pytest.raises(ValueError), ad.no_grad():
+        ad.matmul(x, ad.Tensor(np.ones((2, 2))))
+    assert ad.matmul(x, x).requires_grad  # recording resumes on every exit

@@ -122,7 +122,7 @@ def test_train_eval_reconstruct_round_trip(tmp_path, capsys):
     assert cells["dataset"] == "synthetic200" and cells["status"] == "ok"
 
     # restoring the checkpoint must reproduce the recorded test metrics exactly
-    model, bundle = cli._restore_model(str(ckpt))
+    model, bundle, graph = cli._restore_model(str(ckpt))
     report = training.evaluate(model, bundle)
     for name in ("hits20", "hits50", "hits100", "mrr", "auc", "ap", "acc"):
         assert f"{getattr(report, name):.4f}" == cells[name]
@@ -137,9 +137,12 @@ def test_train_eval_reconstruct_round_trip(tmp_path, capsys):
     rc = cli.main(["reconstruct", "--checkpoint", str(ckpt), "--m-prime", "100",
                    "--out", str(recon_dir)])
     assert rc == 0
-    assert "reconstructed 100 pairs" in capsys.readouterr().out
     pairs = np.loadtxt(recon_dir / "reconstructed.txt", dtype=np.int64)
     assert pairs.shape == (100, 2)
+    true_edges = {(int(u), int(v)) for u, v in graph.edges}
+    hit = sum((int(u), int(v)) in true_edges for u, v in pairs)
+    assert capsys.readouterr().out == (
+        f"reconstructed 100 pairs; {hit} of {graph.edge_count} true edges recovered\n")
     hist_lines = (recon_dir / "out_degree_recon.tsv").read_text().splitlines()[1:]
     total = sum(int(d) * int(c) for d, c in (ln.split("\t") for ln in hist_lines))
     assert total == 100

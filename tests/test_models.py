@@ -3,7 +3,7 @@ import pytest
 
 import dirlink.autodiff as ad
 from dirlink import models
-from dirlink.graph import normalize_sym
+from dirlink.graph import normalize_adj, normalize_sym
 from helpers import random_graph
 
 
@@ -89,7 +89,7 @@ def test_digae_matches_bipartite_oracle():
                     rng, 5, hidden=7, emb=6, layers=layers, alpha=alpha, beta=beta
                 )
                 x = rng.standard_normal((g.n, 5))
-                a = models.digae_encode(p, g, x)
+                a = models.digae_encode(p, normalize_adj(g, p.alpha, p.beta), x)
                 b = models.digae_encode_bipartite(p, g, x)
                 assert np.max(np.abs(a.S.data - b.S.data)) < 1e-10
                 assert np.max(np.abs(a.T.data - b.T.data)) < 1e-10
@@ -180,7 +180,7 @@ def test_encoder_forward_dispatch():
     ref = models.sdgae_encode(sd, normalize_sym(g), x)
     assert np.allclose(out.S.data, ref.S.data)
     dg = models.DigaeParams.init(rng, 4, emb=6)
-    assert models.encoder_forward(dg, g, x).S.data.shape == (7, 6)
+    assert models.encoder_forward(dg, normalize_adj(g, dg.alpha, dg.beta), x).S.data.shape == (7, 6)
     ml = models.MlpParams.init(rng, 4, emb=6)
     assert models.encoder_forward(ml, None, x).S.data.shape == (7, 6)
     with pytest.raises(TypeError):
@@ -223,3 +223,24 @@ def test_checkpoint_rejects_bad_version_and_shapes(tmp_path):
     np_.savez(path, __meta__=np.array(json.dumps(payload)))
     with pytest.raises(ValueError, match="version"):
         models.load_checkpoint(path)
+
+
+def test_ranking_scores_build_no_tape(monkeypatch):
+    rng = np.random.default_rng(53)
+    p = _sdgae(rng, k=2)
+    g = random_graph(rng, 6)
+    enc = models.sdgae_encode(p, normalize_sym(g), rng.standard_normal((6, 4)))
+    dec = models.DecoderKind.init(rng, "mlp_concat", enc.S.shape[1], hidden=5)
+    outputs = []
+    real_decode = models.decode
+
+    def spy(*args):
+        outputs.append(real_decode(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(models, "decode", spy)
+    scores = models.ranking_scores(dec, enc, np.array([[0, 1], [2, 3]]))
+    assert scores.shape == (2,)
+    (z,) = outputs
+    assert not z.requires_grad and z.parents == () and z._backward is None
+    assert models.decode(dec, enc, np.array([[0, 1]])).requires_grad

@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from dirlink import splits, training
+import dirlink
+from dirlink import models, splits, training
+from dirlink.graph import DirectedGraph
 from helpers import weakly_connected_random_graph
 
 
@@ -216,3 +221,105 @@ def test_tsv_writers(tmp_path):
     assert selected.count("1") == 1
     for ln in lines[1:]:
         assert len(ln.split("\t")) == len(header)
+
+
+def test_score_many_builds_no_tape(monkeypatch):
+    bundle = small_bundle()
+    feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
+    model = training.build_model(small_cfg(), bundle.train_graph, feats, np.random.default_rng(0))
+    encoded = []
+    real_forward = models.encoder_forward
+
+    def spy(*args):
+        encoded.append(real_forward(*args))
+        return encoded[-1]
+
+    monkeypatch.setattr(models, "encoder_forward", spy)
+    (scores,) = model.score_many([bundle.val_pos])
+    assert scores.shape == (len(bundle.val_pos),)
+    (enc,) = encoded
+    assert not enc.S.requires_grad and enc.S.parents == () and enc.T.parents == ()
+
+
+def _dense_bundle():
+    # 84 edges on 12 nodes: the 68 train edges outnumber the 64 train non-edges
+    n = 12
+    g = DirectedGraph(n, [(u, v) for u in range(n) for v in range(n) if 0 < (v - u) % n <= 7])
+    return splits.split_edges(g, seed=0)
+
+
+def test_infeasible_train_negatives_are_a_flagged_row():
+    bundle = _dense_bundle()
+    feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
+    with pytest.raises(training.TrainingError, match="68 negatives but only 64"):
+        training.train(small_cfg(), bundle, feats)
+    result = training.grid_run([small_cfg(max_epochs=15, patience=5)],
+                               [_dense_bundle(), small_bundle()])
+    assert [r.status for r in result.rows] == ["failed", "ok"]
+    assert "only 64 non-edges" in result.rows[0].error
+
+
+def test_empty_validation_split_is_rejected_before_training(monkeypatch):
+    # 15 edges: the floor rule holds out 2 test edges and no validation edge
+    g = DirectedGraph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    bundle = splits.split_edges(g, seed=0)
+    assert len(bundle.val_pos) == 0
+    feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
+    monkeypatch.setattr(training, "build_model", None)  # no model may be built
+    with pytest.raises(training.TrainingError, match="empty validation split"):
+        training.train(small_cfg(), bundle, feats)
+    row = training.grid_run([small_cfg()], [bundle]).rows[0]
+    assert row.status == "failed" and "empty validation split" in row.error
+
+
+SCALE_CHILD = """
+import os, resource, sys, threading, time
+import numpy as np
+from dirlink import training
+from dirlink.graph import DirectedGraph
+from dirlink.metrics import auc
+from dirlink.splits import FeatureInit, init_features
+
+bound_mb = float(sys.argv[1])
+
+def peak_mb():
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    scale = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+
+def watchdog():
+    # stop at the bound instead of growing until the machine runs out
+    while True:
+        if peak_mb() > bound_mb:
+            print(f"peak RSS passed {bound_mb:.0f} MB", flush=True)
+            os._exit(3)
+        time.sleep(0.02)
+
+threading.Thread(target=watchdog, daemon=True).start()
+n, m = 20_000, 200_000
+rng = np.random.default_rng(0)
+edges = rng.integers(0, n, size=(m, 2))
+g = DirectedGraph(n, edges[edges[:, 0] != edges[:, 1]])
+feats = init_features(FeatureInit(mode="degrees"), g)
+pos, neg = g.edges[:1000], rng.integers(0, n, size=(1000, 2))
+cfg = training.TrainConfig(max_epochs=2, patience=1)
+fitted = training.fit(cfg, g, feats, lambda score_many: auc(*score_many([pos, neg])))
+print(f"m={g.edge_count} epochs={fitted.epochs_run} peak={peak_mb():.0f}", flush=True)
+"""
+
+
+def test_sdgae_trains_at_scale_within_memory_bound():
+    """Default SDGAE, 2 epochs on n = 20k, m ~ 200k in a fresh process.
+
+    The bound holds because no autodiff graph outlives its epoch; a tape that
+    keeps its graphs alive passes it within the first epoch."""
+    bound_mb = 3072
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(dirlink.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCALE_CHILD, str(bound_mb)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    stats = dict(kv.split("=") for kv in proc.stdout.split())
+    assert stats["epochs"] == "2" and int(stats["m"]) > 199_000
+    assert float(stats["peak"]) <= bound_mb
