@@ -44,36 +44,61 @@ def write_degree_tsv(path, hist):
             fh.write(f"{deg}\t{hist[deg]}\n")
 
 
-def reconstruct_topm(score_fn, n, m_prime, chunk_size=1_000_000):
+def _candidate_pairs(k, n):
+    """Candidates k of the n*(n-1) ordered pairs u != v, numbered in (u, v)
+    order: k = u*(n-1) + j, where v = j, or j + 1 once j reaches u."""
+    u, j = np.divmod(k, max(n - 1, 1))
+    return np.stack([u, j + (j >= u)], axis=1)
+
+
+def _top(ks, ss, m):
+    """The m best of the concatenated candidates by (score desc, k asc)."""
+    k, s = np.concatenate(ks), np.concatenate(ss)
+    order = np.lexsort((k, -s))[:m]
+    return k[order], s[order]
+
+
+def reconstruct_topm(score_fn, n, m_prime, chunk_size=models.SCORE_BLOCK_BYTES // 16):
     """The m_prime ordered pairs (u != v) with the highest scores.
 
-    score_fn maps an (B, 2) int array of pairs to B scores.  Candidates are
-    scored in chunks to bound memory; ties break deterministically by
-    (score desc, u asc, v asc), which is also the order of the result.
+    score_fn maps an (B, 2) int array of pairs to B scores; it is called on
+    consecutive blocks of at most chunk_size candidates in (u, v) order.  By
+    default a block's int64 pair array fills models.SCORE_BLOCK_BYTES.
+    Ties break deterministically by (score desc, u asc, v asc), which is also
+    the order of the result; NaN scores rank last.  Working memory is the
+    m_prime best candidates so far, at most m_prime newer survivors, and one
+    block.
     """
     total = n * (n - 1)
+    if m_prime < 0:
+        raise DataError(f"m_prime {m_prime} is negative")
     if m_prime > total:
         raise DataError(f"m_prime {m_prime} exceeds the {total} candidate pairs")
     if m_prime == 0:
         return np.empty((0, 2), dtype=np.int64)
-    best_pairs = np.empty((0, 2), dtype=np.int64)
-    best_scores = np.empty(0)
-    rows_per_chunk = max(1, chunk_size // max(n - 1, 1))
-    for u0 in range(0, n, rows_per_chunk):
-        u1 = min(u0 + rows_per_chunk, n)
-        us = np.repeat(np.arange(u0, u1, dtype=np.int64), n)
-        vs = np.tile(np.arange(n, dtype=np.int64), u1 - u0)
-        keep = us != vs
-        pairs = np.stack([us[keep], vs[keep]], axis=1)
-        scores = np.asarray(score_fn(pairs), dtype=np.float64).reshape(-1)
-        if len(scores) != len(pairs):
+    best_k, best_s = np.empty(0, dtype=np.int64), np.empty(0)
+    new_k, new_s, pending = [], [], 0
+    threshold = None
+    for k0 in range(0, total, chunk_size):
+        k = np.arange(k0, min(k0 + chunk_size, total), dtype=np.int64)
+        pairs = _candidate_pairs(k, n)
+        s = np.asarray(score_fn(pairs), dtype=np.float64).reshape(-1)
+        if len(s) != len(pairs):
             raise ValueError("score_fn returned the wrong number of scores")
-        cand_pairs = np.vstack([best_pairs, pairs])
-        cand_scores = np.concatenate([best_scores, scores])
-        order = np.lexsort((cand_pairs[:, 1], cand_pairs[:, 0], -cand_scores))[:m_prime]
-        best_pairs = cand_pairs[order]
-        best_scores = cand_scores[order]
-    return best_pairs
+        if threshold is not None:
+            # candidates arrive in (u, v) order, so a tie with the m'-th best
+            # loses; a NaN m'-th best loses to every real score
+            keep = ~np.isnan(s) if np.isnan(threshold) else s > threshold
+            k, s = k[keep], s[keep]
+        new_k.append(k)
+        new_s.append(s)
+        pending += len(k)
+        if pending > m_prime:
+            best_k, best_s = _top([best_k, *new_k], [best_s, *new_s], m_prime)
+            new_k, new_s, pending = [], [], 0
+            threshold = best_s[-1]
+    best_k, _ = _top([best_k, *new_k], [best_s, *new_s], m_prime)
+    return _candidate_pairs(best_k, n)
 
 
 @dataclass

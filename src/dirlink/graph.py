@@ -61,7 +61,8 @@ class CsrMatrix:
         entries of row ``r``.
     """
 
-    __slots__ = ("rows", "cols", "row_ptr", "col_idx", "values", "_scipy_cache", "_t_cache")
+    __slots__ = ("rows", "cols", "row_ptr", "col_idx", "values", "_scipy_cache", "_t_cache",
+                 "__weakref__")
 
     def __init__(self, rows, cols, row_ptr, col_idx, values):
         self.rows = int(rows)
@@ -119,12 +120,11 @@ class CsrMatrix:
         return self._scipy_cache
 
     def transpose(self):
-        """Return the transpose as a CsrMatrix (cached)."""
+        """Return the transpose as a CsrMatrix, cached on this matrix only: the
+        transpose keeps no reference back, so a matrix dies by refcount."""
         if self._t_cache is None:
             rr = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.row_ptr))
-            t = CsrMatrix.from_coo(self.cols, self.rows, self.col_idx, rr, self.values)
-            t._t_cache = self
-            self._t_cache = t
+            self._t_cache = CsrMatrix.from_coo(self.cols, self.rows, self.col_idx, rr, self.values)
         return self._t_cache
 
     def to_dense(self):

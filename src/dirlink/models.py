@@ -348,14 +348,37 @@ def decode(dec, enc, pairs):
     return ad.add_bias(ad.matmul(hidden, w2), b2)
 
 
+# Forward-only scoring decodes its pairs in blocks whose widest per-pair
+# array, a gather of embedding rows or a hidden layer, fills at most this
+# many bytes: 512 pairs of 64 float64 columns.  So the working set does not
+# grow with the number of pairs, and its arrays stay small enough that the
+# allocator reuses them from block to block instead of returning them to the
+# system and faulting them back in.
+SCORE_BLOCK_BYTES = 256 * 1024
+
+
+def score_block_pairs(dec, enc):
+    """Pairs per scoring block for this decoder and these embeddings."""
+    width = enc.S.shape[1] * (2 if dec.kind.endswith("concat") else 1)
+    width = max([width] + [w.shape[1] for w, _ in dec.layers])
+    return max(1, SCORE_BLOCK_BYTES // (8 * width))
+
+
 def ranking_scores(dec, enc, pairs):
     """Scalar scores for ranking: the logit, or the logit margin of the
-    edge-present column for two-logit heads.  Forward-only: no tape is built."""
+    edge-present column for two-logit heads.
+
+    Forward-only: no tape is built.  Pairs are decoded in blocks of
+    score_block_pairs into one output array.  A pair's inner score does not
+    depend on the block it falls in; the BLAS decoders may differ by an ulp."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    out = np.empty(len(pairs))
+    block = score_block_pairs(dec, enc)
     with ad.no_grad():
-        z = decode(dec, enc, pairs).data
-    if dec.out_dim == 1:
-        return z[:, 0].copy()
-    return z[:, 0] - z[:, 1]
+        for b0 in range(0, len(pairs), block):
+            z = decode(dec, enc, pairs[b0:b0 + block]).data
+            out[b0:b0 + len(z)] = z[:, 0] if dec.out_dim == 1 else z[:, 0] - z[:, 1]
+    return out
 
 
 def encoder_forward(enc_params, ctx, x):

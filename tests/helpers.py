@@ -1,7 +1,13 @@
-"""Shared test utilities: random graph builders and finite-difference checks."""
+"""Shared test utilities: random graph builders, finite-difference checks and
+a memory-bounded subprocess runner."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import dirlink
 from dirlink.graph import DirectedGraph
 
 
@@ -72,3 +78,42 @@ def check_gradients(loss_builder, params, rng, coords_per_tensor=3, h=1e-5, tol=
                 f"gradient mismatch at {idx}: analytic {g[idx]:.8g} vs numeric {numeric:.8g}"
             )
     return worst
+
+
+_WATCHDOG = """
+import os, resource, sys, threading, time
+
+def peak_mb():
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    scale = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+
+def _watchdog(bound_mb):
+    # stop at the bound instead of growing until the machine runs out
+    while True:
+        if peak_mb() > bound_mb:
+            print(f"peak RSS passed {bound_mb:.0f} MB", flush=True)
+            os._exit(3)
+        time.sleep(0.02)
+
+threading.Thread(target=_watchdog, args=(float(sys.argv[1]),), daemon=True).start()
+"""
+
+
+def run_under_memory_bound(child_code, bound_mb, timeout=600):
+    """Run child_code in a fresh interpreter that imports dirlink from this
+    checkout, stopping it once its peak RSS passes bound_mb.
+
+    child_code prints whitespace-separated key=value pairs.  Returns them as
+    a dict, plus the process's peak RSS in MB under "peak", after asserting
+    a clean exit and a peak within the bound."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(dirlink.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = _WATCHDOG + child_code + '\nprint(f"peak={peak_mb():.0f}", flush=True)\n'
+    proc = subprocess.run([sys.executable, "-c", code, str(bound_mb)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    stats = dict(kv.split("=") for kv in proc.stdout.split())
+    assert float(stats["peak"]) <= bound_mb
+    return stats

@@ -149,6 +149,11 @@ def test_train_eval_reconstruct_round_trip(tmp_path, capsys):
     for name in ("out_degree_true.tsv", "in_degree_true.tsv", "in_degree_recon.tsv"):
         assert (recon_dir / name).exists()
 
+    assert cli.main(["reconstruct", "--checkpoint", str(ckpt), "--m-prime", "-1",
+                     "--out", str(tmp_path / "negative")]) == 2
+    assert "m_prime -1 is negative" in capsys.readouterr().err
+    assert not (tmp_path / "negative").exists()
+
 
 def test_check_command_verdicts(capsys):
     assert cli.main(["check", "--dataset", "ring3", "--mode", "single",

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -57,6 +60,24 @@ def test_csr_matches_scipy_on_random_matrices():
         ref = sp.coo_matrix((vals, (rows, cols)), shape=(r, c)).toarray()
         assert np.allclose(ours.to_dense(), ref)
         assert np.allclose(ours.transpose().to_dense(), ref.T)
+
+
+def test_operator_dies_by_refcount_after_transpose_product():
+    # the transpose is cached on the operator but holds no reference back,
+    # so dropping the operator frees both without the cyclic collector
+    g = random_graph(np.random.default_rng(1), 12)
+    x = np.random.default_rng(2).standard_normal((12, 3))
+    gc.disable()
+    try:
+        op = normalize_sym(g)
+        t = op.transpose()
+        assert op.transpose() is t
+        assert np.allclose(spmm_t(op, x), op.to_dense().T @ x)
+        refs = [weakref.ref(op), weakref.ref(t)]
+        del op, t
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_csr_invariant_violations_rejected():

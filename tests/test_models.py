@@ -244,3 +244,39 @@ def test_ranking_scores_build_no_tape(monkeypatch):
     (z,) = outputs
     assert not z.requires_grad and z.parents == () and z._backward is None
     assert models.decode(dec, enc, np.array([[0, 1]])).requires_grad
+
+
+@pytest.mark.parametrize("out_dim", [1, 2])
+@pytest.mark.parametrize("kind,width", [("inner", 64), ("mlp_hadamard", 64),
+                                        ("mlp_concat", 128), ("lr_concat", 128)])
+def test_ranking_scores_are_block_invariant(kind, width, out_dim, monkeypatch):
+    """Blocked scoring equals one unblocked decode: bit for bit for inner,
+    whose rows reduce alike in any batch; within 1e-12 for the BLAS decoders,
+    whose matmul kernels may sum in another order for another block height."""
+    rng = np.random.default_rng(54)
+    n, emb = 80, 64
+    enc = models.EncoderOutput(ad.Tensor(rng.standard_normal((n, emb))),
+                               ad.Tensor(rng.standard_normal((n, emb))))
+    dec = models.DecoderKind.init(rng, kind, emb, hidden=64, out_dim=out_dim)
+    block = models.score_block_pairs(dec, enc)
+    assert block == models.SCORE_BLOCK_BYTES // (8 * width)
+    pairs = rng.integers(0, n, size=(3 * block + 17, 2))
+    with ad.no_grad():
+        z = models.decode(dec, enc, pairs).data
+    whole = z[:, 0] if out_dim == 1 else z[:, 0] - z[:, 1]
+
+    sizes = []
+    real_decode = models.decode
+
+    def spy(dec, enc, block_pairs):
+        sizes.append(len(block_pairs))
+        return real_decode(dec, enc, block_pairs)
+
+    monkeypatch.setattr(models, "decode", spy)
+    got = models.ranking_scores(dec, enc, pairs)
+    assert sizes == [block, block, block, 17]
+    if kind == "inner":
+        assert np.array_equal(got, whole)
+    else:
+        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-12)
+    assert models.ranking_scores(dec, enc, np.empty((0, 2), dtype=np.int64)).shape == (0,)

@@ -1,15 +1,11 @@
 import dataclasses
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import dirlink
 from dirlink import models, splits, training
 from dirlink.graph import DirectedGraph
-from helpers import weakly_connected_random_graph
+from helpers import run_under_memory_bound, weakly_connected_random_graph
 
 
 def small_bundle(seed=0, n=30):
@@ -273,29 +269,12 @@ def test_empty_validation_split_is_rejected_before_training(monkeypatch):
 
 
 SCALE_CHILD = """
-import os, resource, sys, threading, time
 import numpy as np
 from dirlink import training
 from dirlink.graph import DirectedGraph
 from dirlink.metrics import auc
 from dirlink.splits import FeatureInit, init_features
 
-bound_mb = float(sys.argv[1])
-
-def peak_mb():
-    # ru_maxrss is in KiB on Linux and in bytes on macOS
-    scale = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
-
-def watchdog():
-    # stop at the bound instead of growing until the machine runs out
-    while True:
-        if peak_mb() > bound_mb:
-            print(f"peak RSS passed {bound_mb:.0f} MB", flush=True)
-            os._exit(3)
-        time.sleep(0.02)
-
-threading.Thread(target=watchdog, daemon=True).start()
 n, m = 20_000, 200_000
 rng = np.random.default_rng(0)
 edges = rng.integers(0, n, size=(m, 2))
@@ -304,7 +283,7 @@ feats = init_features(FeatureInit(mode="degrees"), g)
 pos, neg = g.edges[:1000], rng.integers(0, n, size=(1000, 2))
 cfg = training.TrainConfig(max_epochs=2, patience=1)
 fitted = training.fit(cfg, g, feats, lambda score_many: auc(*score_many([pos, neg])))
-print(f"m={g.edge_count} epochs={fitted.epochs_run} peak={peak_mb():.0f}", flush=True)
+print(f"m={g.edge_count} epochs={fitted.epochs_run}", flush=True)
 """
 
 
@@ -313,13 +292,5 @@ def test_sdgae_trains_at_scale_within_memory_bound():
 
     The bound holds because no autodiff graph outlives its epoch; a tape that
     keeps its graphs alive passes it within the first epoch."""
-    bound_mb = 3072
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(dirlink.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCALE_CHILD, str(bound_mb)], env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    stats = dict(kv.split("=") for kv in proc.stdout.split())
+    stats = run_under_memory_bound(SCALE_CHILD, bound_mb=3072)
     assert stats["epochs"] == "2" and int(stats["m"]) > 199_000
-    assert float(stats["peak"]) <= bound_mb
