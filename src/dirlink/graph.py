@@ -10,6 +10,7 @@ never stored in the graph itself.
 from __future__ import annotations
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as _sp
@@ -19,31 +20,13 @@ class DataError(ValueError):
     """Raised for malformed input files or infeasible data requests."""
 
 
-class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        """Merge the sets containing a and b; return True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
+def run_starts(sorted_keys):
+    """Boolean mask of the first entry of each run of equal values in a
+    sorted array."""
+    first = np.empty(len(sorted_keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
 
 
 class CsrMatrix:
@@ -82,9 +65,14 @@ class CsrMatrix:
             raise ValueError("col_idx and values length mismatch")
         if len(self.col_idx) and (self.col_idx.min() < 0 or self.col_idx.max() >= self.cols):
             raise ValueError("column index out of range")
-        for r in range(self.rows):
-            lo, hi = self.row_ptr[r], self.row_ptr[r + 1]
-            if hi - lo > 1 and np.any(np.diff(self.col_idx[lo:hi]) <= 0):
+        if self.nnz > 1:
+            # neighbouring entries k, k + 1 must increase unless a row starts at k + 1
+            same_row = np.ones(self.nnz - 1, dtype=bool)
+            starts = self.row_ptr[1:-1]
+            same_row[starts[(starts > 0) & (starts < self.nnz)] - 1] = False
+            bad = np.flatnonzero(same_row & (np.diff(self.col_idx) <= 0))
+            if len(bad):
+                r = np.searchsorted(self.row_ptr, bad[0], side="right") - 1
                 raise ValueError(f"column indices not strictly increasing in row {r}")
 
     @classmethod
@@ -100,7 +88,8 @@ class CsrMatrix:
         key = r * np.int64(cols) + c
         order = np.argsort(key, kind="stable")
         key, v = key[order], v[order]
-        uniq, start = np.unique(key, return_index=True)
+        start = np.flatnonzero(run_starts(key))
+        uniq = key[start]
         summed = np.add.reduceat(v, start) if len(v) else v
         rr = uniq // cols
         cc = uniq % cols
@@ -195,7 +184,9 @@ class DirectedGraph:
                 raise ValueError("edge endpoint out of range")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise ValueError("self-loops are not allowed; filter them before construction")
-            edges = np.unique(edges, axis=0)
+            keys = np.sort(edges[:, 0] * np.int64(self.n) + edges[:, 1])
+            keys = keys[run_starts(keys)]
+            edges = np.stack([keys // self.n, keys % self.n], axis=1)
         self.edges = edges
         ones = np.ones(len(edges))
         self.csr_out = CsrMatrix.from_coo(self.n, self.n, edges[:, 0], edges[:, 1], ones)
@@ -206,8 +197,10 @@ class DirectedGraph:
         return len(self.edges)
 
     def edge_keys(self):
-        """Edges encoded as sorted int64 keys u*n + v, for fast membership tests."""
-        return np.sort(self.edges[:, 0] * np.int64(self.n) + self.edges[:, 1])
+        """Edges encoded as sorted int64 keys u*n + v, for fast membership tests.
+
+        The edges are stored in lexicographic order, so their keys are sorted."""
+        return self.edges[:, 0] * np.int64(self.n) + self.edges[:, 1]
 
     def has_edge(self, u, v):
         lo, hi = self.csr_out.row_ptr[u], self.csr_out.row_ptr[u + 1]
@@ -262,23 +255,65 @@ def normalize_sym(g):
     return normalize_adj(g, 0.5, 0.5)
 
 
+def spanning_forest(n, u, v):
+    """The spanning forest that adding edges (u[i], v[i]) in index order keeps.
+
+    Edge directions are ignored.  Returns ``(tree, comp)``: ``tree[i]`` is
+    True when edge i joins two components of the edges before it (exactly
+    the edges a union-find pass in index order would merge on), and
+    ``comp[x]`` is a representative node of x's component.
+
+    Runs Borůvka rounds with the edge index as a distinct weight.  Each
+    component takes its lowest-index leaving edge, and the components those
+    edges join merge.  With distinct weights the minimum spanning forest is
+    unique, so it is the forest Kruskal's algorithm keeps in index order.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    tree = np.zeros(len(u), dtype=bool)
+    comp = np.arange(n, dtype=np.int64)
+    eid = np.arange(len(u), dtype=np.int64)
+    while True:
+        cu, cv = comp[u], comp[v]
+        live = cu != cv
+        if not live.any():
+            return tree, comp
+        # edges inside a component never leave it again; live keeps index order
+        u, v, eid, cu, cv = u[live], v[live], eid[live], cu[live], cv[live]
+        pos = np.arange(len(eid))
+        best = np.full(n, len(eid))
+        np.minimum.at(best, cu, pos)
+        np.minimum.at(best, cv, pos)
+        roots = np.flatnonzero(best < len(eid))
+        pick = best[roots]
+        tree[eid[pick]] = True
+        other = np.where(cu[pick] == roots, cv[pick], cu[pick])
+        hook = np.arange(n, dtype=np.int64)
+        hook[roots] = other
+        # two components that picked each other picked the same edge; the
+        # smaller id stays a root, so the hooks form a forest
+        mutual = (hook[other] == roots) & (roots < other)
+        hook[roots[mutual]] = roots[mutual]
+        while True:
+            jumped = hook[hook]
+            if np.array_equal(jumped, hook):
+                break
+            hook = jumped
+        comp = hook[comp]
+
+
 def weakly_connected_components(g):
     """Component labels ignoring edge direction.
 
     Returns an int array of length n with labels numbered 0..c-1 in order of
     first appearance by node index.
     """
-    uf = UnionFind(g.n)
-    for u, v in g.edges:
-        uf.union(int(u), int(v))
-    labels = np.empty(g.n, dtype=np.int64)
-    seen = {}
-    for v in range(g.n):
-        root = uf.find(v)
-        if root not in seen:
-            seen[root] = len(seen)
-        labels[v] = seen[root]
-    return labels
+    _, comp = spanning_forest(g.n, g.edges[:, 0], g.edges[:, 1])
+    nodes = np.arange(g.n, dtype=np.int64)
+    first = np.full(g.n, g.n, dtype=np.int64)
+    np.minimum.at(first, comp, nodes)
+    first = first[comp]
+    return (np.cumsum(first == nodes) - 1)[first]
 
 
 def preprocess(g, feats=None):
@@ -303,8 +338,9 @@ def preprocess(g, feats=None):
     node_counts = np.bincount(labels)
     edge_counts = np.bincount(labels[g.edges[:, 0]], minlength=len(node_counts))
     # isolated nodes form singleton zero-edge components, so they never win;
-    # labels are ordered by first-seen node, so -c prefers the smallest node id
-    best = max(range(len(node_counts)), key=lambda c: (node_counts[c], edge_counts[c], -c))
+    # lexsort is stable and labels are ordered by first-seen node, so a tie in
+    # nodes and edges goes to the component with the smallest node id
+    best = np.lexsort((-edge_counts, -node_counts))[0]
     keep = np.flatnonzero(labels == best)
     remap = np.full(g.n, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep), dtype=np.int64)
@@ -329,16 +365,43 @@ def graph_stats(g):
     }
 
 
-def load_edge_list(path, n=None):
-    """Read a directed graph from an edge-list file.
+def read_pairs(path):
+    """The ``u v`` lines of an edge-list file as a (k, 2) int64 array.
 
-    Format: UTF-8 text, one ``u v`` pair of nonnegative integers per line;
-    blank lines and lines starting with ``#`` are skipped.  Duplicate edges
-    are collapsed; self-loops are dropped with a warning giving their count.
-    The node count is ``1 + max index`` unless ``n`` overrides it.
+    Format: UTF-8 text, one pair of nonnegative integers per line; blank
+    lines and lines starting with ``#`` are skipped.  Anything else, an
+    inline comment included, raises DataError naming ``path:line``.
     """
+    try:
+        with warnings.catch_warnings():
+            # a file without data lines is an empty edge list here
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            pairs = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+    except ValueError:
+        return _scan_pairs(path)
+    if not len(pairs):
+        return np.empty((0, 2), dtype=np.int64)
+    # loadtxt also takes what the format rejects; the line scan names the line
+    if pairs.shape[1] != 2 or pairs.min() < 0 or _has_inline_comment(path):
+        return _scan_pairs(path)
+    return pairs
+
+
+def _has_inline_comment(path):
+    """True if some line holds more than whitespace before its first ``#``."""
+    raw = Path(path).read_bytes()
+    pos = raw.find(b"#")
+    while pos >= 0:
+        if raw[raw.rfind(b"\n", 0, pos) + 1 : pos].strip():
+            return True
+        end = raw.find(b"\n", pos)
+        pos = raw.find(b"#", end) if end >= 0 else -1
+    return False
+
+
+def _scan_pairs(path):
+    """read_pairs one line at a time: the reference for its format and errors."""
     pairs = []
-    loops = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -353,15 +416,24 @@ def load_edge_list(path, n=None):
                 raise DataError(f"{path}:{lineno}: non-integer endpoint in {line!r}") from None
             if u < 0 or v < 0:
                 raise DataError(f"{path}:{lineno}: negative node index in {line!r}")
-            if u == v:
-                loops += 1
-                continue
             pairs.append((u, v))
-    if not pairs:
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def load_edge_list(path, n=None):
+    """Read a directed graph from an edge-list file.
+
+    Format: as ``read_pairs``.  Duplicate edges are collapsed; self-loops
+    are dropped with a warning giving their count.  The node count is
+    ``1 + max index`` unless ``n`` overrides it.
+    """
+    edges = read_pairs(path)
+    loops = edges[:, 0] == edges[:, 1]
+    edges = edges[~loops]
+    if not len(edges):
         raise DataError(f"{path}: no edges found")
-    if loops:
-        warnings.warn(f"{path}: dropped {loops} self-loop(s)", stacklevel=2)
-    edges = np.asarray(pairs, dtype=np.int64)
+    if loops.any():
+        warnings.warn(f"{path}: dropped {int(loops.sum())} self-loop(s)", stacklevel=2)
     max_idx = int(edges.max())
     if n is None:
         n = max_idx + 1
@@ -370,29 +442,58 @@ def load_edge_list(path, n=None):
     return DirectedGraph(n, edges)
 
 
+# lines formatted per write: one string for the whole file would cost as much
+# memory again as the edge array
+_SAVE_BLOCK = 1 << 14
+
+
 def save_edge_list(path, edges, header=None):
     """Write edges (iterable of pairs) in the edge-list format."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"# {header}\n")
-        for u, v in np.asarray(edges, dtype=np.int64).reshape(-1, 2):
-            fh.write(f"{u} {v}\n")
+        for lo in range(0, len(edges), _SAVE_BLOCK):
+            block = edges[lo : lo + _SAVE_BLOCK]
+            fh.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def load_features(path):
     """Read a dense feature matrix.
 
-    Format: first line ``n d``, then n whitespace-separated rows of d floats.
+    Format: first line ``n d``, then n whitespace-separated rows of d floats;
+    blank lines are skipped.
     """
     with open(path, encoding="utf-8") as fh:
         head = fh.readline().split()
-        if len(head) != 2:
-            raise DataError(f"{path}:1: expected header 'n d'")
-        try:
-            n, d = int(head[0]), int(head[1])
-        except ValueError:
-            raise DataError(f"{path}:1: non-integer header") from None
-        rows = []
+    if len(head) != 2:
+        raise DataError(f"{path}:1: expected header 'n d'")
+    try:
+        n, d = int(head[0]), int(head[1])
+    except ValueError:
+        raise DataError(f"{path}:1: non-integer header") from None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            feats = np.loadtxt(path, dtype=np.float64, comments=None, skiprows=1, ndmin=2,
+                               encoding="utf-8")
+    except ValueError:
+        feats = None
+    if n == 0 or feats is None or feats.shape != (n, d):
+        # the line scan names the offending line, or counts the rows
+        feats = _scan_features(path, d)
+        if len(feats) != n:
+            raise DataError(f"{path}: header declares {n} rows, found {len(feats)}")
+    if not np.all(np.isfinite(feats)):
+        raise DataError(f"{path}: non-finite feature value")
+    return feats
+
+
+def _scan_features(path, d):
+    """The rows of a feature file one line at a time, with line-numbered errors."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -404,12 +505,7 @@ def load_features(path):
                 rows.append([float(x) for x in vals])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric value") from None
-    if len(rows) != n:
-        raise DataError(f"{path}: header declares {n} rows, found {len(rows)}")
-    feats = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(feats)):
-        raise DataError(f"{path}: non-finite feature value")
-    return feats
+    return np.asarray(rows, dtype=np.float64)
 
 
 def save_features(path, feats):

@@ -18,10 +18,11 @@ import numpy as np
 from .graph import (
     DataError,
     DirectedGraph,
-    UnionFind,
     degrees,
+    read_pairs,
+    run_starts,
     save_edge_list,
-    weakly_connected_components,
+    spanning_forest,
 )
 
 DEFAULT_RATIOS = (0.80, 0.05, 0.15)
@@ -66,8 +67,6 @@ def split_edges(g, ratios=DEFAULT_RATIOS, seed=0):
     """
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
         raise ValueError(f"ratios must be a nonnegative triple summing to 1, got {ratios}")
-    if weakly_connected_components(g).max() != 0:
-        raise DataError("split requires a weakly connected graph; run preprocess first")
     m = g.edge_count
     # the epsilon keeps exact products like 0.15*500 from flooring to 74
     n_val = int(np.floor(ratios[1] * m + 1e-9))
@@ -78,18 +77,20 @@ def split_edges(g, ratios=DEFAULT_RATIOS, seed=0):
     order = np.random.default_rng(shuffle_ss).permutation(m)
     shuffled = g.edges[order]
 
-    index_of = {(int(u), int(v)): i for i, (u, v) in enumerate(shuffled)}
-    uf = UnionFind(g.n)
+    tree = np.flatnonzero(spanning_forest(g.n, shuffled[:, 0], shuffled[:, 1])[0])
+    if len(tree) != g.n - 1:
+        raise DataError("split requires a weakly connected graph; run preprocess first")
+    # one directed edge per undirected spanning connection stays in train;
+    # with both directions present the lexicographic smaller wins, which is
+    # the reverse exactly when its source is the smaller node
+    keys = g.edge_keys()
+    tu, tv = shuffled[tree, 0], shuffled[tree, 1]
+    rev = np.minimum(np.searchsorted(keys, tv * g.n + tu), m - 1)
+    use_rev = (tv < tu) & (keys[rev] == tv * g.n + tu)
+    position = np.empty(m, dtype=np.int64)
+    position[order] = np.arange(m)
     pinned = np.zeros(m, dtype=bool)
-    for i, (u, v) in enumerate(shuffled):
-        if uf.union(int(u), int(v)):
-            # one directed edge per undirected spanning connection stays in
-            # train; with both directions present the lexicographic smaller wins
-            cand = (int(u), int(v))
-            rev = (cand[1], cand[0])
-            if rev in index_of and rev < cand:
-                cand = rev
-            pinned[index_of[cand]] = True
+    pinned[np.where(use_rev, position[rev], tree)] = True
 
     removable = np.flatnonzero(~pinned)
     if n_test + n_val > len(removable):
@@ -120,8 +121,20 @@ def split_edges(g, ratios=DEFAULT_RATIOS, seed=0):
     )
 
 
+def _member(keys, sorted_keys):
+    """Mask of the keys present in a sorted key array."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] == keys
+
+
 def _sample_non_edges(n, count, excluded_keys, rng):
-    """count distinct ordered pairs (u, v), u != v, whose key u*n+v is not excluded."""
+    """count distinct ordered pairs (u, v), u != v, whose key u*n+v is not in
+    the sorted array excluded_keys.
+
+    Sparse regime: pairs are drawn in batches and kept in draw order, each
+    the first draw of its key that is neither excluded nor picked before."""
     available = n * (n - 1) - len(excluded_keys)
     if count > available:
         raise DataError(f"requested {count} negatives but only {available} non-edges exist")
@@ -136,21 +149,23 @@ def _sample_non_edges(n, count, excluded_keys, rng):
         chosen = rng.choice(pool, size=count, replace=False)
         return np.stack([chosen // n, chosen % n], axis=1)
     picked = []
-    seen = set()
-    while len(picked) < count:
-        batch = max(2 * (count - len(picked)), 256)
-        cand = rng.integers(0, n, size=(batch, 2), dtype=np.int64)
+    taken = np.empty(0, dtype=np.int64)  # sorted keys of the picked pairs
+    need = count
+    while need:
+        cand = rng.integers(0, n, size=(max(2 * need, 256), 2), dtype=np.int64)
         cand = cand[cand[:, 0] != cand[:, 1]]
         keys = cand[:, 0] * n + cand[:, 1]
-        fresh = ~np.isin(keys, excluded_keys)
-        for key, pair in zip(keys[fresh], cand[fresh]):
-            k = int(key)
-            if k not in seen:
-                seen.add(k)
-                picked.append(pair)
-                if len(picked) == count:
-                    break
-    return np.asarray(picked, dtype=np.int64)
+        order = np.argsort(keys)
+        starts = np.flatnonzero(run_starts(keys[order]))
+        # each distinct key once, sorted, which keeps the searches cache-friendly
+        distinct = keys[order[starts]]
+        first_draw = np.minimum.reduceat(order, starts)
+        fresh = ~(_member(distinct, excluded_keys) | _member(distinct, taken))
+        first = np.sort(first_draw[fresh])[:need]
+        picked.append(cand[first])
+        taken = np.sort(np.concatenate([taken, keys[first]]))
+        need -= len(first)
+    return np.concatenate(picked)
 
 
 def sample_eval_negatives(g_full, count, seed):
@@ -217,18 +232,6 @@ def save_split(directory, bundle):
         fh.write(f"ratios = {','.join(repr(r) for r in bundle.ratios)}\n")
 
 
-def _load_pairs(path):
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            u, v = line.split()
-            pairs.append((int(u), int(v)))
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-
-
 def load_split(directory):
     directory = Path(directory)
     meta = {}
@@ -238,13 +241,13 @@ def load_split(directory):
                 key, val = line.split("=", 1)
                 meta[key.strip()] = val.strip()
     n = int(meta["n"])
-    train_pos = _load_pairs(directory / "train.txt")
+    train_pos = read_pairs(directory / "train.txt")
     return SplitBundle(
         train_pos=train_pos,
-        val_pos=_load_pairs(directory / "val_pos.txt"),
-        test_pos=_load_pairs(directory / "test_pos.txt"),
-        val_neg=_load_pairs(directory / "val_neg.txt"),
-        test_neg=_load_pairs(directory / "test_neg.txt"),
+        val_pos=read_pairs(directory / "val_pos.txt"),
+        test_pos=read_pairs(directory / "test_pos.txt"),
+        val_neg=read_pairs(directory / "val_neg.txt"),
+        test_neg=read_pairs(directory / "test_neg.txt"),
         seed=int(meta["seed"]),
         train_graph=DirectedGraph(n, train_pos),
         ratios=tuple(float(r) for r in meta["ratios"].split(",")),

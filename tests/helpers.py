@@ -1,5 +1,6 @@
-"""Shared test utilities: random graph builders, finite-difference checks and
-a memory-bounded subprocess runner."""
+"""Shared test utilities: random graph builders, loop-based reference
+implementations of the data path, finite-difference checks and a
+memory-bounded subprocess runner."""
 
 import os
 import subprocess
@@ -31,6 +32,74 @@ def weakly_connected_random_graph(rng, n, p=0.2):
     path = np.stack([perm[:-1], perm[1:]], axis=1)
     edges = np.vstack([g.edges, path]) if len(g.edges) else path
     return DirectedGraph(n, edges)
+
+
+class UnionFind:
+    """Disjoint-set forest with path compression and union by size."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        """Merge the sets containing a and b; return True if they were distinct."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
+
+
+def kruskal_pins(n, shuffled):
+    """Reference split pinning: a union-find pass over the shuffled edges in
+    order.  Returns (tree, pinned) masks over the shuffled positions: the
+    edges that merged two components, and for each of them the edge kept in
+    train, the lexicographically smaller of its two directions if both exist."""
+    index_of = {(int(u), int(v)): i for i, (u, v) in enumerate(shuffled)}
+    uf = UnionFind(n)
+    tree = np.zeros(len(shuffled), dtype=bool)
+    pinned = np.zeros(len(shuffled), dtype=bool)
+    for i, (u, v) in enumerate(shuffled):
+        if uf.union(int(u), int(v)):
+            tree[i] = True
+            cand = (int(u), int(v))
+            rev = (cand[1], cand[0])
+            if rev in index_of and rev < cand:
+                cand = rev
+            pinned[index_of[cand]] = True
+    return tree, pinned
+
+
+def sample_non_edges_loop(n, count, excluded_keys, rng):
+    """Reference sparse-regime negative sampler: batches of draws, scanned one
+    pair at a time with a set of the keys already picked."""
+    picked = []
+    seen = set()
+    while len(picked) < count:
+        batch = max(2 * (count - len(picked)), 256)
+        cand = rng.integers(0, n, size=(batch, 2), dtype=np.int64)
+        cand = cand[cand[:, 0] != cand[:, 1]]
+        keys = cand[:, 0] * n + cand[:, 1]
+        fresh = ~np.isin(keys, excluded_keys)
+        for key, pair in zip(keys[fresh], cand[fresh]):
+            k = int(key)
+            if k not in seen:
+                seen.add(k)
+                picked.append(pair)
+                if len(picked) == count:
+                    break
+    return np.asarray(picked, dtype=np.int64).reshape(-1, 2)
 
 
 def rel_err(a, b, floor=1e-3):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import dirlink
 from dirlink import cli, models, training
 from dirlink.graph import DataError
 
@@ -16,6 +21,21 @@ def _sample_config(tmp_path):
         model={"model": "mlp", "lr": 0.05, "k": 3},
         grid={"lr": (0.1, 0.01), "k": (1, 2)},
     )
+
+
+def test_cli_import_leaves_out_csgraph_and_linalg():
+    # scipy.sparse.csgraph pulls in scipy.linalg and scipy.sparse.linalg: about
+    # 10 MB of resident memory in every run for modules the program never calls
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(dirlink.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, dirlink.cli\n"
+            "print(*sorted(m for m in sys.modules if m.startswith("
+            "('scipy.sparse.csgraph', 'scipy.linalg', 'scipy.sparse.linalg'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_config_round_trip(tmp_path):

@@ -10,7 +10,6 @@ from dirlink.graph import (
     CsrMatrix,
     DataError,
     DirectedGraph,
-    UnionFind,
     adjacency,
     bipartite_block,
     degrees,
@@ -22,11 +21,12 @@ from dirlink.graph import (
     preprocess,
     save_edge_list,
     save_features,
+    spanning_forest,
     spmm,
     spmm_t,
     weakly_connected_components,
 )
-from helpers import random_graph
+from helpers import UnionFind, kruskal_pins, random_graph
 
 
 def test_union_find_merges_and_reports():
@@ -86,6 +86,12 @@ def test_csr_invariant_violations_rejected():
     with pytest.raises(ValueError):
         # duplicate column within a row
         CsrMatrix(1, 2, np.array([0, 2]), np.array([1, 1]), np.ones(2))
+    # decreasing columns across a row boundary are fine; the bad row is named
+    # past the empty rows before it
+    ok = CsrMatrix(4, 3, np.array([0, 2, 2, 3, 3]), np.array([0, 2, 1]), np.ones(3))
+    assert ok.nnz == 3
+    with pytest.raises(ValueError, match="in row 3"):
+        CsrMatrix(5, 3, np.array([0, 2, 2, 2, 4, 4]), np.array([0, 2, 2, 1]), np.ones(4))
 
 
 def test_spmm_agrees_with_dense_product():
@@ -159,9 +165,15 @@ def test_normalize_adj_matches_dense_formula():
 
 def test_weak_components_match_scipy():
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        g = random_graph(rng, int(rng.integers(2, 30)), p=0.08)
+    graphs = [random_graph(rng, int(rng.integers(2, 30)), p=0.08) for _ in range(20)]
+    # thousands of nodes: many small components and isolated nodes
+    big = rng.integers(0, 3000, size=(2500, 2))
+    graphs.append(DirectedGraph(3000, big[big[:, 0] != big[:, 1]]))
+    for g in graphs:
         ours = weakly_connected_components(g)
+        # first-appearance order: each node's label is at most one above all before it
+        seen_max = np.concatenate([[-1], np.maximum.accumulate(ours)[:-1]])
+        assert np.all(ours <= seen_max + 1)
         a = sp.coo_matrix(
             (np.ones(g.edge_count), (g.edges[:, 0], g.edges[:, 1])), shape=(g.n, g.n)
         )
@@ -171,6 +183,32 @@ def test_weak_components_match_scipy():
         for c in range(n_ref):
             members = np.flatnonzero(ref == c)
             assert len(set(ours[members])) == 1
+
+
+def _forest_inputs():
+    """Shuffled edge lists with reciprocal pairs, parallel edges, several
+    components and isolated nodes, up to n = 5000."""
+    rng = np.random.default_rng(40)
+    for n, m in [(2, 1), (3, 4), (10, 6)] + [(int(k), int(2 * k)) for k in
+                                             rng.integers(5, 60, size=30)] + [(5000, 9000)]:
+        e = rng.integers(0, n - n // 10, size=(m, 2))  # the top tenth of ids stays isolated
+        e = e[e[:, 0] != e[:, 1]]
+        e = np.concatenate([e, e[: m // 3, ::-1], e[: m // 7]])
+        yield n, e[rng.permutation(len(e))]
+
+
+def test_spanning_forest_matches_union_find_oracle():
+    for n, e in _forest_inputs():
+        tree, comp = spanning_forest(n, e[:, 0], e[:, 1])
+        want_tree, _ = kruskal_pins(n, e)
+        assert np.array_equal(tree, want_tree)
+        uf = UnionFind(n)
+        for u, v in e:
+            uf.union(int(u), int(v))
+        roots = np.array([uf.find(x) for x in range(n)])
+        # same partition: each representative names exactly one oracle set
+        pairs = np.unique(np.stack([comp, roots], axis=1), axis=0)
+        assert len(pairs) == len(np.unique(comp)) == len(np.unique(roots))
 
 
 def test_weak_component_labels_first_appearance_order():
@@ -244,6 +282,28 @@ def test_edge_list_parse_errors(tmp_path):
         load_edge_list(path, n=4)
 
 
+def test_edge_list_ingest_edge_cases(tmp_path):
+    path = tmp_path / "g.txt"
+    # a bad token on a late line, after comments and blank lines
+    lines = ["# header", "", "0 1", "  # indented comment", "", "1 2", "2 x", "3 4"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=r"g\.txt:7: non-integer endpoint in '2 x'"):
+        load_edge_list(path)
+    path.write_text("0 1\n1 2 3\n")
+    with pytest.raises(DataError, match=r"g\.txt:2: expected 'u v', got '1 2 3'"):
+        load_edge_list(path)
+    # every line with three tokens is no edge list either
+    path.write_text("0 1 2\n1 2 3\n")
+    with pytest.raises(DataError, match=r"g\.txt:1: expected 'u v'"):
+        load_edge_list(path)
+    path.write_bytes(b"# crlf\r\n0 1\r\n\r\n2 0\r\n")
+    assert np.array_equal(load_edge_list(path).edges, [[0, 1], [2, 0]])
+    # only whole lines are comments
+    path.write_text("0 1\n1 2 # note\n")
+    with pytest.raises(DataError, match=r"g\.txt:2: expected 'u v', got '1 2 # note'"):
+        load_edge_list(path)
+
+
 def test_edge_list_drops_self_loops_with_warning(tmp_path):
     path = tmp_path / "loops.txt"
     path.write_text("0 0\n0 1\n1 1\n")
@@ -262,4 +322,13 @@ def test_features_round_trip_and_errors(tmp_path):
         load_features(path)
     path.write_text("1 2\n1 nan\n")
     with pytest.raises(DataError, match="non-finite"):
+        load_features(path)
+    path.write_text("2 2\n1 2\n\n3 x\n")
+    with pytest.raises(DataError, match=r"f\.txt:4: non-numeric value"):
+        load_features(path)
+    path.write_text("2 2\n1 2\n3\n")
+    with pytest.raises(DataError, match=r"f\.txt:3: expected 2 values, got 1"):
+        load_features(path)
+    path.write_text("2 x\n")
+    with pytest.raises(DataError, match=r"f\.txt:1: non-integer header"):
         load_features(path)

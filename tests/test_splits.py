@@ -6,6 +6,7 @@ from scipy.sparse.csgraph import connected_components
 from dirlink.graph import DataError, DirectedGraph
 from dirlink.splits import (
     FeatureInit,
+    _sample_non_edges,
     init_features,
     load_split,
     sample_eval_negatives,
@@ -13,7 +14,7 @@ from dirlink.splits import (
     save_split,
     split_edges,
 )
-from helpers import weakly_connected_random_graph
+from helpers import kruskal_pins, sample_non_edges_loop, weakly_connected_random_graph
 
 
 def _keys(pairs, n):
@@ -86,6 +87,62 @@ def test_split_deterministic_and_seed_sensitive():
     assert np.array_equal(a.test_neg, b.test_neg)
     c = split_edges(g, seed=6)
     assert not np.array_equal(a.test_pos, c.test_pos)
+
+
+def test_split_pins_match_kruskal_oracle():
+    # connected graphs with reciprocal pairs: the held-out edges are the first
+    # unpinned ones in shuffled order, pins as a union-find pass keeps them
+    rng = np.random.default_rng(41)
+    sizes = [int(k) for k in rng.integers(3, 80, size=12)] + [5000]
+    for n in sizes:
+        perm = rng.permutation(n)
+        path = np.stack([perm[:-1], perm[1:]], axis=1)
+        extra = rng.integers(0, n, size=(3 * n, 2))
+        extra = extra[extra[:, 0] != extra[:, 1]]
+        e = np.concatenate([path, extra, extra[: n, ::-1], path[: n // 2, ::-1]])
+        g = DirectedGraph(n, e)
+        for seed in range(2):
+            bundle = split_edges(g, seed=seed)
+            shuffle_ss, _ = np.random.SeedSequence(seed).spawn(2)
+            shuffled = g.edges[np.random.default_rng(shuffle_ss).permutation(g.edge_count)]
+            _, pinned = kruskal_pins(n, shuffled)
+            removable = np.flatnonzero(~pinned)
+            n_test, n_val = len(bundle.test_pos), len(bundle.val_pos)
+            assert np.array_equal(bundle.test_pos, shuffled[removable[:n_test]])
+            assert np.array_equal(bundle.val_pos, shuffled[removable[n_test : n_test + n_val]])
+            assert np.array_equal(bundle.train_pos,
+                                  np.delete(shuffled, removable[: n_test + n_val], axis=0))
+
+
+class _CountingRng:
+    """Delegates integers() to a numpy Generator and counts the batches drawn."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.batches = 0
+
+    def integers(self, *args, **kwargs):
+        self.batches += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_sparse_sampler_matches_loop_oracle():
+    # half the pairs excluded and count at the sparse-regime limit, so each
+    # batch leaves many pairs unpicked and the sampler draws again
+    rng = np.random.default_rng(42)
+    for n, seed in [(40, 0), (40, 1), (41, 2), (120, 3)]:
+        keys = np.sort(rng.choice(n * n, size=n * n // 2, replace=False))
+        excluded = keys[keys // n != keys % n]
+        count = (n * (n - 1) - len(excluded)) // 2
+        ours_rng, ref_rng = _CountingRng(seed), _CountingRng(seed)
+        ours = _sample_non_edges(n, count, excluded, ours_rng)
+        ref = sample_non_edges_loop(n, count, excluded, ref_rng)
+        assert np.array_equal(ours, ref)
+        assert ours_rng.batches == ref_rng.batches >= 3
+    # nothing excluded, many repeated draws
+    ours = _sample_non_edges(30, 400, np.empty(0, dtype=np.int64), _CountingRng(5))
+    ref = sample_non_edges_loop(30, 400, np.empty(0, dtype=np.int64), _CountingRng(5))
+    assert np.array_equal(ours, ref)
 
 
 def test_split_rejects_unreachable_holdout():
@@ -228,3 +285,13 @@ def test_split_save_load_round_trip(tmp_path):
     assert loaded.ratios == bundle.ratios
     assert loaded.train_graph.n == g.n
     assert np.array_equal(loaded.train_graph.edges, bundle.train_graph.edges)
+
+
+def test_load_split_rejects_malformed_file(tmp_path):
+    g = DirectedGraph(4, [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2], [1, 3], [2, 0]])
+    save_split(tmp_path / "s", split_edges(g, ratios=(0.6, 0.2, 0.2), seed=0))
+    path = tmp_path / "s" / "val_neg.txt"
+    path.write_text(path.read_text() + "12 x 4\n")
+    line = len(path.read_text().splitlines())
+    with pytest.raises(DataError, match=rf"val_neg\.txt:{line}: expected 'u v'"):
+        load_split(tmp_path / "s")
