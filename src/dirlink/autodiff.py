@@ -255,24 +255,65 @@ def sigmoid(x):
     return _result(y, "sigmoid", (x,), rule)
 
 
-def gather_rows(x, idx):
+def _row_index(idx, n, op):
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
-        raise ValueError("gather_rows takes a 1-D index array")
-    n = x.data.shape[0]
+        raise ValueError(f"{op} takes a 1-D index array")
     if len(idx) and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError("gather_rows index out of range")
+        raise IndexError(f"{op} index out of range")
+    return idx
+
+
+def _scatter(rows, cols, vals, shape):
+    """CSR whose row r lists the positions i with rows[i] == r in ascending
+    i, so a product with it sums each row in index order, like np.add.at."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    order = np.argsort(rows, kind="stable")
+    return _sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
+
+
+def gather_rows(x, idx):
+    n = x.data.shape[0]
+    idx = _row_index(idx, n, "gather_rows")
 
     def rule(g):
-        # row r of the scatter matrix selects the positions i with idx[i] == r
-        # in ascending i, so each row sums in index order, like np.add.at
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
-        order = np.argsort(idx, kind="stable")
-        scatter = _sp.csr_matrix((np.ones(len(idx)), order, indptr), shape=(n, len(idx)))
-        _accumulate(x, scatter @ g)
+        p = len(idx)
+        _accumulate(x, _scatter(idx, np.arange(p), np.ones(p), (n, p)) @ g)
 
     return _result(x.data[idx], "gather_rows", (x,), rule)
+
+
+def pair_dot(s, t, u, v, block):
+    """Row-wise inner products of S[u] and T[v]: a (P, 1) column.
+
+    The numbers of row_sum(hadamard(gather_rows(s, u), gather_rows(t, v)))
+    without its (P, d) arrays.  The forward pass is a sampled dense-dense
+    product over blocks of ``block`` pairs.  The backward pass is two
+    sparse-dense products with W, the CSR of the output grads at (u, v):
+    first dT = W.T @ S, then dS = W @ T, the order in which the three-op
+    graph replays them, so a T that aliases S sums its grad the same way.
+    """
+    n_s, n_t = s.data.shape[0], t.data.shape[0]
+    u = _row_index(u, n_s, "pair_dot")
+    v = _row_index(v, n_t, "pair_dot")
+    if len(u) != len(v):
+        raise ValueError(f"pair_dot index length mismatch: {len(u)} vs {len(v)}")
+    if s.data.shape[1] != t.data.shape[1]:
+        raise ValueError(f"pair_dot width mismatch: {s.data.shape} vs {t.data.shape}")
+    out = np.empty((len(u), 1))
+    for b0 in range(0, len(u), block):
+        b = slice(b0, b0 + block)
+        out[b, 0] = (s.data[u[b]] * t.data[v[b]]).sum(axis=1)
+
+    def rule(g):
+        g = g[:, 0]
+        if t.requires_grad:
+            _accumulate(t, _scatter(v, u, g, (n_t, n_s)) @ s.data)
+        if s.requires_grad:
+            _accumulate(s, _scatter(u, v, g, (n_s, n_t)) @ t.data)
+
+    return _result(out, "pair_dot", (s, t), rule)
 
 
 def row_sum(x):

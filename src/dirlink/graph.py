@@ -377,7 +377,7 @@ def read_pairs(path):
             # a file without data lines is an empty edge list here
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             pairs = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
-    except ValueError:
+    except (ValueError, OverflowError):
         return _scan_pairs(path)
     if not len(pairs):
         return np.empty((0, 2), dtype=np.int64)
@@ -399,6 +399,9 @@ def _has_inline_comment(path):
     return False
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _scan_pairs(path):
     """read_pairs one line at a time: the reference for its format and errors."""
     pairs = []
@@ -416,6 +419,8 @@ def _scan_pairs(path):
                 raise DataError(f"{path}:{lineno}: non-integer endpoint in {line!r}") from None
             if u < 0 or v < 0:
                 raise DataError(f"{path}:{lineno}: negative node index in {line!r}")
+            if max(u, v) > _INT64_MAX:
+                raise DataError(f"{path}:{lineno}: node index above 2^63 - 1 in {line!r}")
             pairs.append((u, v))
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 

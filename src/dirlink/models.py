@@ -327,18 +327,19 @@ class DecoderKind:
 def decode(dec, enc, pairs):
     """Logits for ordered pairs: row u of S with row v of T.
 
-    inner: dot product.  mlp_hadamard / mlp_concat: relu MLP over the
-    elementwise product / the concatenation.  lr_concat: affine map over the
+    inner: dot product, one fused op that allocates no (pairs, d) array in
+    either pass.  mlp_hadamard / mlp_concat: relu MLP over the elementwise
+    product / the concatenation.  lr_concat: affine map over the
     concatenation.  Output shape (len(pairs), out_dim), pre-sigmoid.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    su = ad.gather_rows(enc.S, pairs[:, 0])
-    tv = ad.gather_rows(enc.T, pairs[:, 1])
     if dec.kind == "inner":
-        z = ad.row_sum(ad.hadamard(su, tv))
+        z = ad.pair_dot(enc.S, enc.T, pairs[:, 0], pairs[:, 1], score_block_pairs(dec, enc))
         if dec.out_dim == 2:
             z = ad.concat_cols(z, ad.Tensor(np.zeros((z.shape[0], 1))))
         return z
+    su = ad.gather_rows(enc.S, pairs[:, 0])
+    tv = ad.gather_rows(enc.T, pairs[:, 1])
     if dec.kind == "lr_concat":
         w, b = dec.layers[0]
         return ad.add_bias(ad.matmul(ad.concat_cols(su, tv), w), b)
@@ -350,10 +351,11 @@ def decode(dec, enc, pairs):
 
 # Forward-only scoring decodes its pairs in blocks whose widest per-pair
 # array, a gather of embedding rows or a hidden layer, fills at most this
-# many bytes: 512 pairs of 64 float64 columns.  So the working set does not
-# grow with the number of pairs, and its arrays stay small enough that the
-# allocator reuses them from block to block instead of returning them to the
-# system and faulting them back in.
+# many bytes: 512 pairs of 64 float64 columns; the inner decoder's forward
+# pass uses blocks of the same height in training too.  So the working set
+# does not grow with the number of pairs, and its arrays stay small enough
+# that the allocator reuses them from block to block instead of returning
+# them to the system and faulting them back in.
 SCORE_BLOCK_BYTES = 256 * 1024
 
 

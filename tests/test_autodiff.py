@@ -39,6 +39,7 @@ def test_every_op_gradient_matches_finite_differences():
         "relu": lambda: ad.sum_all(ad.relu(ad.matmul(x, w))),
         "sigmoid": lambda: ad.sum_all(ad.sigmoid(ad.matmul(x, w))),
         "gather": lambda: ad.sum_all(ad.gather_rows(x, idx)),
+        "pair_dot": lambda: _squared_sum(ad.pair_dot(x, ad.relu(x), idx, idx[::-1], 2)),
         "row_sum": lambda: ad.sum_all(ad.hadamard(ad.row_sum(x), ad.row_sum(x))),
         "scale": lambda: ad.sum_all(ad.scale(ad.matmul(x, w), s)),
         "spmm": lambda: ad.sum_all(ad.relu(ad.spmm_const(a, x))),
@@ -51,6 +52,10 @@ def test_every_op_gradient_matches_finite_differences():
 
 def _ones(r, c):
     return ad.Tensor(np.ones((r, c)))
+
+
+def _squared_sum(z):
+    return ad.sum_all(ad.hadamard(z, z))
 
 
 def test_gather_rows_accumulates_duplicate_indices():
@@ -77,6 +82,65 @@ def test_gather_rows_bounds_check():
     x = ad.Tensor(np.zeros((2, 2)))
     with pytest.raises(IndexError):
         ad.gather_rows(x, np.array([2]))
+
+
+def _pair_dot_composite(s, t, u, v):
+    return ad.row_sum(ad.hadamard(ad.gather_rows(s, u), ad.gather_rows(t, v)))
+
+
+@pytest.mark.parametrize("case", ["distinct", "duplicates", "empty", "aliased_leaf", "aliased_mlp"])
+def test_pair_dot_matches_gather_composite_bitwise(case):
+    """Same forward values and the same grads, bit for bit, as the three-op
+    graph it replaces, including a T that aliases S (the MLP encoder)."""
+    rng = np.random.default_rng(25)
+    n, d = 40, 9
+    p = {"distinct": 300, "duplicates": 1000, "empty": 0}.get(case, 1000)
+    u = rng.integers(0, n, size=p)
+    v = rng.integers(0, n, size=p)
+    if case == "distinct":
+        keys = rng.choice(n * n, size=p, replace=False)
+        u, v = keys // n, keys % n
+    if case == "duplicates":
+        u[500:], v[500:] = u[:500], v[:500]
+    g = rng.standard_normal((p, 1))
+    x0 = rng.standard_normal((n, d))
+    y0 = rng.standard_normal((n, d))
+    w0 = rng.standard_normal((d, d))
+
+    def run(op):
+        x = ad.Tensor(x0.copy(), requires_grad=True)
+        y = ad.Tensor(y0.copy(), requires_grad=True)
+        w = ad.Tensor(w0.copy(), requires_grad=True)
+        if case == "aliased_leaf":
+            s = t = x
+        elif case == "aliased_mlp":
+            s = t = ad.relu(ad.matmul(x, w))
+        else:
+            s, t = x, y
+        z = op(s, t, u, v)
+        ad.backward(ad.sum_all(ad.hadamard(z, ad.Tensor(g))), params=[x, y, w])
+        return z.data, x.grad, y.grad, w.grad
+
+    fused = run(lambda s, t, u, v: ad.pair_dot(s, t, u, v, 7))
+    composite = run(_pair_dot_composite)
+    assert fused[0].shape == (p, 1)
+    for a, b in zip(fused, composite):
+        assert np.array_equal(a, b)
+
+
+def test_pair_dot_checks_its_inputs():
+    x = ad.Tensor(np.zeros((3, 2)))
+    y = ad.Tensor(np.zeros((4, 2)))
+    for u, v in (([3], [0]), ([0], [4]), ([-1], [0]), ([0], [-1])):
+        with pytest.raises(IndexError):
+            ad.pair_dot(x, y, np.array(u), np.array(v), 512)
+    assert ad.pair_dot(x, y, np.array([2]), np.array([3]), 512).shape == (1, 1)
+    with pytest.raises(ValueError, match="1-D"):
+        ad.pair_dot(x, y, np.zeros((1, 1)), np.zeros((1, 1)), 512)
+    with pytest.raises(ValueError, match="length"):
+        ad.pair_dot(x, y, np.array([0, 1]), np.array([0]), 512)
+    with pytest.raises(ValueError, match="width"):
+        ad.pair_dot(x, ad.Tensor(np.zeros((4, 3))), np.array([0]), np.array([0]), 512)
 
 
 def test_losses_match_finite_differences():

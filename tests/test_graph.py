@@ -302,6 +302,11 @@ def test_edge_list_ingest_edge_cases(tmp_path):
     path.write_text("0 1\n1 2 # note\n")
     with pytest.raises(DataError, match=r"g\.txt:2: expected 'u v', got '1 2 # note'"):
         load_edge_list(path)
+    # an index past int64 is a bad line, not a bare OverflowError
+    for big in ("99999999999999999999", str(2**63)):
+        path.write_text(f"0 1\n12 {big}\n")
+        with pytest.raises(DataError, match=rf"g\.txt:2: node index above 2\^63 - 1 in '12 {big}'"):
+            load_edge_list(path)
 
 
 def test_edge_list_drops_self_loops_with_warning(tmp_path):

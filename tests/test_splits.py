@@ -295,3 +295,6 @@ def test_load_split_rejects_malformed_file(tmp_path):
     line = len(path.read_text().splitlines())
     with pytest.raises(DataError, match=rf"val_neg\.txt:{line}: expected 'u v'"):
         load_split(tmp_path / "s")
+    path.write_text("0 1\n12 99999999999999999999\n")
+    with pytest.raises(DataError, match=r"val_neg\.txt:2: node index above"):
+        load_split(tmp_path / "s")
