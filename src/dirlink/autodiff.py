@@ -2,8 +2,8 @@
 
 Every value is a 2-D array wrapped in a Tensor.  While recording (the
 default), an op whose inputs require gradients records its parents and a
-backward rule on the output; backward() linearizes the graph into a Tape
-(insertion order = topological order) and replays it in reverse exactly once.
+backward rule on the output; backward() linearizes the graph into a list
+(parents before children) and replays it in reverse exactly once.
 Rules capture their inputs, never their own output, so a graph holds no
 reference cycles and is freed as soon as its last tensor is dropped.  Inside
 ``no_grad()`` ops record nothing.  No broadcasting beyond the dedicated
@@ -18,11 +18,15 @@ import threading
 import numpy as np
 import scipy.sparse as _sp
 
-from .graph import spmm as _spmm, spmm_t as _spmm_t
+from .graph import spmm as _spmm
+
+# No op calls this: perfbench/spans.py patches the name, so it stays
+# importable until the layers report their own spans (ROADMAP item 5).
+from .graph import spmm_t as _spmm_t
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "tape_id", "_backward", "_done",
+    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward", "_done",
                  "__weakref__")
 
     def __init__(self, data, requires_grad=False, op="leaf", parents=()):
@@ -36,7 +40,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.op = op
         self.parents = parents
-        self.tape_id = None
         self._backward = None
         self._done = False
 
@@ -46,27 +49,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return hadamard(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-class Tape:
-    """The backward program: tensor records with parents before children."""
-
-    def __init__(self, records):
-        self.records = records
-        for i, t in enumerate(records):
-            t.tape_id = i
-
-    def __len__(self):
-        return len(self.records)
 
 
 _mode = threading.local()
@@ -105,7 +87,7 @@ def _trace(loss):
         if not advanced:
             order.append(node)
             stack.pop()
-    return Tape(order)
+    return order
 
 
 def backward(loss, params=()):
@@ -116,7 +98,8 @@ def backward(loss, params=()):
     has run, the rule and the node's gradient are dropped, so only leaf
     gradients survive the call.  Backward through the same loss, or through
     any node a previous backward already replayed, is therefore an error; the
-    forward pass must be rebuilt first.
+    forward pass must be rebuilt first.  Returns the replayed tensors,
+    parents before children.
     """
     if loss.data.shape != (1, 1):
         raise ValueError("backward requires a scalar loss")
@@ -126,10 +109,10 @@ def backward(loss, params=()):
         raise RuntimeError("backward already called on this loss; rebuild the forward pass")
     loss._done = True
     tape = _trace(loss)
-    for t in (*tape.records, *params):
+    for t in (*tape, *params):
         t.grad = None
     loss.grad = np.ones((1, 1))
-    for t in reversed(tape.records):
+    for t in reversed(tape):
         if t._backward is not None:
             t._backward(t.grad)
             t._backward = _released
@@ -246,15 +229,6 @@ def _sigmoid(z):
     return out
 
 
-def sigmoid(x):
-    y = _sigmoid(x.data)
-
-    def rule(g):
-        _accumulate(x, g * y * (1.0 - y))
-
-    return _result(y, "sigmoid", (x,), rule)
-
-
 def _row_index(idx, n, op):
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
@@ -346,26 +320,21 @@ def scale(x, s):
     return _result(x.data * s.data[0, 0], "scale", (x, s), rule)
 
 
-def spmm_const(m, x):
-    """Multiply a constant CsrMatrix into a tensor: out = m @ x."""
-    if x.data.shape[0] != m.cols:
-        raise ValueError(f"spmm_const shape mismatch: {m.rows}x{m.cols} @ {x.data.shape}")
+def spmm_const(m, x, m_t):
+    """Multiply a constant sparse matrix into a tensor: out = m @ x.
+
+    The backward pass multiplies the output grad by ``m_t``, the transpose of
+    m.  A product by the transpose swaps the two, and the scipy ``.T`` view
+    of a CSR matrix serves as either, so no transposed copy is ever built.
+    """
+    if x.data.shape[0] != m.shape[1] or m_t.shape != m.shape[::-1]:
+        raise ValueError(f"spmm_const shape mismatch: {m.shape} @ {x.data.shape}, "
+                         f"transpose {m_t.shape}")
 
     def rule(g):
-        _accumulate(x, _spmm_t(m, g))
+        _accumulate(x, _spmm(m_t, g))
 
     return _result(_spmm(m, x.data), "spmm_const", (x,), rule)
-
-
-def spmm_t_const(m, x):
-    """Multiply the transpose of a constant CsrMatrix into a tensor: out = m.T @ x."""
-    if x.data.shape[0] != m.rows:
-        raise ValueError(f"spmm_t_const shape mismatch: {m.cols}x{m.rows} @ {x.data.shape}")
-
-    def rule(g):
-        _accumulate(x, _spmm(m, g))
-
-    return _result(_spmm_t(m, x.data), "spmm_t_const", (x,), rule)
 
 
 def bce_with_logits(logits, labels):

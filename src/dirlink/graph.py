@@ -1,10 +1,11 @@
 """Directed graph representation, preprocessing, and sparse linear algebra.
 
-Graphs are stored as deduplicated directed edge sets with CSR forms of the
-adjacency matrix and its transpose.  All normalization here follows the
-source/target convention: out-degrees normalize rows, in-degrees normalize
-columns, and self-loops are added only when building normalized operators,
-never stored in the graph itself.
+Graphs are stored as deduplicated, sorted directed edge sets; the adjacency
+matrix and its normalized forms are scipy CSR matrices built from them on
+demand.  All normalization here follows the source/target convention:
+out-degrees normalize rows, in-degrees normalize columns, and self-loops are
+added only when building normalized operators, never stored in the graph
+itself.
 """
 
 from __future__ import annotations
@@ -29,150 +30,41 @@ def run_starts(sorted_keys):
     return first
 
 
-class CsrMatrix:
-    """Weighted sparse matrix in compressed-sparse-row form.
-
-    Invariants: ``row_ptr`` is monotone nondecreasing with ``rows + 1``
-    entries, and within each row the column indices are strictly increasing.
-
-    Parameters
-    ----------
-    rows, cols : int
-        Matrix dimensions.
-    row_ptr, col_idx, values : array_like
-        Standard CSR arrays.  ``values[row_ptr[r]:row_ptr[r+1]]`` are the
-        entries of row ``r``.
-    """
-
-    __slots__ = ("rows", "cols", "row_ptr", "col_idx", "values", "_scipy_cache", "_t_cache",
-                 "__weakref__")
-
-    def __init__(self, rows, cols, row_ptr, col_idx, values):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
-        self.col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
-        self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self._scipy_cache = None
-        self._t_cache = None
-        if self.row_ptr.shape != (self.rows + 1,):
-            raise ValueError("row_ptr must have rows + 1 entries")
-        if self.row_ptr[0] != 0 or self.row_ptr[-1] != len(self.col_idx):
-            raise ValueError("row_ptr endpoints inconsistent with col_idx")
-        if np.any(np.diff(self.row_ptr) < 0):
-            raise ValueError("row_ptr must be monotone nondecreasing")
-        if len(self.col_idx) != len(self.values):
-            raise ValueError("col_idx and values length mismatch")
-        if len(self.col_idx) and (self.col_idx.min() < 0 or self.col_idx.max() >= self.cols):
-            raise ValueError("column index out of range")
-        if self.nnz > 1:
-            # neighbouring entries k, k + 1 must increase unless a row starts at k + 1
-            same_row = np.ones(self.nnz - 1, dtype=bool)
-            starts = self.row_ptr[1:-1]
-            same_row[starts[(starts > 0) & (starts < self.nnz)] - 1] = False
-            bad = np.flatnonzero(same_row & (np.diff(self.col_idx) <= 0))
-            if len(bad):
-                r = np.searchsorted(self.row_ptr, bad[0], side="right") - 1
-                raise ValueError(f"column indices not strictly increasing in row {r}")
-
-    @classmethod
-    def from_coo(cls, rows, cols, r, c, v):
-        """Build a CSR matrix from coordinate triplets, summing duplicates."""
-        r = np.asarray(r, dtype=np.int64)
-        c = np.asarray(c, dtype=np.int64)
-        v = np.asarray(v, dtype=np.float64)
-        if not (len(r) == len(c) == len(v)):
-            raise ValueError("coordinate arrays must have equal length")
-        if len(r) and (r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols):
-            raise ValueError("coordinate out of range")
-        key = r * np.int64(cols) + c
-        order = np.argsort(key, kind="stable")
-        key, v = key[order], v[order]
-        start = np.flatnonzero(run_starts(key))
-        uniq = key[start]
-        summed = np.add.reduceat(v, start) if len(v) else v
-        rr = uniq // cols
-        cc = uniq % cols
-        row_ptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rr, minlength=rows), out=row_ptr[1:])
-        return cls(rows, cols, row_ptr, cc, summed)
-
-    @property
-    def nnz(self):
-        return len(self.col_idx)
-
-    def _scipy(self):
-        if self._scipy_cache is None:
-            self._scipy_cache = _sp.csr_matrix(
-                (self.values, self.col_idx, self.row_ptr), shape=(self.rows, self.cols)
-            )
-        return self._scipy_cache
-
-    def transpose(self):
-        """Return the transpose as a CsrMatrix, cached on this matrix only: the
-        transpose keeps no reference back, so a matrix dies by refcount."""
-        if self._t_cache is None:
-            rr = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.row_ptr))
-            self._t_cache = CsrMatrix.from_coo(self.cols, self.rows, self.col_idx, rr, self.values)
-        return self._t_cache
-
-    def to_dense(self):
-        out = np.zeros((self.rows, self.cols))
-        rr = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.row_ptr))
-        out[rr, self.col_idx] = self.values
-        return out
-
-
 def spmm(m, x):
     """Sparse-dense product ``m @ x``.
 
     Parameters
     ----------
-    m : CsrMatrix
-    x : ndarray, shape (m.cols, d)
+    m : scipy sparse matrix, shape (r, c)
+    x : ndarray, shape (c, d)
 
     Returns
     -------
-    ndarray, shape (m.rows, d)
+    ndarray, shape (r, d)
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    if x.shape[0] != m.cols:
-        raise ValueError(f"dimension mismatch: {m.rows}x{m.cols} @ {x.shape}")
-    return np.ascontiguousarray(m._scipy() @ x)
+    if x.shape[0] != m.shape[1]:
+        raise ValueError(f"dimension mismatch: {m.shape[0]}x{m.shape[1]} @ {x.shape}")
+    return np.ascontiguousarray(m @ x)
 
 
 def spmm_t(m, x):
-    """Sparse-dense product by the transpose, ``m.T @ x``."""
-    return spmm(m.transpose(), x)
-
-
-def bipartite_block(m):
-    """Lift a square matrix M to its symmetric bipartite block form.
-
-    Returns the 2n x 2n matrix ``[[0, M], [M^T, 0]]``.  The result is
-    symmetric for any M and has exactly twice the nonzeros.
-    """
-    if m.rows != m.cols:
-        raise ValueError("bipartite_block requires a square matrix")
-    n = m.rows
-    t = m.transpose()
-    row_ptr = np.concatenate([m.row_ptr[:-1], m.row_ptr[-1] + t.row_ptr])
-    col_idx = np.concatenate([m.col_idx + n, t.col_idx])
-    values = np.concatenate([m.values, t.values])
-    return CsrMatrix(2 * n, 2 * n, row_ptr, col_idx, values)
+    """Sparse-dense product by the transpose, ``m.T @ x``.  scipy's ``.T`` of
+    a CSR matrix is a CSC view of the same arrays, so nothing is copied."""
+    return spmm(m.T, x)
 
 
 class DirectedGraph:
     """A directed graph: node count plus a deduplicated self-loop-free edge set.
 
-    ``csr_out`` holds the adjacency matrix A (row = source) and ``csr_in``
-    its transpose.  Edges are stored sorted lexicographically, so identical
-    edge sets produce identical objects regardless of input order.
+    Edges are stored sorted lexicographically, so identical edge sets produce
+    identical objects regardless of input order.  ``adjacency`` builds the
+    sparse matrix from them.
     """
 
-    __slots__ = ("n", "edges", "csr_out", "csr_in")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n, edges):
         self.n = int(n)
@@ -188,9 +80,6 @@ class DirectedGraph:
             keys = keys[run_starts(keys)]
             edges = np.stack([keys // self.n, keys % self.n], axis=1)
         self.edges = edges
-        ones = np.ones(len(edges))
-        self.csr_out = CsrMatrix.from_coo(self.n, self.n, edges[:, 0], edges[:, 1], ones)
-        self.csr_in = self.csr_out.transpose()
 
     @property
     def edge_count(self):
@@ -202,11 +91,6 @@ class DirectedGraph:
         The edges are stored in lexicographic order, so their keys are sorted."""
         return self.edges[:, 0] * np.int64(self.n) + self.edges[:, 1]
 
-    def has_edge(self, u, v):
-        lo, hi = self.csr_out.row_ptr[u], self.csr_out.row_ptr[u + 1]
-        i = np.searchsorted(self.csr_out.col_idx[lo:hi], v)
-        return i < hi - lo and self.csr_out.col_idx[lo + i] == v
-
 
 def degrees(g, add_self_loops=False):
     """Out- and in-degree vectors of g.
@@ -214,8 +98,8 @@ def degrees(g, add_self_loops=False):
     With ``add_self_loops`` both are incremented by one, matching the
     degrees of the self-looped adjacency used by normalized operators.
     """
-    out_deg = np.diff(g.csr_out.row_ptr)
-    in_deg = np.diff(g.csr_in.row_ptr)
+    out_deg = np.bincount(g.edges[:, 0], minlength=g.n)
+    in_deg = np.bincount(g.edges[:, 1], minlength=g.n)
     if add_self_loops:
         out_deg = out_deg + 1
         in_deg = in_deg + 1
@@ -223,17 +107,19 @@ def degrees(g, add_self_loops=False):
 
 
 def adjacency(g, self_loops=False):
-    """The adjacency matrix of g as a CsrMatrix, optionally with self-loops added."""
-    if not self_loops:
-        return g.csr_out
-    diag = np.arange(g.n, dtype=np.int64)
-    r = np.concatenate([g.edges[:, 0], diag])
-    c = np.concatenate([g.edges[:, 1], diag])
-    return CsrMatrix.from_coo(g.n, g.n, r, c, np.ones(len(r)))
+    """The adjacency matrix of g as a scipy CSR matrix in canonical form
+    (sorted columns, no duplicates), optionally with self-loops added.
+
+    The edges are sorted, so their targets are the column indices as they
+    stand and the row pointer is the running count of sources."""
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(g.edges[:, 0], minlength=g.n), out=indptr[1:])
+    a = _sp.csr_matrix((np.ones(g.edge_count), g.edges[:, 1], indptr), shape=(g.n, g.n))
+    return a + _sp.identity(g.n, format="csr") if self_loops else a
 
 
 def normalize_adj(g, alpha, beta):
-    """Degree-normalized self-looped adjacency.
+    """Degree-normalized self-looped adjacency, a scipy CSR matrix.
 
     Entry (u, v) equals ``d_out(u)^-beta * d_in(v)^-alpha`` for every edge of
     the self-looped adjacency, where degrees include the self-loops (so they
@@ -241,9 +127,9 @@ def normalize_adj(g, alpha, beta):
     """
     out_deg, in_deg = degrees(g, add_self_loops=True)
     a_hat = adjacency(g, self_loops=True)
-    rr = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(a_hat.row_ptr))
-    scale = np.power(out_deg[rr], -beta) * np.power(in_deg[a_hat.col_idx], -alpha)
-    return CsrMatrix(g.n, g.n, a_hat.row_ptr, a_hat.col_idx, a_hat.values * scale)
+    rr = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(a_hat.indptr))
+    a_hat.data *= np.power(out_deg[rr], -beta) * np.power(in_deg[a_hat.indices], -alpha)
+    return a_hat
 
 
 def normalize_sym(g):

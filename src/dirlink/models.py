@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .graph import adjacency, degrees, normalize_adj, spmm, spmm_t
+from .graph import normalize_adj
 
 DECODER_KINDS = ("inner", "mlp_hadamard", "mlp_concat", "lr_concat")
 
@@ -109,18 +109,21 @@ def sdgae_encode(p, a_norm, x):
 
     S <- gamma_s[k] * (A_norm @ T) + S and T <- gamma_t[k] * (A_norm.T @ S) + T,
     both updates reading the pre-step values.  Cost is two sparse products of
-    the edge set per step.
+    the edge set per step.  A_norm is a scipy CSR matrix; its transpose is
+    the CSC view ``.T``, taken once per pass.
     """
-    if a_norm.rows != a_norm.cols:
+    n = a_norm.shape[0]
+    if a_norm.shape[1] != n:
         raise ValueError("normalized adjacency must be square")
     xt = _as_tensor(x)
-    if xt.shape[0] != a_norm.rows:
-        raise ValueError(f"feature rows {xt.shape[0]} != node count {a_norm.rows}")
+    if xt.shape[0] != n:
+        raise ValueError(f"feature rows {xt.shape[0]} != node count {n}")
+    a_t = a_norm.T
     s = p.mlp_s(xt)
     t = p.mlp_t(xt)
     for step in range(p.k):
-        s_next = ad.add(ad.scale(ad.spmm_const(a_norm, t), p.gamma_s[step]), s)
-        t_next = ad.add(ad.scale(ad.spmm_t_const(a_norm, s), p.gamma_t[step]), t)
+        s_next = ad.add(ad.scale(ad.spmm_const(a_norm, t, a_t), p.gamma_s[step]), s)
+        t_next = ad.add(ad.scale(ad.spmm_const(a_t, s, a_norm), p.gamma_t[step]), t)
         s, t = s_next, t_next
     return EncoderOutput(s, t)
 
@@ -148,28 +151,6 @@ def expand_coefficients(gamma_s, gamma_t, k):
         new_t[1:] += gt[step] * w_s[:-1]
         w_s, w_t = new_s, new_t
     return w_s, w_t
-
-
-def sdgae_encode_explicit(p, a_norm, x):
-    """Forward-only oracle evaluating the explicit polynomial form.
-
-    Expands the step coefficients, then accumulates w[j] times the j-th
-    alternating block power of the initial embeddings.  No tape is built.
-    """
-    xt = _as_tensor(x)
-    s0 = p.mlp_s(xt).data
-    t0 = p.mlp_t(xt).data
-    gs = [float(g.data[0, 0]) for g in p.gamma_s]
-    gt = [float(g.data[0, 0]) for g in p.gamma_t]
-    w_s, w_t = expand_coefficients(gs, gt, p.k)
-    u, v = s0, t0
-    s_out = w_s[0] * u
-    t_out = w_t[0] * v
-    for j in range(1, p.k + 1):
-        u, v = spmm(a_norm, v), spmm_t(a_norm, u)
-        s_out = s_out + w_s[j] * u
-        t_out = t_out + w_t[j] * v
-    return EncoderOutput(ad.Tensor(s_out), ad.Tensor(t_out))
 
 
 @dataclass
@@ -221,47 +202,19 @@ def digae_encode(p, b, x):
     operator from digae_operator and act is relu except on the last layer.
     """
     xt = _as_tensor(x)
-    if xt.shape[0] != b.rows:
-        raise ValueError(f"feature rows {xt.shape[0]} != node count {b.rows}")
+    if xt.shape[0] != b.shape[0]:
+        raise ValueError(f"feature rows {xt.shape[0]} != node count {b.shape[0]}")
+    b_t = b.T
     s = t = xt
     last = len(p.w_s) - 1
     for layer, (w_s, w_t) in enumerate(zip(p.w_s, p.w_t)):
-        s_next = ad.spmm_const(b, ad.matmul(t, w_t))
-        t_next = ad.spmm_t_const(b, ad.matmul(s, w_s))
+        s_next = ad.spmm_const(b, ad.matmul(t, w_t), b_t)
+        t_next = ad.spmm_const(b_t, ad.matmul(s, w_s), b)
         if layer < last:
             s_next = ad.relu(s_next)
             t_next = ad.relu(t_next)
         s, t = s_next, t_next
     return EncoderOutput(s, t)
-
-
-def digae_encode_bipartite(p, g, x):
-    """Forward-only oracle for the convolution via the bipartite block form.
-
-    Stacks [S @ W_s; T @ W_t], multiplies by the symmetric 2n x 2n block
-    lift of the self-looped adjacency sandwiched between the degree scalings,
-    and splits the halves back.  Dense; for tests on small graphs.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = g.n
-    a_hat = adjacency(g, self_loops=True).to_dense()
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, n:] = a_hat
-    block[n:, :n] = a_hat.T
-    out_deg, in_deg = degrees(g, add_self_loops=True)
-    dvec = np.concatenate(
-        [np.power(out_deg.astype(np.float64), -p.beta), np.power(in_deg.astype(np.float64), -p.alpha)]
-    )
-    norm_block = dvec[:, None] * block * dvec[None, :]
-    s = t = x
-    last = len(p.w_s) - 1
-    for layer, (w_s, w_t) in enumerate(zip(p.w_s, p.w_t)):
-        z = np.vstack([s @ w_s.data, t @ w_t.data])
-        h = norm_block @ z
-        s, t = h[:n], h[n:]
-        if layer < last:
-            s, t = np.maximum(s, 0.0), np.maximum(t, 0.0)
-    return EncoderOutput(ad.Tensor(s), ad.Tensor(t))
 
 
 @dataclass

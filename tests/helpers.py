@@ -1,15 +1,18 @@
 """Shared test utilities: random graph builders, loop-based reference
-implementations of the data path, finite-difference checks and a
-memory-bounded subprocess runner."""
+implementations of the data path, dense and explicit-form oracles of the
+encoders, finite-difference checks and a memory-bounded subprocess runner."""
 
 import os
 import subprocess
 import sys
 
 import numpy as np
+import scipy.sparse as sp
 
 import dirlink
-from dirlink.graph import DirectedGraph
+import dirlink.autodiff as ad
+from dirlink.graph import DirectedGraph, adjacency, degrees, spmm, spmm_t
+from dirlink.models import EncoderOutput, expand_coefficients
 
 
 def random_graph(rng, n, p=0.2, ensure_edge=True):
@@ -102,6 +105,63 @@ def sample_non_edges_loop(n, count, excluded_keys, rng):
     return np.asarray(picked, dtype=np.int64).reshape(-1, 2)
 
 
+def bipartite_block(m):
+    """The symmetric 2n x 2n block lift ``[[0, M], [M.T, 0]]`` of a square
+    sparse matrix M, in CSR form."""
+    return sp.bmat([[None, m], [m.T, None]], format="csr")
+
+
+def sdgae_encode_explicit(p, a_norm, x):
+    """Forward-only oracle evaluating the explicit polynomial form.
+
+    Expands the step coefficients, then accumulates w[j] times the j-th
+    alternating block power of the initial embeddings.  No tape is built.
+    """
+    xt = ad.Tensor(x)
+    s0 = p.mlp_s(xt).data
+    t0 = p.mlp_t(xt).data
+    gs = [float(g.data[0, 0]) for g in p.gamma_s]
+    gt = [float(g.data[0, 0]) for g in p.gamma_t]
+    w_s, w_t = expand_coefficients(gs, gt, p.k)
+    u, v = s0, t0
+    s_out = w_s[0] * u
+    t_out = w_t[0] * v
+    for j in range(1, p.k + 1):
+        u, v = spmm(a_norm, v), spmm_t(a_norm, u)
+        s_out = s_out + w_s[j] * u
+        t_out = t_out + w_t[j] * v
+    return EncoderOutput(ad.Tensor(s_out), ad.Tensor(t_out))
+
+
+def digae_encode_bipartite(p, g, x):
+    """Forward-only oracle for the convolution via the bipartite block form.
+
+    Stacks [S @ W_s; T @ W_t], multiplies by the symmetric 2n x 2n block
+    lift of the self-looped adjacency sandwiched between the degree scalings,
+    and splits the halves back.  Dense; for tests on small graphs.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = g.n
+    a_hat = adjacency(g, self_loops=True).toarray()
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, n:] = a_hat
+    block[n:, :n] = a_hat.T
+    out_deg, in_deg = degrees(g, add_self_loops=True)
+    dvec = np.concatenate(
+        [np.power(out_deg.astype(np.float64), -p.beta), np.power(in_deg.astype(np.float64), -p.alpha)]
+    )
+    norm_block = dvec[:, None] * block * dvec[None, :]
+    s = t = x
+    last = len(p.w_s) - 1
+    for layer, (w_s, w_t) in enumerate(zip(p.w_s, p.w_t)):
+        z = np.vstack([s @ w_s.data, t @ w_t.data])
+        h = norm_block @ z
+        s, t = h[:n], h[n:]
+        if layer < last:
+            s, t = np.maximum(s, 0.0), np.maximum(t, 0.0)
+    return EncoderOutput(ad.Tensor(s), ad.Tensor(t))
+
+
 def rel_err(a, b, floor=1e-3):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
@@ -124,8 +184,6 @@ def check_gradients(loss_builder, params, rng, coords_per_tensor=3, h=1e-5, tol=
     return the scalar loss Tensor.  Samples a few coordinates per parameter.
     Returns the worst relative error seen.
     """
-    import dirlink.autodiff as ad
-
     loss = loss_builder()
     ad.backward(loss, params)
     grads = [p.grad.copy() for p in params]

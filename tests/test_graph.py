@@ -6,12 +6,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+import dirlink.autodiff as ad
+from dirlink import models
 from dirlink.graph import (
-    CsrMatrix,
     DataError,
     DirectedGraph,
     adjacency,
-    bipartite_block,
     degrees,
     graph_stats,
     load_edge_list,
@@ -26,7 +26,7 @@ from dirlink.graph import (
     spmm_t,
     weakly_connected_components,
 )
-from helpers import UnionFind, kruskal_pins, random_graph
+from helpers import UnionFind, bipartite_block, kruskal_pins, random_graph
 
 
 def test_union_find_merges_and_reports():
@@ -38,60 +38,70 @@ def test_union_find_merges_and_reports():
     assert uf.find(3) != uf.find(0)
 
 
-def test_csr_from_coo_sums_duplicates():
-    m = CsrMatrix.from_coo(3, 3, [0, 0, 2, 0], [1, 1, 0, 2], [1.0, 2.0, 5.0, 7.0])
-    dense = m.to_dense()
-    expected = np.zeros((3, 3))
-    expected[0, 1] = 3.0
-    expected[0, 2] = 7.0
-    expected[2, 0] = 5.0
-    assert np.array_equal(dense, expected)
+def _graph_with_empty_rows_and_cols(rng):
+    """A random graph in which node 0 has no out-edges, node 1 no in-edges
+    and the last two nodes no edges at all."""
+    n = int(rng.integers(3, 40))
+    edges = rng.integers(0, n, size=(int(rng.integers(1, 4 * n)), 2))
+    edges = edges[(edges[:, 0] != edges[:, 1]) & (edges[:, 0] != 0) & (edges[:, 1] != 1)]
+    return DirectedGraph(n + 2, edges)
 
 
-def test_csr_matches_scipy_on_random_matrices():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        r, c = rng.integers(1, 12, size=2)
-        k = int(rng.integers(0, r * c + 1))
-        rows = rng.integers(0, r, size=k)
-        cols = rng.integers(0, c, size=k)
-        vals = rng.standard_normal(k)
-        ours = CsrMatrix.from_coo(r, c, rows, cols, vals)
-        ref = sp.coo_matrix((vals, (rows, cols)), shape=(r, c)).toarray()
-        assert np.allclose(ours.to_dense(), ref)
-        assert np.allclose(ours.transpose().to_dense(), ref.T)
+@pytest.mark.parametrize("operator", ["adjacency", "adjacency_self_loops", "normalize_adj"])
+def test_operators_are_canonical_and_transpose_views_match_copies_bitwise(operator):
+    # the encoders multiply by an operator's transpose through its CSC view;
+    # forward and grad must equal, bit for bit, products with a CSR copy
+    build = {
+        "adjacency": adjacency,
+        "adjacency_self_loops": lambda g: adjacency(g, self_loops=True),
+        "normalize_adj": lambda g: normalize_adj(g, 0.3, 0.8),
+    }[operator]
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        g = _graph_with_empty_rows_and_cols(rng)
+        m = build(g)
+        assert isinstance(m, sp.csr_matrix) and m.has_canonical_format
+        dense = np.zeros((g.n, g.n))
+        dense[g.edges[:, 0], g.edges[:, 1]] = 1.0
+        if operator != "adjacency":
+            dense += np.eye(g.n)
+        assert np.array_equal(m.toarray() != 0, dense != 0)
+        m_t = m.T.tocsr()
+        assert m_t.has_canonical_format
+        for d in (1, 3, 8):
+            x = ad.Tensor(rng.standard_normal((g.n, d)), requires_grad=True)
+            up = rng.standard_normal((g.n, d))
+            out = ad.spmm_const(m.T, x, m)
+            assert np.array_equal(out.data, m_t @ x.data)
+            out = ad.spmm_const(m, x, m.T)
+            ad.backward(ad.sum_all(ad.hadamard(out, ad.Tensor(up))))
+            assert np.array_equal(out.data, m @ x.data)
+            assert np.array_equal(x.grad, m_t @ up)
 
 
 def test_operator_dies_by_refcount_after_transpose_product():
-    # the transpose is cached on the operator but holds no reference back,
-    # so dropping the operator frees both without the cyclic collector
-    g = random_graph(np.random.default_rng(1), 12)
-    x = np.random.default_rng(2).standard_normal((12, 3))
+    # the operator's transpose is a view held only by the tape's rules, and
+    # nothing refers back, so dropping the operator and an SDGAE pass, with
+    # or without its backward pass, frees them all without the cyclic collector
+    rng = np.random.default_rng(1)
+    g = random_graph(rng, 12)
+    x = rng.standard_normal((12, 3))
+    p = models.SdgaeParams.init(rng, 3, hidden=4, emb=4, k=2)
     gc.disable()
     try:
         op = normalize_sym(g)
-        t = op.transpose()
-        assert op.transpose() is t
-        assert np.allclose(spmm_t(op, x), op.to_dense().T @ x)
-        refs = [weakref.ref(op), weakref.ref(t)]
-        del op, t
-        assert [r() for r in refs] == [None, None]
+        t = op.T
+        assert np.allclose(spmm_t(op, x), op.toarray().T @ x)
+        enc = models.sdgae_encode(p, op, x)
+        loss = ad.sum_all(ad.hadamard(enc.S, enc.T))
+        ad.backward(loss)
+        unreplayed = models.sdgae_encode(p, op, x)
+        refs = [weakref.ref(o) for o in (op, op.data, op.indices, t, enc.S, enc.T, loss,
+                                         unreplayed.S, unreplayed.T)]
+        del op, t, enc, loss, unreplayed
+        assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
-
-
-def test_csr_invariant_violations_rejected():
-    with pytest.raises(ValueError):
-        CsrMatrix(2, 2, np.array([0, 2, 1]), np.array([0, 1]), np.ones(2))
-    with pytest.raises(ValueError):
-        # duplicate column within a row
-        CsrMatrix(1, 2, np.array([0, 2]), np.array([1, 1]), np.ones(2))
-    # decreasing columns across a row boundary are fine; the bad row is named
-    # past the empty rows before it
-    ok = CsrMatrix(4, 3, np.array([0, 2, 2, 3, 3]), np.array([0, 2, 1]), np.ones(3))
-    assert ok.nnz == 3
-    with pytest.raises(ValueError, match="in row 3"):
-        CsrMatrix(5, 3, np.array([0, 2, 2, 2, 4, 4]), np.array([0, 2, 2, 1]), np.ones(4))
 
 
 def test_spmm_agrees_with_dense_product():
@@ -100,8 +110,8 @@ def test_spmm_agrees_with_dense_product():
         g = random_graph(rng, int(rng.integers(2, 15)))
         x = rng.standard_normal((g.n, 4))
         a = adjacency(g)
-        assert np.allclose(spmm(a, x), a.to_dense() @ x)
-        assert np.allclose(spmm_t(a, x), a.to_dense().T @ x)
+        assert np.allclose(spmm(a, x), a.toarray() @ x)
+        assert np.allclose(spmm_t(a, x), a.toarray().T @ x)
 
 
 def test_spmm_rejects_wrong_shapes():
@@ -112,8 +122,8 @@ def test_spmm_rejects_wrong_shapes():
 
 def test_bipartite_block_layout():
     g = DirectedGraph(3, [[0, 1], [2, 0]])
-    a = adjacency(g).to_dense()
-    block = bipartite_block(adjacency(g)).to_dense()
+    a = adjacency(g).toarray()
+    block = bipartite_block(adjacency(g)).toarray()
     n = g.n
     assert np.array_equal(block[:n, n:], a)
     assert np.array_equal(block[n:, :n], a.T)
@@ -125,8 +135,8 @@ def test_directed_graph_dedups_and_sorts():
     g = DirectedGraph(4, [[2, 1], [0, 3], [2, 1]])
     assert np.array_equal(g.edges, [[0, 3], [2, 1]])
     assert g.edge_count == 2
-    assert g.has_edge(2, 1)
-    assert not g.has_edge(1, 2)
+    assert adjacency(g)[2, 1]
+    assert not adjacency(g)[1, 2]
 
 
 def test_directed_graph_rejects_bad_edges():
@@ -152,14 +162,14 @@ def test_normalize_adj_matches_dense_formula():
     rng = np.random.default_rng(2)
     for alpha, beta in [(0.0, 0.0), (0.5, 0.5), (0.3, 0.8)]:
         g = random_graph(rng, 8)
-        a_hat = adjacency(g, self_loops=True).to_dense()
+        a_hat = adjacency(g, self_loops=True).toarray()
         d_out = a_hat.sum(axis=1)
         d_in = a_hat.sum(axis=0)
         want = np.diag(d_out ** -beta) @ a_hat @ np.diag(d_in ** -alpha)
-        assert np.allclose(normalize_adj(g, alpha, beta).to_dense(), want, atol=1e-14)
+        assert np.allclose(normalize_adj(g, alpha, beta).toarray(), want, atol=1e-14)
     g = random_graph(rng, 8)
     assert np.allclose(
-        normalize_sym(g).to_dense(), normalize_adj(g, 0.5, 0.5).to_dense(), atol=1e-15
+        normalize_sym(g).toarray(), normalize_adj(g, 0.5, 0.5).toarray(), atol=1e-15
     )
 
 
