@@ -1,7 +1,9 @@
 """Command-line entry point: ingestion, splits, training, evaluation, analysis.
 
-Configuration is flat ``key = value`` text under ``[section]`` headers; every
-config value can also be set by a flag, and flags win.  Exit codes: 0 success,
+Configuration is flat ``key = value`` text under ``[section]`` headers: the
+``[experiment]`` keys are ExperimentConfig's fields and the ``[model]`` and
+``[grid]`` keys are TrainConfig's, with ``encoder`` spelled ``model``.  Some
+values can also be set by a flag, and flags win.  Exit codes: 0 success,
 1 usage error, 2 data error, 3 run failure.
 """
 
@@ -11,7 +13,7 @@ import argparse
 import itertools
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import configparser
 import numpy as np
@@ -36,25 +38,9 @@ class UsageError(Exception):
     pass
 
 
-# [model] / [grid] keys, typed; "model" names the encoder family.
+# [model] / [grid] keys, typed by their defaults; "model" names the encoder family.
 MODEL_KEY_TYPES = {
-    "model": str,
-    "decoder": str,
-    "loss": str,
-    "lr": float,
-    "wd": float,
-    "max_epochs": int,
-    "patience": int,
-    "neg_strategy": str,
-    "seed": int,
-    "hidden": int,
-    "emb": int,
-    "mlp_layers": int,
-    "k": int,
-    "alpha": float,
-    "beta": float,
-    "digae_layers": int,
-    "dec_hidden": int,
+    ("model" if f.name == "encoder" else f.name): type(f.default) for f in fields(TrainConfig)
 }
 
 
@@ -85,6 +71,8 @@ class ExperimentConfig:
             raise UsageError("seed list must be nonempty")
         if self.workers < 1:
             raise UsageError("workers must be >= 1")
+        if self.feature_dim < 1:
+            raise UsageError("feature_dim must be >= 1")
         if self.features == "original" and not self.features_path:
             raise UsageError("feature mode 'original' needs features_path")
         for key in list(self.model) + list(self.grid):
@@ -92,24 +80,37 @@ class ExperimentConfig:
                 raise UsageError(f"unknown model key {key!r}")
 
 
+# [experiment] keys, typed by their defaults, in field order
+EXPERIMENT_KEY_TYPES = {
+    f.name: type(f.default) for f in fields(ExperimentConfig) if f.name not in ("model", "grid")
+}
+
+
+def _format_value(value):
+    return ", ".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
+
+
+def _parse_value(section, key, typ, raw):
+    """One typed config value.  A [grid] value, and a tuple field such as
+    seeds, is a comma list; a tuple field's items are ints."""
+    try:
+        if section == "grid" or typ is tuple:
+            item = int if typ is tuple else typ
+            return tuple(item(v.strip()) for v in raw.split(","))
+        return typ(raw.strip())
+    except ValueError:
+        raise DataError(f"bad value for {section} key {key!r}: {raw!r}") from None
+
+
 def config_to_text(cfg):
     lines = ["[experiment]"]
-    lines.append(f"dataset = {cfg.dataset}")
-    lines.append(f"features = {cfg.features}")
-    if cfg.features_path:
-        lines.append(f"features_path = {cfg.features_path}")
-    lines.append(f"feature_dim = {cfg.feature_dim}")
-    lines.append(f"out = {cfg.out}")
-    lines.append("seeds = " + ", ".join(str(s) for s in cfg.seeds))
-    lines.append(f"workers = {cfg.workers}")
-    if cfg.model:
-        lines.append("")
-        lines.append("[model]")
-        lines.extend(f"{k} = {cfg.model[k]}" for k in sorted(cfg.model))
-    if cfg.grid:
-        lines.append("")
-        lines.append("[grid]")
-        lines.extend(f"{k} = " + ", ".join(str(v) for v in cfg.grid[k]) for k in sorted(cfg.grid))
+    for key in EXPERIMENT_KEY_TYPES:
+        if key != "features_path" or cfg.features_path:
+            lines.append(f"{key} = {_format_value(getattr(cfg, key))}")
+    for section, values in (("model", cfg.model), ("grid", cfg.grid)):
+        if values:
+            lines += ["", f"[{section}]"]
+            lines.extend(f"{k} = {_format_value(values[k])}" for k in sorted(values))
     return "\n".join(lines) + "\n"
 
 
@@ -120,44 +121,19 @@ def config_from_text(text):
         cp.read_string(text)
     except configparser.Error as exc:
         raise DataError(f"bad config: {exc}") from None
-    known = {"experiment", "model", "grid"}
-    extra = set(cp.sections()) - known
+    schema = {"experiment": EXPERIMENT_KEY_TYPES, "model": MODEL_KEY_TYPES, "grid": MODEL_KEY_TYPES}
+    extra = set(cp.sections()) - set(schema)
     if extra:
         raise DataError(f"unknown config section(s): {sorted(extra)}")
-    cfg = ExperimentConfig()
-    if cp.has_section("experiment"):
-        for key, raw in cp.items("experiment"):
-            if key == "dataset":
-                cfg.dataset = raw
-            elif key == "features":
-                cfg.features = raw
-            elif key == "features_path":
-                cfg.features_path = raw
-            elif key == "feature_dim":
-                cfg.feature_dim = int(raw)
-            elif key == "out":
-                cfg.out = raw
-            elif key == "seeds":
-                cfg.seeds = tuple(int(s) for s in raw.split(","))
-            elif key == "workers":
-                cfg.workers = int(raw)
-            else:
-                raise DataError(f"unknown experiment key {key!r}")
-    for section, dest in (("model", cfg.model), ("grid", cfg.grid)):
+    parsed = {section: {} for section in schema}
+    for section, types in schema.items():
         if not cp.has_section(section):
             continue
         for key, raw in cp.items(section):
-            if key not in MODEL_KEY_TYPES:
+            if key not in types:
                 raise DataError(f"unknown {section} key {key!r}")
-            typ = MODEL_KEY_TYPES[key]
-            try:
-                if section == "grid":
-                    dest[key] = tuple(typ(v.strip()) for v in raw.split(","))
-                else:
-                    dest[key] = typ(raw.strip())
-            except ValueError:
-                raise DataError(f"bad value for {section} key {key!r}: {raw!r}") from None
-    return cfg
+            parsed[section][key] = _parse_value(section, key, types[key], raw)
+    return ExperimentConfig(**parsed["experiment"], model=parsed["model"], grid=parsed["grid"])
 
 
 def load_config(path):
@@ -227,12 +203,11 @@ def _dataset_label(name_or_path):
     return base[:-4] if base.endswith(".txt") else base
 
 
-def _make_features(cfg, train_graph):
-    original = None
-    if cfg.features == "original":
-        original = load_features(cfg.features_path)
-    init = FeatureInit(mode=cfg.features, dim=cfg.feature_dim)
-    return init, init_features(init, train_graph, original), original
+def _feature_inputs(features, features_path, feature_dim):
+    """The FeatureInit of a run and the original feature matrix it reads,
+    which is loaded only for the 'original' mode."""
+    original = load_features(features_path) if features == "original" else None
+    return FeatureInit(mode=features, dim=feature_dim), original
 
 
 def _metrics_line(report):
@@ -273,20 +248,14 @@ def cmd_train(args):
     g = _load_graph(cfg.dataset)
     split_seed = cfg.seeds[0]
     bundle = split_edges(g, seed=split_seed)
-    _, feats, _ = _make_features(cfg, bundle.train_graph)
+    init, original = _feature_inputs(cfg.features, cfg.features_path, cfg.feature_dim)
+    feats = init_features(init, bundle.train_graph, original)
     tcfg = _to_train_config(cfg.model)
-    result, model = training.train_with_model(tcfg, bundle, feats)
+    result = training.train(tcfg, bundle, feats)
+    fitted = result.fitted
     os.makedirs(cfg.out, exist_ok=True)
-    row = training.GridRow(
-        config=training.config_id(tcfg),
-        split_seed=split_seed,
-        status="ok",
-        report=result.report,
-        best_val=result.best_val,
-        epochs_run=result.epochs_run,
-        seconds=result.seconds,
-    )
-    training.write_runs_tsv(os.path.join(cfg.out, "runs.tsv"), [row], _dataset_label(cfg.dataset))
+    training.write_runs_tsv(os.path.join(cfg.out, "runs.tsv"), [training.GridRow.from_run(result)],
+                            _dataset_label(cfg.dataset))
     meta = {
         "config": asdict(tcfg),
         "split_seed": split_seed,
@@ -297,10 +266,10 @@ def cmd_train(args):
     }
     models.save_checkpoint(
         os.path.join(cfg.out, "model.npz"),
-        {n: t.data for n, t in model.named_parameters().items()},
+        {n: t.data for n, t in fitted.model.named_parameters().items()},
         meta,
     )
-    print(f"seed {split_seed}: epochs={result.epochs_run} best_val_auc={result.best_val:.2f}")
+    print(f"seed {split_seed}: epochs={fitted.epochs_run} best_val_auc={fitted.best_val:.2f}")
     print(_metrics_line(result.report))
     return 0
 
@@ -308,12 +277,9 @@ def cmd_train(args):
 def cmd_grid(args):
     cfg = _resolve(args)
     g = _load_graph(cfg.dataset)
-    original = None
-    if cfg.features == "original":
-        original = load_features(cfg.features_path)
+    init, original = _feature_inputs(cfg.features, cfg.features_path, cfg.feature_dim)
     bundles = [split_edges(g, seed=s) for s in cfg.seeds]
     configs = expand_grid(cfg)
-    init = FeatureInit(mode=cfg.features, dim=cfg.feature_dim)
     result = training.grid_run(configs, bundles, feature_init=init, original=original,
                                workers=cfg.workers)
     os.makedirs(cfg.out, exist_ok=True)
@@ -332,8 +298,7 @@ def _restore_model(checkpoint, dataset_override=None):
     dataset = dataset_override or meta["dataset"]
     g = _load_graph(dataset)
     bundle = split_edges(g, seed=meta["split_seed"])
-    original = load_features(meta["features_path"]) if meta["features"] == "original" else None
-    init = FeatureInit(mode=meta["features"], dim=meta["feature_dim"])
+    init, original = _feature_inputs(meta["features"], meta["features_path"], meta["feature_dim"])
     feats = init_features(init, bundle.train_graph, original)
     model = training.build_model(tcfg, bundle.train_graph, feats, np.random.default_rng(0))
     models.load_state(model, arrays)
@@ -401,14 +366,18 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _add_seed_flags(group):
+    group.add_argument("--seed", type=int, help="single split seed")
+    group.add_argument("--seeds", type=_int_list, help="comma-separated split seeds")
+
+
 def _add_common(p, *names):
     reg = {
         "config": lambda: p.add_argument("--config", help="experiment config file"),
         "dataset": lambda: p.add_argument("--dataset", help="edge list path or bundled fixture name"),
         "features": lambda: p.add_argument("--features", choices=("original", "degrees", "random")),
         "out": lambda: p.add_argument("--out", help="output directory"),
-        "seed": lambda: p.add_argument("--seed", type=int, help="single split seed"),
-        "seeds": lambda: p.add_argument("--seeds", type=_int_list, help="comma-separated split seeds"),
+        "seeds": lambda: _add_seed_flags(p.add_mutually_exclusive_group()),
         "workers": lambda: p.add_argument("--workers", type=int),
         "model": lambda: p.add_argument("--model", choices=training.ENCODERS),
         "decoder": lambda: p.add_argument("--decoder", choices=models.DECODER_KINDS),
@@ -432,16 +401,16 @@ def build_parser():
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("split", help="write per-seed benchmark splits")
-    _add_common(p, "config", "dataset", "out", "seed", "seeds")
+    _add_common(p, "config", "dataset", "out", "seeds")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train one model on one split")
-    _add_common(p, "config", "dataset", "features", "out", "seed", "seeds",
+    _add_common(p, "config", "dataset", "features", "out", "seeds",
                 "model", "decoder", "loss", "k", "lr", "wd")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("grid", help="run a config grid over all seeds")
-    _add_common(p, "config", "dataset", "features", "out", "seed", "seeds", "workers",
+    _add_common(p, "config", "dataset", "features", "out", "seeds", "workers",
                 "model", "decoder", "loss", "k", "lr", "wd")
     p.set_defaults(func=cmd_grid)
 

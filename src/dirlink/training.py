@@ -100,9 +100,6 @@ class TrainedModel:
             enc = self.encode()
             return [models.ranking_scores(self.dec_params, enc, pairs) for pairs in pair_groups]
 
-    def score(self, pairs):
-        return self.score_many([pairs])[0]
-
 
 def build_model(cfg, train_graph, feats, rng):
     feats = np.asarray(feats, dtype=np.float64)
@@ -253,41 +250,21 @@ def evaluate(model, bundle):
 
 @dataclass
 class RunResult:
+    """One finished run; ``fitted.model`` is the model at its best epoch."""
+
     cfg: TrainConfig
     split_seed: int
-    loss_history: np.ndarray
-    val_history: np.ndarray
-    best_epoch: int
-    best_val: float
-    epochs_run: int
-    seconds: float
+    fitted: FitResult
     report: MetricsReport
-    best_params: dict
-
-
-def train_with_model(cfg, bundle, feats):
-    """Full protocol on one split; returns the run record and the live model."""
-    start = time.perf_counter()
-    fitted = fit(cfg, bundle.train_graph, feats, make_validation_scorer(bundle), bundle.seed)
-    report = evaluate(fitted.model, bundle)
-    seconds = time.perf_counter() - start
-    result = RunResult(
-        cfg=cfg,
-        split_seed=bundle.seed,
-        loss_history=fitted.loss_history,
-        val_history=fitted.val_history,
-        best_epoch=fitted.best_epoch,
-        best_val=fitted.best_val,
-        epochs_run=fitted.epochs_run,
-        seconds=seconds,
-        report=report,
-        best_params={n: t.data.copy() for n, t in fitted.model.named_parameters().items()},
-    )
-    return result, fitted.model
+    seconds: float
 
 
 def train(cfg, bundle, feats):
-    return train_with_model(cfg, bundle, feats)[0]
+    """Full protocol on one split: fit with early stopping, then test."""
+    start = time.perf_counter()
+    fitted = fit(cfg, bundle.train_graph, feats, make_validation_scorer(bundle), bundle.seed)
+    report = evaluate(fitted.model, bundle)
+    return RunResult(cfg, bundle.seed, fitted, report, time.perf_counter() - start)
 
 
 @dataclass
@@ -300,6 +277,19 @@ class GridRow:
     epochs_run: int
     seconds: float
     error: str = ""
+
+    @classmethod
+    def from_run(cls, result):
+        """The row of a finished run."""
+        return cls(
+            config=config_id(result.cfg),
+            split_seed=result.split_seed,
+            status="ok",
+            report=result.report,
+            best_val=result.fitted.best_val,
+            epochs_run=result.fitted.epochs_run,
+            seconds=result.seconds,
+        )
 
 
 @dataclass
@@ -325,16 +315,7 @@ def _grid_task(args):
     idx, cfg, bundle, feature_init, original = args
     feats = init_features(feature_init, bundle.train_graph, original)
     try:
-        result = train(cfg, bundle, feats)
-        return idx, GridRow(
-            config=config_id(cfg),
-            split_seed=bundle.seed,
-            status="ok",
-            report=result.report,
-            best_val=result.best_val,
-            epochs_run=result.epochs_run,
-            seconds=result.seconds,
-        )
+        return idx, GridRow.from_run(train(cfg, bundle, feats))
     except TrainingError as exc:
         return idx, GridRow(
             config=config_id(cfg),

@@ -246,7 +246,7 @@ def test_criterion_7_split_protocol_audit(monkeypatch):
     bundle = split_edges(g, seed=0)
     feats = init_features(FeatureInit(mode="degrees"), bundle.train_graph)
     cfg = TrainConfig(hidden=8, emb=8, k=2, max_epochs=10, patience=5)
-    training.train_with_model(cfg, _RecordingBundle(bundle, events), feats)
+    training.train(cfg, _RecordingBundle(bundle, events), feats)
     test_reads = [i for i, e in enumerate(events) if e in ("test_pos", "test_neg")]
     val_calls = [i for i, e in enumerate(events) if e == "val_call"]
     leak_free = bool(test_reads) and min(test_reads) > max(val_calls)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -46,6 +47,48 @@ def test_config_round_trip(tmp_path):
     assert cli.load_config(path) == cfg
 
 
+def test_config_text_is_pinned(tmp_path):
+    cfg = _sample_config(tmp_path)
+    out = tmp_path / "run"
+    grid_and_model = (
+        "[model]\nk = 3\nlr = 0.05\nmodel = mlp\n\n"
+        "[grid]\nk = 1, 2\nlr = 0.1, 0.01\n"
+    )
+    assert cli.config_to_text(cfg) == (
+        "[experiment]\ndataset = synthetic200\nfeatures = degrees\nfeature_dim = 32\n"
+        f"out = {out}\nseeds = 0, 4\nworkers = 2\n\n" + grid_and_model
+    )
+    cfg = dataclasses.replace(cfg, features="original", features_path="feats.txt")
+    assert cli.config_to_text(cfg) == (
+        "[experiment]\ndataset = synthetic200\nfeatures = original\n"
+        "features_path = feats.txt\nfeature_dim = 32\n"
+        f"out = {out}\nseeds = 0, 4\nworkers = 2\n\n" + grid_and_model
+    )
+    assert cli.config_to_text(cli.ExperimentConfig()) == (
+        "[experiment]\ndataset = \nfeatures = degrees\nfeature_dim = 64\nout = runs\n"
+        "seeds = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9\nworkers = 1\n"
+    )
+
+
+# a valid value other than the default for each string field
+_STR_FIELD_VALUES = {"encoder": "mlp", "decoder": "mlp_concat", "loss": "ce",
+                     "neg_strategy": "per_epoch"}
+
+
+def test_every_train_config_field_is_a_model_and_grid_key():
+    for f in dataclasses.fields(training.TrainConfig):
+        key = "model" if f.name == "encoder" else f.name
+        value = _STR_FIELD_VALUES.get(f.name) or f.default + 1
+        cfg = cli.config_from_text(f"[model]\n{key} = {value}\n")
+        (single,) = cli.expand_grid(cfg)
+        assert getattr(single, f.name) == value, f.name
+        assert type(getattr(single, f.name)) is type(f.default), f.name
+        cfg = cli.config_from_text(f"[grid]\n{key} = {value}, {f.default}\n")
+        got = [getattr(c, f.name) for c in cli.expand_grid(cfg)]
+        assert got == [value, f.default], f.name
+        assert all(type(v) is type(f.default) for v in got), f.name
+
+
 def test_config_rejects_unknown_content():
     with pytest.raises(DataError, match="section"):
         cli.config_from_text("[experimnt]\ndataset = x\n")
@@ -57,6 +100,12 @@ def test_config_rejects_unknown_content():
         cli.config_from_text("[model]\nlr = fast\n")
     with pytest.raises(DataError, match="bad config"):
         cli.config_from_text("dataset = x\n")
+    with pytest.raises(DataError, match="bad value for experiment key 'feature_dim'"):
+        cli.config_from_text("[experiment]\nfeature_dim = abc\n")
+    with pytest.raises(DataError, match="bad value for experiment key 'seeds'"):
+        cli.config_from_text("[experiment]\nseeds = 0,,1\n")
+    with pytest.raises(DataError, match="bad value for grid key 'k'"):
+        cli.config_from_text("[grid]\nk = 1,,2\n")
 
 
 def test_flags_override_config(tmp_path):
@@ -196,6 +245,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     bad.write_text("[experiment]\ndataset = ring3\nfeatures = degrees\n")
     assert cli.main(["train", "--config", str(bad), "--seed", "0", "--features"]) == 1
     capsys.readouterr()
+    assert cli.main(["grid", "--dataset", "ring3", "--seeds", "1,2", "--seed", "3",
+                     "--out", str(tmp_path / "g")]) == 1
+    assert "not allowed with" in capsys.readouterr().err
+    for dim in ("0", "-3"):
+        bad.write_text("[experiment]\ndataset = synthetic200\nfeatures = random\n"
+                       f"feature_dim = {dim}\n")
+        assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "feature_dim" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

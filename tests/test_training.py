@@ -28,9 +28,10 @@ def test_training_is_deterministic():
     a = training.train(small_cfg(), bundle, feats)
     b = training.train(small_cfg(), bundle, feats)
     assert a.report.as_dict() == b.report.as_dict()
-    assert np.array_equal(a.loss_history, b.loss_history)
-    for name, arr in a.best_params.items():
-        assert np.array_equal(arr, b.best_params[name])
+    assert np.array_equal(a.fitted.loss_history, b.fitted.loss_history)
+    b_params = b.fitted.model.named_parameters()
+    for name, t in a.fitted.model.named_parameters().items():
+        assert np.array_equal(t.data, b_params[name].data)
 
 
 def test_model_seed_changes_the_run():
@@ -38,7 +39,8 @@ def test_model_seed_changes_the_run():
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
     a = training.train(small_cfg(seed=0), bundle, feats)
     b = training.train(small_cfg(seed=1), bundle, feats)
-    assert not np.array_equal(a.loss_history[: len(b.loss_history)], b.loss_history[: len(a.loss_history)])
+    assert not np.array_equal(a.fitted.loss_history[: len(b.fitted.loss_history)],
+                              b.fitted.loss_history[: len(a.fitted.loss_history)])
 
 
 def test_negative_strategies_diverge():
@@ -46,7 +48,7 @@ def test_negative_strategies_diverge():
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
     a = training.train(small_cfg(max_epochs=12, patience=11), bundle, feats)
     b = training.train(small_cfg(max_epochs=12, patience=11, neg_strategy="per_epoch"), bundle, feats)
-    assert not np.array_equal(a.loss_history, b.loss_history)
+    assert not np.array_equal(a.fitted.loss_history, b.fitted.loss_history)
 
 
 def test_run_entropy_separates_configs_and_splits():
@@ -127,8 +129,7 @@ def test_test_pairs_read_only_after_validation_finishes(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(training, "make_validation_scorer", spy_make)
-    training.train_with_model(small_cfg(max_epochs=12, patience=11),
-                              _RecordingBundle(bundle, events), feats)
+    training.train(small_cfg(max_epochs=12, patience=11), _RecordingBundle(bundle, events), feats)
     test_reads = [i for i, e in enumerate(events) if e in ("test_pos", "test_neg")]
     val_calls = [i for i, e in enumerate(events) if e == "val_call"]
     assert test_reads and val_calls
