@@ -337,6 +337,124 @@ def spmm_const(m, x, m_t):
     return _result(_spmm(m, x.data), "spmm_const", (x,), rule)
 
 
+class Workspace:
+    """Scratch arrays that a fused op reuses from one call to the next.
+
+    Whoever runs the op owns one: a run's SDGAE parameters hold the one its
+    propagation uses, so it lives and dies with the model.  ``lease`` lends
+    the arrays out until the lease is dropped.  A recorded op's backward rule
+    holds its lease, so the arrays come back once the rule has run or its
+    graph is dropped unreplayed, and a second pass recorded before then gets
+    arrays of its own.
+    """
+
+    __slots__ = ("_free", "__weakref__")
+
+    def __init__(self):
+        self._free = None
+
+    def lease(self, count, shape):
+        arrays, self._free = self._free, None
+        if arrays is None or len(arrays) != count or arrays[0].shape != shape:
+            arrays = [np.empty(shape) for _ in range(count)]
+        return _Lease(self, arrays)
+
+
+class _Lease:
+    __slots__ = ("workspace", "arrays")
+
+    def __init__(self, workspace, arrays):
+        self.workspace = workspace
+        self.arrays = arrays
+
+    def __del__(self):
+        self.workspace._free = self.arrays
+
+
+def _propagation_arrays(lease, k):
+    """The 2k products, the two running sums and three temporaries."""
+    a = lease.arrays
+    return a[:k], a[k:2 * k], *a[2 * k:]
+
+
+def sdgae_propagate(m, s0, t0, gamma_s, gamma_t, workspace=None):
+    """k steps of S <- gamma_s[j] * (m @ T) + S and T <- gamma_t[j] * (m.T @ S) + T,
+    both reading the pre-step values, as one tape node.  Returns (S, T).
+
+    S is the node.  T hangs on it as a companion whose only parent is S and
+    whose rule hands its grad over to S's rule, since a node has one output.
+    The forward pass keeps the 2k sparse products, which the gamma grads
+    read.  The backward pass runs the steps in reverse: g_S += m @ (gamma_t
+    g_T) and g_T += m.T @ (gamma_s g_S), from the pre-step grads, and each
+    gamma gets (g * product).sum().  Those are the operations the composite
+    of spmm_const, scale and add replays, and every grad there has two
+    addends, so the numbers agree bit for bit when S0 and T0 are distinct
+    tensors.  The products, the running sums and the backward temporaries
+    are arrays leased from ``workspace`` (a fresh one if None); S, T and the
+    grads written to the inputs are new arrays.  Products go through
+    ``_spmm``, 2k per pass each way.
+    """
+    k = len(gamma_s)
+    n, d = s0.data.shape
+    if not 1 <= k == len(gamma_t):
+        raise ValueError(f"sdgae_propagate needs k >= 1 coefficients per side, "
+                         f"got {k} and {len(gamma_t)}")
+    if m.shape != (n, n) or t0.data.shape != (n, d):
+        raise ValueError(f"sdgae_propagate shape mismatch: {m.shape} operator, "
+                         f"{s0.data.shape} S0, {t0.data.shape} T0")
+    if any(g.data.shape != (1, 1) for g in (*gamma_s, *gamma_t)):
+        raise ValueError("sdgae_propagate coefficients must be 1x1 tensors")
+    m_t = m.T
+    lease = (Workspace() if workspace is None else workspace).lease(2 * k + 5, (n, d))
+    prod_s, prod_t, buf_s, buf_t, tmp, _, _ = _propagation_arrays(lease, k)
+    s, t = s0.data, t0.data
+    for j in range(k):
+        _spmm(m, t, out=prod_s[j])
+        _spmm(m_t, s, out=prod_t[j])
+        last = j == k - 1
+        s_next = np.empty((n, d)) if last else buf_s
+        t_next = np.empty((n, d)) if last else buf_t
+        np.add(np.multiply(prod_s[j], gamma_s[j].data[0, 0], out=tmp), s, out=s_next)
+        np.add(np.multiply(prod_t[j], gamma_t[j].data[0, 0], out=tmp), t, out=t_next)
+        s, t = s_next, t_next
+    companion = []
+
+    def plus(g, h, buf):
+        # the grad of a pre-step value: one addend, or two, as the composite sums them
+        if h is None:
+            return g
+        if g is None:
+            buf[...] = h
+            return buf
+        return np.add(g, h, out=buf)
+
+    def rule(g_s):
+        prod_s, prod_t, buf_s, buf_t, tmp, into_s, into_t = _propagation_arrays(lease, k)
+        g_t = companion.pop() if companion else None
+        for j in reversed(range(k)):
+            if g_s is not None and gamma_s[j].requires_grad:
+                _accumulate(gamma_s[j], np.multiply(g_s, prod_s[j], out=tmp).sum())
+            if g_t is not None and gamma_t[j].requires_grad:
+                _accumulate(gamma_t[j], np.multiply(g_t, prod_t[j], out=tmp).sum())
+            h_s = h_t = None
+            if g_t is not None:
+                h_s = _spmm(m, np.multiply(g_t, gamma_t[j].data[0, 0], out=tmp), out=into_s)
+            if g_s is not None:
+                h_t = _spmm(m_t, np.multiply(g_s, gamma_s[j].data[0, 0], out=tmp), out=into_t)
+            g_s, g_t = plus(g_s, h_s, buf_s), plus(g_t, h_t, buf_t)
+        if g_s is not None and s0.requires_grad:
+            _accumulate(s0, g_s)
+        if g_t is not None and t0.requires_grad:
+            _accumulate(t0, g_t)
+
+    out_s = _result(s, "sdgae_propagate", (s0, t0, *gamma_s, *gamma_t), rule)
+    if not out_s.requires_grad:
+        return out_s, Tensor(t, op="sdgae_propagate")
+    out_t = Tensor(t, True, "sdgae_propagate", (out_s,))
+    out_t._backward = companion.append
+    return out_s, out_t
+
+
 def bce_with_logits(logits, labels):
     """Mean binary cross-entropy on pre-sigmoid logits, log-sum-exp stable form.
 

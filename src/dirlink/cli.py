@@ -69,6 +69,10 @@ class ExperimentConfig:
             raise UsageError(f"unknown feature mode {self.features!r}")
         if not self.seeds:
             raise UsageError("seed list must be nonempty")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise UsageError(f"split seed(s) {', '.join(map(str, repeated))} repeated in seeds; "
+                             f"each split runs once")
         if self.workers < 1:
             raise UsageError("workers must be >= 1")
         if self.feature_dim < 1:
@@ -114,7 +118,9 @@ def config_to_text(cfg):
     return "\n".join(lines) + "\n"
 
 
-def config_from_text(text):
+def config_from_text(text, seeds=DEFAULT_SEEDS):
+    """The ExperimentConfig of a config text; ``seeds`` are its split seeds
+    when the text sets none."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
@@ -133,13 +139,14 @@ def config_from_text(text):
             if key not in types:
                 raise DataError(f"unknown {section} key {key!r}")
             parsed[section][key] = _parse_value(section, key, types[key], raw)
-    return ExperimentConfig(**parsed["experiment"], model=parsed["model"], grid=parsed["grid"])
+    return ExperimentConfig(**{"seeds": seeds, **parsed["experiment"]},
+                            model=parsed["model"], grid=parsed["grid"])
 
 
-def load_config(path):
+def load_config(path, seeds=DEFAULT_SEEDS):
     try:
         with open(path, encoding="utf-8") as fh:
-            return config_from_text(fh.read())
+            return config_from_text(fh.read(), seeds)
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from None
 
@@ -169,9 +176,13 @@ def expand_grid(cfg):
     return out
 
 
-def _resolve(args):
-    """Merge config file and flags; flags win."""
-    cfg = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
+def _resolve(args, seeds=DEFAULT_SEEDS):
+    """Merge config file and flags; flags win.  ``seeds`` are the split seeds
+    when neither sets any."""
+    if getattr(args, "config", None):
+        cfg = load_config(args.config, seeds)
+    else:
+        cfg = ExperimentConfig(seeds=seeds)
     for name in ("dataset", "features", "out"):
         val = getattr(args, name, None)
         if val is not None:
@@ -244,9 +255,12 @@ def cmd_split(args):
 
 
 def cmd_train(args):
-    cfg = _resolve(args)
+    cfg = _resolve(args, seeds=(0,))
+    if len(cfg.seeds) > 1:
+        raise UsageError(f"train runs one split seed, got {len(cfg.seeds)}; "
+                         f"use grid to train on several")
     g = _load_graph(cfg.dataset)
-    split_seed = cfg.seeds[0]
+    (split_seed,) = cfg.seeds
     bundle = split_edges(g, seed=split_seed)
     init, original = _feature_inputs(cfg.features, cfg.features_path, cfg.feature_dim)
     feats = init_features(init, bundle.train_graph, original)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as _sp
+from scipy.sparse import _sparsetools
 
 
 class DataError(ValueError):
@@ -30,13 +31,18 @@ def run_starts(sorted_keys):
     return first
 
 
-def spmm(m, x):
+def spmm(m, x, out=None):
     """Sparse-dense product ``m @ x``.
 
     Parameters
     ----------
-    m : scipy sparse matrix, shape (r, c)
+    m : scipy sparse matrix, shape (r, c); CSR or CSC when ``out`` is given
     x : ndarray, shape (c, d)
+    out : C-ordered float64 ndarray, shape (r, d), optional
+        Written with the product and returned, so a caller that multiplies
+        the same shapes over and over reuses one array.  scipy's CSR or CSC
+        multi-vector kernel, the one ``m @ x`` runs, sums into the zeroed
+        ``out``; a test pins its bits to those of ``m @ x``.
 
     Returns
     -------
@@ -47,7 +53,19 @@ def spmm(m, x):
         x = x[:, None]
     if x.shape[0] != m.shape[1]:
         raise ValueError(f"dimension mismatch: {m.shape[0]}x{m.shape[1]} @ {x.shape}")
-    return np.ascontiguousarray(m @ x)
+    if out is None:
+        return np.ascontiguousarray(m @ x)
+    if (m.format not in ("csr", "csc") or m.dtype != np.float64
+            or out.shape != (m.shape[0], x.shape[1])
+            or out.dtype != np.float64 or not out.flags.c_contiguous):
+        raise ValueError(f"spmm out needs a float64 CSR or CSC matrix and a C-ordered "
+                         f"float64 array of shape {(m.shape[0], x.shape[1])}, got "
+                         f"{m.format} {m.dtype} and {out.dtype} {out.shape}")
+    out.fill(0.0)
+    kernel = getattr(_sparsetools, m.format + "_matvecs")
+    kernel(m.shape[0], m.shape[1], x.shape[1], m.indptr, m.indices, m.data,
+           np.ascontiguousarray(x).ravel(), out.ravel())
+    return out
 
 
 def spmm_t(m, x):

@@ -81,6 +81,8 @@ class SdgaeParams:
     gamma_s: list
     gamma_t: list
     k: int
+    # the propagation's scratch arrays, reused across the run's passes
+    workspace: ad.Workspace = field(default_factory=ad.Workspace, repr=False, compare=False)
 
     @classmethod
     def init(cls, rng, in_dim, hidden=64, emb=64, mlp_layers=2, k=5):
@@ -110,7 +112,8 @@ def sdgae_encode(p, a_norm, x):
     S <- gamma_s[k] * (A_norm @ T) + S and T <- gamma_t[k] * (A_norm.T @ S) + T,
     both updates reading the pre-step values.  Cost is two sparse products of
     the edge set per step.  A_norm is a scipy CSR matrix; its transpose is
-    the CSC view ``.T``, taken once per pass.
+    the CSC view ``.T``.  The k steps are one tape node,
+    ``autodiff.sdgae_propagate``, working in the arrays of ``p.workspace``.
     """
     n = a_norm.shape[0]
     if a_norm.shape[1] != n:
@@ -118,13 +121,8 @@ def sdgae_encode(p, a_norm, x):
     xt = _as_tensor(x)
     if xt.shape[0] != n:
         raise ValueError(f"feature rows {xt.shape[0]} != node count {n}")
-    a_t = a_norm.T
-    s = p.mlp_s(xt)
-    t = p.mlp_t(xt)
-    for step in range(p.k):
-        s_next = ad.add(ad.scale(ad.spmm_const(a_norm, t, a_t), p.gamma_s[step]), s)
-        t_next = ad.add(ad.scale(ad.spmm_const(a_t, s, a_norm), p.gamma_t[step]), t)
-        s, t = s_next, t_next
+    s, t = ad.sdgae_propagate(a_norm, p.mlp_s(xt), p.mlp_t(xt), p.gamma_s, p.gamma_t,
+                              p.workspace)
     return EncoderOutput(s, t)
 
 

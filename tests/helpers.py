@@ -133,6 +133,22 @@ def sdgae_encode_explicit(p, a_norm, x):
     return EncoderOutput(ad.Tensor(s_out), ad.Tensor(t_out))
 
 
+def sdgae_encode_composite(p, a_norm, x):
+    """The SDGAE encoder as a composite of primitive tape ops: per step and
+    side one ``spmm_const``, one ``scale`` and one ``add``.  The oracle of
+    ``autodiff.sdgae_propagate``, which must match its values and grads bit
+    for bit."""
+    xt = ad.Tensor(x)
+    a_t = a_norm.T
+    s = p.mlp_s(xt)
+    t = p.mlp_t(xt)
+    for step in range(p.k):
+        s_next = ad.add(ad.scale(ad.spmm_const(a_norm, t, a_t), p.gamma_s[step]), s)
+        t_next = ad.add(ad.scale(ad.spmm_const(a_t, s, a_norm), p.gamma_t[step]), t)
+        s, t = s_next, t_next
+    return EncoderOutput(s, t)
+
+
 def digae_encode_bipartite(p, g, x):
     """Forward-only oracle for the convolution via the bipartite block form.
 

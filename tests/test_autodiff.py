@@ -28,6 +28,7 @@ def test_every_op_gradient_matches_finite_differences():
     b = _param(rng, 1, 3)
     x = _param(rng, 5, 4)
     s = _param(rng, 1, 1)
+    gammas = [_param(rng, 1, 1) for _ in range(4)]
     idx = np.array([0, 2, 2, 4, 1])
 
     builders = {
@@ -43,9 +44,12 @@ def test_every_op_gradient_matches_finite_differences():
         "scale": lambda: ad.sum_all(ad.scale(ad.matmul(x, w), s)),
         "spmm": lambda: ad.sum_all(ad.relu(ad.spmm_const(a, x, a.T))),
         "spmm_t": lambda: ad.sum_all(ad.relu(ad.spmm_const(a.T, x, a))),
+        "sdgae_propagate": lambda: ad.sum_all(ad.hadamard(*ad.sdgae_propagate(
+            a, ad.matmul(x, w), ad.hadamard(ad.matmul(x, w), ad.matmul(x, w)),
+            gammas[:2], gammas[2:]))),
     }
     for name, build in builders.items():
-        worst = check_gradients(build, [x, w, b, s], rng, coords_per_tensor=4)
+        worst = check_gradients(build, [x, w, b, s, *gammas], rng, coords_per_tensor=4)
         assert worst < 1e-4, name
 
 

@@ -224,6 +224,35 @@ def test_train_eval_reconstruct_round_trip(tmp_path, capsys):
     assert not (tmp_path / "negative").exists()
 
 
+def test_train_takes_one_split_seed(tmp_path, capsys):
+    # with no seeds given train uses split seed 0; several given is a usage error
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_train_config_text(tmp_path).replace("seeds = 0\n", ""))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.startswith("seed 0: epochs=")
+    meta, _ = models.load_checkpoint(tmp_path / "run" / "model.npz")
+    assert meta["split_seed"] == 0
+    assert cli.main(["train", "--config", str(cfg_path), "--seeds", "3,4"]) == 1
+    assert "got 2; use grid" in capsys.readouterr().err
+    cfg_path.write_text(_train_config_text(tmp_path).replace("seeds = 0", "seeds = 3, 4"))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 1
+    assert "got 2; use grid" in capsys.readouterr().err
+
+
+def test_repeated_split_seeds_are_usage_errors(tmp_path, capsys):
+    with pytest.raises(cli.UsageError, match=r"split seed\(s\) 0 repeated"):
+        cli.ExperimentConfig(dataset="ring3", seeds=(0, 0)).validate()
+    for command in ("split", "train", "grid"):
+        assert cli.main([command, "--dataset", "ring3", "--seeds", "2,5,2,7,5",
+                         "--out", str(tmp_path / command)]) == 1
+        assert "split seed(s) 2, 5 repeated" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text("[experiment]\ndataset = synthetic200\nseeds = 0, 0\n")
+    assert cli.main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "g")]) == 1
+    assert "split seed(s) 0 repeated" in capsys.readouterr().err
+
+
 def test_check_command_verdicts(capsys):
     assert cli.main(["check", "--dataset", "ring3", "--mode", "single",
                      "--decoder", "inner"]) == 0

@@ -114,6 +114,24 @@ def test_spmm_agrees_with_dense_product():
         assert np.allclose(spmm_t(a, x), a.toarray().T @ x)
 
 
+def test_spmm_into_out_matches_the_product_bitwise():
+    # the out= path overwrites whatever the array held, for CSR and its CSC view
+    rng = np.random.default_rng(2)
+    a = normalize_sym(random_graph(rng, 40))
+    for m in (a, a.T):
+        for d in (1, 5):
+            x = rng.standard_normal((40, d))
+            out = rng.standard_normal((40, d))
+            assert spmm(m, x, out=out) is out
+            assert np.array_equal(out, spmm(m, x))
+    for bad in (np.zeros((40, 4)), np.zeros((40, 5), dtype=np.float32),
+                np.zeros((5, 40)).T):
+        with pytest.raises(ValueError, match="spmm out"):
+            spmm(a, x, out=bad)
+    with pytest.raises(ValueError, match="spmm out"):
+        spmm(a.tocoo(), x, out=np.zeros((40, 5)))
+
+
 def test_spmm_rejects_wrong_shapes():
     g = DirectedGraph(3, [[0, 1]])
     with pytest.raises(ValueError):

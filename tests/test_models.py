@@ -4,7 +4,8 @@ import pytest
 import dirlink.autodiff as ad
 from dirlink import models
 from dirlink.graph import normalize_adj, normalize_sym
-from helpers import digae_encode_bipartite, random_graph, sdgae_encode_explicit
+from helpers import (digae_encode_bipartite, random_graph, sdgae_encode_composite,
+                     sdgae_encode_explicit)
 
 
 def _sdgae(rng, in_dim=4, k=3, **kw):
@@ -77,6 +78,99 @@ def test_sdgae_rejects_bad_k_and_shapes():
     p = _sdgae(rng, k=2)
     with pytest.raises(ValueError):
         models.sdgae_encode(p, normalize_sym(g), np.zeros((4, 4)))
+
+
+def _sdgae_case(k, seed=44, n=30):
+    rng = np.random.default_rng(seed)
+    p = _sdgae(rng, k=k)
+    _randomize_gammas(p, rng)
+    return p, normalize_sym(random_graph(rng, n)), rng.standard_normal((n, 4))
+
+
+def _sdgae_loss(enc, read):
+    """A scalar that reads S, T or both, with a grad that is not constant."""
+    if read == "S":
+        return ad.sum_all(ad.hadamard(enc.S, enc.S))
+    if read == "T":
+        return ad.sum_all(ad.relu(enc.T))
+    return ad.sum_all(ad.hadamard(enc.S, enc.T))
+
+
+def _sdgae_backward(p, enc, read):
+    """S, T and every leaf grad of p (both MLPs and the 2k gammas), by name."""
+    named = p.named_parameters()
+    ad.backward(_sdgae_loss(enc, read), list(named.values()))
+    out = {"S": enc.S.data, "T": enc.T.data}
+    out.update((name, t.grad.copy()) for name, t in named.items())
+    return out
+
+
+def _assert_bitwise(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].shape == want[name].shape, name
+        assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("read", ["S", "T", "both"])
+@pytest.mark.parametrize("k", [1, 5, 8])
+def test_sdgae_propagate_matches_composite_bitwise(k, read):
+    """One fused node gives the values and grads of the 6k primitive nodes it
+    replaces, bit for bit, whichever outputs the loss reads."""
+    p, a, x = _sdgae_case(k)
+    fused = _sdgae_backward(p, models.sdgae_encode(p, a, x), read)
+    composite = _sdgae_backward(p, sdgae_encode_composite(p, a, x), read)
+    assert len(composite) == 2 + 8 + 2 * k
+    _assert_bitwise(fused, composite)
+
+
+def test_second_recorded_pass_gets_its_own_buffers():
+    # the first pass's backward reads its forward products after a second
+    # pass has run: had they shared arrays, its gamma grads would be wrong
+    p, a, x = _sdgae_case(5)
+    x2 = np.random.default_rng(45).standard_normal(x.shape)
+    first = models.sdgae_encode(p, a, x)
+    second = models.sdgae_encode(p, a, x2)
+    got = [_sdgae_backward(p, first, "both"), _sdgae_backward(p, second, "both")]
+    for feats, fused in zip((x, x2), got):
+        _assert_bitwise(fused, _sdgae_backward(p, sdgae_encode_composite(p, a, feats), "both"))
+
+
+def test_sdgae_products_go_through_spmm(monkeypatch):
+    # 2k sparse products per pass each way, all through the name the tracer patches
+    real = ad._spmm
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "_spmm", counting)
+    for k in (1, 5):
+        p, a, x = _sdgae_case(k)
+        calls.clear()
+        enc = models.sdgae_encode(p, a, x)
+        assert len(calls) == 2 * k
+        ad.backward(_sdgae_loss(enc, "both"))
+        assert len(calls) == 4 * k
+        with ad.no_grad():
+            models.sdgae_encode(p, a, x)
+        assert len(calls) == 6 * k
+
+
+def test_sdgae_propagate_checks_its_inputs():
+    rng = np.random.default_rng(46)
+    a = normalize_sym(random_graph(rng, 5))
+    x = ad.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    one = ad.Tensor(np.ones((1, 1)), requires_grad=True)
+    with pytest.raises(ValueError, match="coefficients per side"):
+        ad.sdgae_propagate(a, x, x, [], [])
+    with pytest.raises(ValueError, match="coefficients per side"):
+        ad.sdgae_propagate(a, x, x, [one], [one, one])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ad.sdgae_propagate(a, x, ad.Tensor(np.zeros((5, 2))), [one], [one])
+    with pytest.raises(ValueError, match="1x1"):
+        ad.sdgae_propagate(a, x, x, [ad.Tensor(np.ones((1, 2)))], [one])
 
 
 def test_digae_matches_bipartite_oracle():

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -271,13 +273,11 @@ def test_empty_validation_split_is_rejected_before_training(monkeypatch):
     assert row.status == "failed" and "empty validation split" in row.error
 
 
-@pytest.mark.parametrize("encoder", training.ENCODERS)
-def test_train_step_allocates_no_pair_sized_array(encoder):
-    """A training step with the inner decoder peaks, beyond what the encoder
-    forward pass alone needs, at less than one (P, d) float64 array."""
+def _fixture_model(cfg):
+    """A model of cfg on synthetic200 split seed 0, and a function that runs
+    one training step on it."""
     bundle = splits.split_edges(datasets.load_fixture("synthetic200"), seed=0)
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
-    cfg = training.TrainConfig(encoder=encoder, decoder="inner")
     model = training.build_model(cfg, bundle.train_graph, feats, np.random.default_rng(0))
     params = model.parameters()
     optimizer = ad.AdamState(params, lr=cfg.lr)
@@ -289,20 +289,82 @@ def test_train_step_allocates_no_pair_sized_array(encoder):
     def step():
         training._train_step(model, cfg, params, optimizer, pairs, labels, classes)
 
-    def traced_peak(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    return model, step, pairs
 
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("encoder", training.ENCODERS)
+def test_train_step_allocates_no_pair_sized_array(encoder):
+    """A training step with the inner decoder peaks, beyond what the encoder
+    forward pass alone needs, at less than one (P, d) float64 array."""
+    cfg = training.TrainConfig(encoder=encoder, decoder="inner")
+    model, step, pairs = _fixture_model(cfg)
     step()  # warm-up: the optimizer state and the parameter grads exist from here on
-    encode_peak = traced_peak(model.encode)
-    step_peak = traced_peak(step)
+    encode_peak = _traced_peak(model.encode)
+    step_peak = _traced_peak(step)
     pair_array = len(pairs) * cfg.emb * 8
     assert len(pairs) == 2560 and pair_array < 1.4e6
     assert step_peak - encode_peak < pair_array
+
+
+def test_sdgae_step_memory_does_not_grow_with_k():
+    """A warm SDGAE step holds as many (n, d) arrays at k = 8 as at k = 1: its
+    traced peak differs by less than one.  The propagation keeps its products
+    and temporaries in the run's workspace, allocated by the first step; a
+    tape of per-step nodes, or a fused op with fresh arrays per pass, holds
+    2k or more new (n, d) arrays at its peak."""
+    peaks = {}
+    for k in (1, 8):
+        cfg = training.TrainConfig(encoder="sdgae", k=k)
+        model, step, _ = _fixture_model(cfg)
+        step()
+        peaks[k] = _traced_peak(step)
+    n_by_d = model.feats.shape[0] * cfg.emb * 8
+    assert abs(peaks[8] - peaks[1]) < n_by_d
+
+
+def test_workspace_never_backs_returned_embeddings():
+    # embeddings held across later passes keep their values: replayed,
+    # recorded and not replayed, or unrecorded
+    cfg = training.TrainConfig(encoder="sdgae")
+    model, step, _ = _fixture_model(cfg)
+    step()
+    replayed = model.encode()
+    ad.backward(ad.sum_all(ad.hadamard(replayed.S, replayed.T)))
+    held = [replayed, model.encode()]
+    with ad.no_grad():
+        held.append(model.encode())
+    before = [(enc.S.data.copy(), enc.T.data.copy()) for enc in held]
+    step()
+    step()
+    with ad.no_grad():
+        model.encode()
+    for enc, (s, t) in zip(held, before):
+        assert np.array_equal(enc.S.data, s) and np.array_equal(enc.T.data, t)
+
+
+def test_dropping_the_model_frees_its_workspace_by_refcount():
+    cfg = training.TrainConfig(encoder="sdgae", k=3)
+    gc.disable()
+    try:
+        model, step, _ = _fixture_model(cfg)
+        step()
+        workspace = model.enc_params.workspace
+        arrays = workspace._free  # the step's arrays, given back by its backward pass
+        assert len(arrays) == 2 * cfg.k + 5
+        refs = [weakref.ref(o) for o in (model, workspace, *arrays)]
+        del model, step, workspace, arrays
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 SCALE_CHILD = """
