@@ -10,6 +10,7 @@ itself.
 
 from __future__ import annotations
 
+import math
 import warnings
 from pathlib import Path
 
@@ -74,12 +75,16 @@ def spmm_t(m, x):
     return spmm(m.T, x)
 
 
+# edge keys u*n + v run up to n*n - 1, so they fit in int64 up to this node count
+MAX_NODES = math.isqrt(2**63)
+
+
 class DirectedGraph:
     """A directed graph: node count plus a deduplicated self-loop-free edge set.
 
     Edges are stored sorted lexicographically, so identical edge sets produce
     identical objects regardless of input order.  ``adjacency`` builds the
-    sparse matrix from them.
+    sparse matrix from them.  The node count is at most ``MAX_NODES``.
     """
 
     __slots__ = ("n", "edges")
@@ -89,6 +94,8 @@ class DirectedGraph:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if self.n <= 0:
             raise ValueError("graph needs at least one node")
+        if self.n > MAX_NODES:
+            raise ValueError(f"node count {self.n} above {MAX_NODES}: its edge keys overflow int64")
         if len(edges):
             if edges.min() < 0 or edges.max() >= self.n:
                 raise ValueError("edge endpoint out of range")
@@ -348,6 +355,8 @@ def load_edge_list(path, n=None):
         n = max_idx + 1
     elif n <= max_idx:
         raise DataError(f"{path}: node index {max_idx} exceeds declared count {n}")
+    if n > MAX_NODES:
+        raise DataError(f"{path}: node count {n} above {MAX_NODES}: its edge keys overflow int64")
     return DirectedGraph(n, edges)
 
 

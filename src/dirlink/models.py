@@ -5,6 +5,10 @@ node u in its role as an edge source, row u of T as a target.  An ordered
 pair (u, v) is scored by a decoder over (s_u, t_v), so scores need not be
 symmetric under direction reversal.  The plain MLP encoder aliases T to S,
 which is exactly what makes it direction-blind.
+
+Each encoder is built by ``init(rng, g, in_dim, ...)`` on the training graph
+g, holds what it needs of g, and is called on the (n, in_dim) feature tensor
+alone; ``encoder_forward`` is the call the package makes.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ def _uniform_weight(rng, fan_in, fan_out):
     return ad.Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
 
 
-def _zero_bias(fan_out):
-    return ad.Tensor(np.zeros((1, fan_out)), requires_grad=True)
+def _widths(in_dim, hidden, out_dim, depth):
+    """Layer widths of a depth-layer stack: hidden between in_dim and out_dim."""
+    return [in_dim] + [hidden] * (depth - 1) + [out_dim]
 
 
 class Mlp:
@@ -42,11 +47,11 @@ class Mlp:
         self.layers = layers
 
     @classmethod
-    def init(cls, rng, dims):
-        layers = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            layers.append((_uniform_weight(rng, fan_in, fan_out), _zero_bias(fan_out)))
-        return cls(layers)
+    def init(cls, rng, in_dim, hidden, out_dim, depth):
+        dims = _widths(in_dim, hidden, out_dim, depth)
+        return cls([(_uniform_weight(rng, fan_in, fan_out),
+                     ad.Tensor(np.zeros((1, fan_out)), requires_grad=True))
+                    for fan_in, fan_out in zip(dims[:-1], dims[1:])])
 
     def __call__(self, x):
         for i, (w, b) in enumerate(self.layers):
@@ -63,17 +68,17 @@ class Mlp:
         return out
 
 
-def _as_tensor(x):
-    return x if isinstance(x, ad.Tensor) else ad.Tensor(np.asarray(x, dtype=np.float64))
-
-
 @dataclass
 class SdgaeParams:
-    """Source/target polynomial-filter encoder parameters.
+    """Source/target polynomial-filter encoder.
 
     Two input MLPs produce the initial embeddings; k propagation steps then
-    mix them through the normalized adjacency with one learnable scalar per
-    step and side, each initialized to exactly one.
+    mix them through ``op``, the symmetrically normalized self-looped
+    adjacency, with one learnable scalar per step and side, each initialized
+    to exactly one.  Each step computes S <- gamma_s[j] * (op @ T) + S and
+    T <- gamma_t[j] * (op.T @ S) + T, both reading the pre-step values: two
+    sparse products of the edge set.  The k steps are one tape node,
+    ``autodiff.sdgae_propagate``, working in the arrays of ``workspace``.
     """
 
     mlp_s: Mlp
@@ -81,18 +86,30 @@ class SdgaeParams:
     gamma_s: list
     gamma_t: list
     k: int
+    op: object = field(repr=False, compare=False)
     # the propagation's scratch arrays, reused across the run's passes
     workspace: ad.Workspace = field(default_factory=ad.Workspace, repr=False, compare=False)
 
     @classmethod
-    def init(cls, rng, in_dim, hidden=64, emb=64, mlp_layers=2, k=5):
+    def init(cls, rng, g, in_dim, hidden=64, emb=64, mlp_layers=2, k=5):
         if not 1 <= k <= 8:
             raise ValueError(f"k must be in 1..8, got {k}")
-        dims = [in_dim, emb] if mlp_layers == 1 else [in_dim] + [hidden] * (mlp_layers - 1) + [emb]
-        mlp_s = Mlp.init(rng, dims)
-        mlp_t = Mlp.init(rng, dims)
+        mlp_s = Mlp.init(rng, in_dim, hidden, emb, mlp_layers)
+        mlp_t = Mlp.init(rng, in_dim, hidden, emb, mlp_layers)
         ones = lambda: ad.Tensor(np.ones((1, 1)), requires_grad=True)
-        return cls(mlp_s, mlp_t, [ones() for _ in range(k)], [ones() for _ in range(k)], k)
+        # normalize_adj at exponents 1/2 is graph.normalize_sym; both encoders build
+        # their operator through this one name, which perfbench/spans.py traces
+        op = normalize_adj(g, 0.5, 0.5)
+        return cls(mlp_s, mlp_t, [ones() for _ in range(k)], [ones() for _ in range(k)], k, op)
+
+    @property
+    def n(self):
+        return self.op.shape[0]
+
+    def __call__(self, x):
+        s, t = ad.sdgae_propagate(self.op, self.mlp_s(x), self.mlp_t(x),
+                                  self.gamma_s, self.gamma_t, self.workspace)
+        return EncoderOutput(s, t)
 
     def named_parameters(self):
         out = {}
@@ -105,77 +122,50 @@ class SdgaeParams:
         return out
 
 
-def sdgae_encode(p, a_norm, x):
-    """Iterative propagation: each step applies the normalized adjacency to
-    the opposite side and adds it back, scaled by that step's coefficient.
-
-    S <- gamma_s[k] * (A_norm @ T) + S and T <- gamma_t[k] * (A_norm.T @ S) + T,
-    both updates reading the pre-step values.  Cost is two sparse products of
-    the edge set per step.  A_norm is a scipy CSR matrix; its transpose is
-    the CSC view ``.T``.  The k steps are one tape node,
-    ``autodiff.sdgae_propagate``, working in the arrays of ``p.workspace``.
-    """
-    n = a_norm.shape[0]
-    if a_norm.shape[1] != n:
-        raise ValueError("normalized adjacency must be square")
-    xt = _as_tensor(x)
-    if xt.shape[0] != n:
-        raise ValueError(f"feature rows {xt.shape[0]} != node count {n}")
-    s, t = ad.sdgae_propagate(a_norm, p.mlp_s(xt), p.mlp_t(xt), p.gamma_s, p.gamma_t,
-                              p.workspace)
-    return EncoderOutput(s, t)
-
-
-def expand_coefficients(gamma_s, gamma_t, k):
-    """Collapse the k-step recurrence into explicit polynomial coefficients.
-
-    Returns (w_s, w_t), each of length k+1, such that the encoder output
-    equals sum_j of w[j] times the j-th alternating power of the normalized
-    block adjacency applied to the initial embeddings.  Degree-j terms on the
-    S side pick up gamma_s on odd hops, gamma_t on even ones, and vice versa.
-    """
-    gs = np.asarray(gamma_s, dtype=np.float64).reshape(-1)
-    gt = np.asarray(gamma_t, dtype=np.float64).reshape(-1)
-    if len(gs) != k or len(gt) != k:
-        raise ValueError("need exactly k coefficients per side")
-    w_s = np.zeros(k + 1)
-    w_t = np.zeros(k + 1)
-    w_s[0] = 1.0
-    w_t[0] = 1.0
-    for step in range(k):
-        new_s = w_s.copy()
-        new_t = w_t.copy()
-        new_s[1:] += gs[step] * w_t[:-1]
-        new_t[1:] += gt[step] * w_s[:-1]
-        w_s, w_t = new_s, new_t
-    return w_s, w_t
-
-
 @dataclass
 class DigaeParams:
-    """Directed graph-convolution encoder parameters.
+    """Directed graph-convolution encoder.
 
-    Each layer multiplies the opposite side through the degree-normalized
-    self-looped adjacency (out-degrees to the power -beta on rows, in-degrees
-    to the power -alpha on columns).  Hidden layers use relu; the final layer
-    is linear.
+    ``op`` is the self-looped adjacency normalized by out-degrees to the
+    power -beta on rows and in-degrees to the power -alpha on columns.
+    Starting from S = T = X, each layer computes S <- act(op @ (T @ W_t)) and
+    T <- act(op.T @ (S @ W_s)), where act is relu except on the last layer.
     """
 
     w_s: list
     w_t: list
     alpha: float
     beta: float
+    op: object = field(repr=False, compare=False)
 
     @classmethod
-    def init(cls, rng, in_dim, hidden=64, emb=64, layers=1, alpha=0.4, beta=0.4):
+    def init(cls, rng, g, in_dim, hidden=64, emb=64, layers=1, alpha=0.4, beta=0.4):
         if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
             raise ValueError("alpha and beta must lie in [0, 1]")
         if layers not in (1, 2):
             raise ValueError("layers must be 1 or 2")
-        dims = [in_dim, emb] if layers == 1 else [in_dim, hidden, emb]
+        dims = _widths(in_dim, hidden, emb, layers)
         w_s = [_uniform_weight(rng, a, b) for a, b in zip(dims[:-1], dims[1:])]
         w_t = [_uniform_weight(rng, a, b) for a, b in zip(dims[:-1], dims[1:])]
-        return cls(w_s, w_t, float(alpha), float(beta))
+        alpha, beta = float(alpha), float(beta)
+        return cls(w_s, w_t, alpha, beta, normalize_adj(g, alpha, beta))
+
+    @property
+    def n(self):
+        return self.op.shape[0]
+
+    def __call__(self, x):
+        op, op_t = self.op, self.op.T
+        s = t = x
+        last = len(self.w_s) - 1
+        for layer, (w_s, w_t) in enumerate(zip(self.w_s, self.w_t)):
+            s_next = ad.spmm_const(op, ad.matmul(t, w_t), op_t)
+            t_next = ad.spmm_const(op_t, ad.matmul(s, w_s), op)
+            if layer < last:
+                s_next = ad.relu(s_next)
+                t_next = ad.relu(t_next)
+            s, t = s_next, t_next
+        return EncoderOutput(s, t)
 
     def named_parameters(self):
         out = {}
@@ -186,62 +176,43 @@ class DigaeParams:
         return out
 
 
-def digae_operator(p, g):
-    """The propagation operator of a DiGAE encoder on graph g: the self-looped
-    adjacency normalized by the encoder's exponents.  It depends on the graph
-    and the exponents only, so a run builds it once."""
-    return normalize_adj(g, p.alpha, p.beta)
-
-
-def digae_encode(p, b, x):
-    """Layered directed convolution starting from S = T = X:
-
-    S <- act(B @ (T @ W_t)) and T <- act(B.T @ (S @ W_s)), where B is the
-    operator from digae_operator and act is relu except on the last layer.
-    """
-    xt = _as_tensor(x)
-    if xt.shape[0] != b.shape[0]:
-        raise ValueError(f"feature rows {xt.shape[0]} != node count {b.shape[0]}")
-    b_t = b.T
-    s = t = xt
-    last = len(p.w_s) - 1
-    for layer, (w_s, w_t) in enumerate(zip(p.w_s, p.w_t)):
-        s_next = ad.spmm_const(b, ad.matmul(t, w_t), b_t)
-        t_next = ad.spmm_const(b_t, ad.matmul(s, w_s), b)
-        if layer < last:
-            s_next = ad.relu(s_next)
-            t_next = ad.relu(t_next)
-        s, t = s_next, t_next
-    return EncoderOutput(s, t)
-
-
 @dataclass
 class MlpParams:
-    """Graph-free baseline: one embedding per node, so T aliases S."""
+    """Graph-free baseline: one embedding per node, so T aliases S.  Of the
+    graph it keeps the node count only."""
 
     mlp: Mlp
+    n: int
 
     @classmethod
-    def init(cls, rng, in_dim, hidden=64, emb=64, layers=2):
-        dims = [in_dim, emb] if layers == 1 else [in_dim] + [hidden] * (layers - 1) + [emb]
-        return cls(Mlp.init(rng, dims))
+    def init(cls, rng, g, in_dim, hidden=64, emb=64, layers=2):
+        return cls(Mlp.init(rng, in_dim, hidden, emb, layers), g.n)
+
+    def __call__(self, x):
+        h = self.mlp(x)
+        return EncoderOutput(h, h)
 
     def named_parameters(self):
         return self.mlp.named_parameters("mlp")
 
 
-def mlp_encode(p, x):
-    h = p.mlp(_as_tensor(x))
-    return EncoderOutput(h, h)
+def encoder_forward(enc, x):
+    """An encoder's forward pass on the node features x, an array or tensor
+    with one row per node of the encoder's graph."""
+    x = x if isinstance(x, ad.Tensor) else ad.Tensor(np.asarray(x, dtype=np.float64))
+    if x.shape[0] != enc.n:
+        raise ValueError(f"feature rows {x.shape[0]} != node count {enc.n}")
+    return enc(x)
 
 
 @dataclass
 class DecoderKind:
-    """A pair scorer: kind plus its weights where applicable.
+    """A pair scorer: kind plus the dense layers of its head, applied as an
+    ``Mlp``.
 
     out_dim 1 yields a single pre-sigmoid logit per pair; out_dim 2 yields a
     two-logit head (column 0 = edge present) for the softmax loss.  The inner
-    decoder has no weights; under out_dim 2 its score is paired with a fixed
+    decoder has no layers; under out_dim 2 its score is paired with a fixed
     zero logit, which makes the two losses coincide there.
     """
 
@@ -256,23 +227,13 @@ class DecoderKind:
         if out_dim not in (1, 2):
             raise ValueError("out_dim must be 1 or 2")
         if kind == "inner":
-            layers = []
-        elif kind == "lr_concat":
-            layers = [(_uniform_weight(rng, 2 * emb, out_dim), _zero_bias(out_dim))]
-        else:
-            width = emb if kind == "mlp_hadamard" else 2 * emb
-            layers = [
-                (_uniform_weight(rng, width, hidden), _zero_bias(hidden)),
-                (_uniform_weight(rng, hidden, out_dim), _zero_bias(out_dim)),
-            ]
-        return cls(kind, layers, out_dim)
+            return cls(kind, [], out_dim)
+        width = emb if kind == "mlp_hadamard" else 2 * emb
+        depth = 1 if kind == "lr_concat" else 2
+        return cls(kind, Mlp.init(rng, width, hidden, out_dim, depth).layers, out_dim)
 
     def named_parameters(self):
-        out = {}
-        for i, (w, b) in enumerate(self.layers):
-            out[f"dec.{i}.w"] = w
-            out[f"dec.{i}.b"] = b
-        return out
+        return Mlp(self.layers).named_parameters("dec")
 
 
 def decode(dec, enc, pairs):
@@ -291,13 +252,8 @@ def decode(dec, enc, pairs):
         return z
     su = ad.gather_rows(enc.S, pairs[:, 0])
     tv = ad.gather_rows(enc.T, pairs[:, 1])
-    if dec.kind == "lr_concat":
-        w, b = dec.layers[0]
-        return ad.add_bias(ad.matmul(ad.concat_cols(su, tv), w), b)
     h = ad.hadamard(su, tv) if dec.kind == "mlp_hadamard" else ad.concat_cols(su, tv)
-    (w1, b1), (w2, b2) = dec.layers
-    hidden = ad.relu(ad.add_bias(ad.matmul(h, w1), b1))
-    return ad.add_bias(ad.matmul(hidden, w2), b2)
+    return Mlp(dec.layers)(h)
 
 
 # Forward-only scoring decodes its pairs in blocks whose widest per-pair
@@ -332,21 +288,6 @@ def ranking_scores(dec, enc, pairs):
             z = decode(dec, enc, pairs[b0:b0 + block]).data
             out[b0:b0 + len(z)] = z[:, 0] if dec.out_dim == 1 else z[:, 0] - z[:, 1]
     return out
-
-
-def encoder_forward(enc_params, ctx, x):
-    """Dispatch an encoder forward pass.
-
-    ctx is the precomputed normalized adjacency for SdgaeParams, the
-    precomputed digae_operator for DigaeParams, and ignored for MlpParams.
-    """
-    if isinstance(enc_params, SdgaeParams):
-        return sdgae_encode(enc_params, ctx, x)
-    if isinstance(enc_params, DigaeParams):
-        return digae_encode(enc_params, ctx, x)
-    if isinstance(enc_params, MlpParams):
-        return mlp_encode(enc_params, x)
-    raise TypeError(f"unknown encoder params {type(enc_params).__name__}")
 
 
 CHECKPOINT_VERSION = 1

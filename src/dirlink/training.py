@@ -17,7 +17,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models
-from .graph import DataError, normalize_sym
+# normalize_sym is not called here, but perfbench/spans.py traces it under
+# this module's name as well, so it stays importable from here
+from .graph import DataError, normalize_sym  # noqa: F401
 from .metrics import MetricsReport, auc
 from .splits import FeatureInit, init_features, sample_train_negatives
 
@@ -59,6 +61,9 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.neg_strategy not in ("per_run", "per_epoch"):
             raise ValueError(f"unknown negative strategy {self.neg_strategy!r}")
+        for name in ("hidden", "emb", "dec_hidden", "mlp_layers", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.patience < self.max_epochs:
             raise ValueError("patience must be smaller than max_epochs")
 
@@ -79,7 +84,6 @@ class TrainedModel:
     cfg: TrainConfig
     enc_params: object
     dec_params: models.DecoderKind
-    ctx: object
     feats: np.ndarray
 
     def parameters(self):
@@ -91,7 +95,7 @@ class TrainedModel:
         return named
 
     def encode(self):
-        return models.encoder_forward(self.enc_params, self.ctx, self.feats)
+        return models.encoder_forward(self.enc_params, self.feats)
 
     def score_many(self, pair_groups):
         """Ranking scores for several pair arrays with a single encoder pass.
@@ -105,22 +109,17 @@ def build_model(cfg, train_graph, feats, rng):
     feats = np.asarray(feats, dtype=np.float64)
     in_dim = feats.shape[1]
     if cfg.encoder == "sdgae":
-        enc = models.SdgaeParams.init(
-            rng, in_dim, hidden=cfg.hidden, emb=cfg.emb, mlp_layers=cfg.mlp_layers, k=cfg.k
-        )
-        ctx = normalize_sym(train_graph)
+        enc = models.SdgaeParams.init(rng, train_graph, in_dim, hidden=cfg.hidden, emb=cfg.emb,
+                                      mlp_layers=cfg.mlp_layers, k=cfg.k)
     elif cfg.encoder == "digae":
-        enc = models.DigaeParams.init(
-            rng, in_dim, hidden=cfg.hidden, emb=cfg.emb, layers=cfg.digae_layers,
-            alpha=cfg.alpha, beta=cfg.beta,
-        )
-        ctx = models.digae_operator(enc, train_graph)
+        enc = models.DigaeParams.init(rng, train_graph, in_dim, hidden=cfg.hidden, emb=cfg.emb,
+                                      layers=cfg.digae_layers, alpha=cfg.alpha, beta=cfg.beta)
     else:
-        enc = models.MlpParams.init(rng, in_dim, hidden=cfg.hidden, emb=cfg.emb, layers=2)
-        ctx = None
+        enc = models.MlpParams.init(rng, train_graph, in_dim, hidden=cfg.hidden, emb=cfg.emb,
+                                    layers=cfg.mlp_layers)
     out_dim = 1 if cfg.loss == "bce" else 2
     dec = models.DecoderKind.init(rng, cfg.decoder, cfg.emb, hidden=cfg.dec_hidden, out_dim=out_dim)
-    return TrainedModel(cfg, enc, dec, ctx, feats)
+    return TrainedModel(cfg, enc, dec, feats)
 
 
 @dataclass
@@ -155,7 +154,8 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
     The callback receives score_many (pairs -> ranking scores) once per epoch
     after the optimizer step and returns a scalar to maximize.  Returns the
     model restored to its best-scoring epoch.  Raises TrainingError when the
-    loss diverges or the training negatives cannot be sampled.
+    loss diverges, the training negatives cannot be sampled, or no epoch
+    scores above -inf (a NaN score never counts as a best).
     """
     root = np.random.SeedSequence(_run_entropy(cfg, split_seed))
     init_ss, neg_ss = root.spawn(2)
@@ -209,6 +209,9 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
                 break
     except FloatingPointError as exc:
         raise TrainingError(f"aborted at epoch {epoch}: {exc} [{config_id(cfg)}]") from exc
+    if best_state is None:
+        raise TrainingError(f"none of {epoch} epochs scored above -inf on validation "
+                            f"(last score {vals[-1]}) [{config_id(cfg)}]")
 
     for name, t in model.named_parameters().items():
         t.data = best_state[name]

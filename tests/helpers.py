@@ -12,7 +12,7 @@ import scipy.sparse as sp
 import dirlink
 import dirlink.autodiff as ad
 from dirlink.graph import DirectedGraph, adjacency, degrees, spmm, spmm_t
-from dirlink.models import EncoderOutput, expand_coefficients
+from dirlink.models import EncoderOutput
 
 
 def random_graph(rng, n, p=0.2, ensure_edge=True):
@@ -109,6 +109,31 @@ def bipartite_block(m):
     """The symmetric 2n x 2n block lift ``[[0, M], [M.T, 0]]`` of a square
     sparse matrix M, in CSR form."""
     return sp.bmat([[None, m], [m.T, None]], format="csr")
+
+
+def expand_coefficients(gamma_s, gamma_t, k):
+    """Collapse the k-step recurrence into explicit polynomial coefficients.
+
+    Returns (w_s, w_t), each of length k+1, such that the encoder output
+    equals sum_j of w[j] times the j-th alternating power of the normalized
+    block adjacency applied to the initial embeddings.  Degree-j terms on the
+    S side pick up gamma_s on odd hops, gamma_t on even ones, and vice versa.
+    """
+    gs = np.asarray(gamma_s, dtype=np.float64).reshape(-1)
+    gt = np.asarray(gamma_t, dtype=np.float64).reshape(-1)
+    if len(gs) != k or len(gt) != k:
+        raise ValueError("need exactly k coefficients per side")
+    w_s = np.zeros(k + 1)
+    w_t = np.zeros(k + 1)
+    w_s[0] = 1.0
+    w_t[0] = 1.0
+    for step in range(k):
+        new_s = w_s.copy()
+        new_t = w_t.copy()
+        new_s[1:] += gs[step] * w_t[:-1]
+        new_t[1:] += gt[step] * w_s[:-1]
+        w_s, w_t = new_s, new_t
+    return w_s, w_t
 
 
 def sdgae_encode_explicit(p, a_norm, x):

@@ -15,7 +15,6 @@ from dirlink.graph import (
     adjacency,
     load_edge_list,
     load_features,
-    normalize_adj,
     normalize_sym,
     preprocess,
 )
@@ -27,6 +26,7 @@ from helpers import (
     bipartite_block,
     check_gradients,
     digae_encode_bipartite,
+    expand_coefficients,
     random_graph,
     sdgae_encode_explicit,
     weakly_connected_random_graph,
@@ -62,9 +62,9 @@ def test_criterion_2_digae_layer_equals_bipartite_gcn():
         x = rng.standard_normal((g.n, 5))
         for alpha in (0.0, 0.4, 0.8):
             for beta in (0.0, 0.4, 0.8):
-                p = models.DigaeParams.init(rng, 5, hidden=7, emb=6,
+                p = models.DigaeParams.init(rng, g, 5, hidden=7, emb=6,
                                             layers=1, alpha=alpha, beta=beta)
-                layered = models.digae_encode(p, normalize_adj(g, p.alpha, p.beta), x)
+                layered = models.encoder_forward(p, x)
                 lifted = digae_encode_bipartite(p, g, x)
                 worst = max(worst,
                             float(np.max(np.abs(layered.S.data - lifted.S.data))),
@@ -83,12 +83,12 @@ def test_criterion_3_sdgae_iterative_equals_polynomial():
     for i in range(20):
         k = 1 + i % 5
         g = random_graph(rng, int(rng.integers(5, 25)))
-        p = models.SdgaeParams.init(rng, 4, hidden=8, emb=6, k=k)
+        p = models.SdgaeParams.init(rng, g, 4, hidden=8, emb=6, k=k)
         for gamma in p.gamma_s + p.gamma_t:
             gamma.data[0, 0] = rng.uniform(-1.5, 1.5)
         x = rng.standard_normal((g.n, 4))
         a = normalize_sym(g)
-        it = models.sdgae_encode(p, a, x)
+        it = models.encoder_forward(p, x)
         ex = sdgae_encode_explicit(p, a, x)
         worst = max(worst,
                     float(np.max(np.abs(it.S.data - ex.S.data))),
@@ -97,7 +97,7 @@ def test_criterion_3_sdgae_iterative_equals_polynomial():
     # K=2 closed form, exact: w_S = [1, g_S0+g_S1, g_S1*g_T0] and the mirror
     gs = rng.uniform(-2, 2, size=2)
     gt = rng.uniform(-2, 2, size=2)
-    w_s, w_t = models.expand_coefficients(list(gs), list(gt), 2)
+    w_s, w_t = expand_coefficients(list(gs), list(gt), 2)
     closed_ok = (np.array_equal(w_s, [1.0, gs[0] + gs[1], gs[1] * gt[0]])
                  and np.array_equal(w_t, [1.0, gt[0] + gt[1], gt[1] * gs[0]]))
     elapsed = time.perf_counter() - start

@@ -282,6 +282,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                        f"feature_dim = {dim}\n")
         assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "feature_dim" in capsys.readouterr().err
+    for line in ("emb = 0", "hidden = 0", "dec_hidden = 0", "mlp_layers = 0",
+                 "max_epochs = 0\npatience = -1"):
+        bad.write_text(f"[experiment]\ndataset = synthetic200\nfeatures = degrees\n[model]\n{line}\n")
+        assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert f"usage error: {line.split()[0]} must be >= 1" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

@@ -2,11 +2,13 @@
 trained parameters, loss history and validation history across
 implementations of the autodiff ops and decoders.
 
-The digests below were recorded with the inner decoder running as three
-tape ops (two row gathers, their elementwise product, a row sum).  Any
-rewrite of encode, decode, backward or the optimizer step that claims the
-same numbers must reproduce them unchanged.  The grid's early-stopping epoch
-counts depend on these numbers being exact.
+The inner digests were recorded with the inner decoder running as three
+tape ops (two row gathers, their elementwise product, a row sum).  The short
+digests of the other decoders were recorded with each decoder head built and
+applied as hand-written dense layers.  Any rewrite of encode, decode,
+backward or the optimizer step that claims the same numbers must reproduce
+them unchanged.  The grid's early-stopping epoch counts depend on these
+numbers being exact.
 """
 
 import hashlib
@@ -17,16 +19,18 @@ import pytest
 from dirlink import datasets, splits, training
 
 EPOCHS = 40
+# the other decoders run shorter: every encoder, decoder and loss in ~2 s
+SHORT_EPOCHS = 8
 
 
-def _training_digest(encoder, loss):
+def _training_digest(encoder, loss, decoder="inner", epochs=EPOCHS):
     bundle = splits.split_edges(datasets.load_fixture("synthetic200"), seed=0)
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
-    cfg = training.TrainConfig(encoder=encoder, decoder="inner", loss=loss,
-                               max_epochs=EPOCHS, patience=EPOCHS - 1)
+    cfg = training.TrainConfig(encoder=encoder, decoder=decoder, loss=loss,
+                               max_epochs=epochs, patience=epochs - 1)
     fitted = training.fit(cfg, bundle.train_graph, feats, training.make_validation_scorer(bundle),
                           bundle.seed)
-    assert fitted.epochs_run == EPOCHS
+    assert fitted.epochs_run == epochs
     h = hashlib.sha256()
     for name, t in sorted(fitted.model.named_parameters().items()):
         h.update(name.encode())
@@ -50,3 +54,33 @@ GOLDEN = {
 @pytest.mark.parametrize("loss", training.LOSSES)
 def test_trained_parameters_and_histories_match_golden_digests(encoder, loss):
     assert _training_digest(encoder, loss) == GOLDEN[encoder, loss]
+
+
+GOLDEN_SHORT = {
+    ("sdgae", "mlp_hadamard", "bce"): "589eb2979f6d6d86d4974ff757b20a746561e711746d720cd1a201ef04a92eb0",
+    ("sdgae", "mlp_hadamard", "ce"): "c55a3b9f94bd6cfa5ad21ddc27708669f7ed07f29e5d1964f8ce3e397c2220b5",
+    ("sdgae", "mlp_concat", "bce"): "6afdf75d093ecfac9dc69a6545bc919c1e32675aed91a802a9384eacd549be96",
+    ("sdgae", "mlp_concat", "ce"): "2c94d5c707b46ee9392c9984a64fe2e29f7aa8c237a380b145942d7d8711b991",
+    ("sdgae", "lr_concat", "bce"): "948fe2c5684225006a6307d7179628d074a8a4faf519d263de3ec800679be589",
+    ("sdgae", "lr_concat", "ce"): "a1cc3df05e7efee8f82e7078aa7ddfb0b42f35014ceec944b6cf80ce5ffe6401",
+    ("digae", "mlp_hadamard", "bce"): "93bc980fd51cd42bfda070dd8be22758681f963a904220855b9fda7c0eb841f1",
+    ("digae", "mlp_hadamard", "ce"): "b2865d035fa52c432f0c6698c38dcf1cfdad8421f88d2fc39cb542f52edc86e0",
+    ("digae", "mlp_concat", "bce"): "af6b1603f37dab6a09ebc7fbfa9d33afc950cc2f16ba077db7e22f424ea5657b",
+    ("digae", "mlp_concat", "ce"): "1b7a94329d7e9e1822e1457f49c25d811fc791e949f9b6b16b6d41619dec3032",
+    ("digae", "lr_concat", "bce"): "e606ec5e2bda05348a59c791ea84c68ebc7a0d44ea3554109dde3ea98f5be120",
+    ("digae", "lr_concat", "ce"): "02085ab364071271fa7cc48c07048d5b192406dc717a416c5139f0ab9a8aa63b",
+    ("mlp", "mlp_hadamard", "bce"): "1146751e95364b97802c2dde2e4c0b28cbd84be1609d887454febe2e188f5cac",
+    ("mlp", "mlp_hadamard", "ce"): "90ae37477ffeba6ac1f74a2a265d8d6d666920d4aad01ae8ace3f7fee633159d",
+    ("mlp", "mlp_concat", "bce"): "167c7032517d86a8c014f0e5564fd921403f1421cf1e8d2ce9e10d317729be16",
+    ("mlp", "mlp_concat", "ce"): "155fb61a1bbd2f4c23893338de320bfcd22ec0f3e891b854894f847f3ad03773",
+    ("mlp", "lr_concat", "bce"): "0b8f696d5443a41e9a2287c51912bcc920fa6627fd79f9ea851bf958e4739524",
+    ("mlp", "lr_concat", "ce"): "dd11f7b14a38e9b2054fbc344da4e5c0dcf6e47b0e60ce214d962dcc52b21958",
+}
+
+
+@pytest.mark.parametrize("encoder", training.ENCODERS)
+@pytest.mark.parametrize("decoder", ["mlp_hadamard", "mlp_concat", "lr_concat"])
+@pytest.mark.parametrize("loss", training.LOSSES)
+def test_short_runs_of_the_other_decoders_match_golden_digests(encoder, decoder, loss):
+    digest = _training_digest(encoder, loss, decoder, SHORT_EPOCHS)
+    assert digest == GOLDEN_SHORT[encoder, decoder, loss]

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.sparse.csgraph import connected_components
 import dirlink.autodiff as ad
 from dirlink import models
 from dirlink.graph import (
+    MAX_NODES,
     DataError,
     DirectedGraph,
     adjacency,
@@ -81,24 +83,25 @@ def test_operators_are_canonical_and_transpose_views_match_copies_bitwise(operat
 
 def test_operator_dies_by_refcount_after_transpose_product():
     # the operator's transpose is a view held only by the tape's rules, and
-    # nothing refers back, so dropping the operator and an SDGAE pass, with
-    # or without its backward pass, frees them all without the cyclic collector
+    # nothing refers back, so dropping the model that owns the operator and
+    # an SDGAE pass, with or without its backward pass, frees them all
+    # without the cyclic collector
     rng = np.random.default_rng(1)
     g = random_graph(rng, 12)
     x = rng.standard_normal((12, 3))
-    p = models.SdgaeParams.init(rng, 3, hidden=4, emb=4, k=2)
     gc.disable()
     try:
-        op = normalize_sym(g)
+        p = models.SdgaeParams.init(rng, g, 3, hidden=4, emb=4, k=2)
+        op = p.op
         t = op.T
         assert np.allclose(spmm_t(op, x), op.toarray().T @ x)
-        enc = models.sdgae_encode(p, op, x)
+        enc = models.encoder_forward(p, x)
         loss = ad.sum_all(ad.hadamard(enc.S, enc.T))
         ad.backward(loss)
-        unreplayed = models.sdgae_encode(p, op, x)
+        unreplayed = models.encoder_forward(p, x)
         refs = [weakref.ref(o) for o in (op, op.data, op.indices, t, enc.S, enc.T, loss,
                                          unreplayed.S, unreplayed.T)]
-        del op, t, enc, loss, unreplayed
+        del p, op, t, enc, loss, unreplayed
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
@@ -164,6 +167,32 @@ def test_directed_graph_rejects_bad_edges():
         DirectedGraph(3, [[0, 3]])
     with pytest.raises(ValueError):
         DirectedGraph(0, [])
+
+
+def test_node_counts_whose_edge_keys_overflow_int64_are_rejected(tmp_path):
+    # the largest n whose keys u*n + v fit in int64 keeps its edges exactly
+    top = MAX_NODES - 1
+    assert MAX_NODES == 3_037_000_499
+    g = DirectedGraph(MAX_NODES, [[top, 0], [0, 1], [top, top - 1]])
+    assert np.array_equal(g.edges, [[0, 1], [top, 0], [top, top - 1]])
+    assert np.array_equal(np.diff(g.edge_keys()) > 0, [True, True])
+    path = tmp_path / "huge.txt"
+    path.write_text("3999999999 0\n0 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="node count 4000000000 above 3037000499"):
+            DirectedGraph(4_000_000_000, [[3_999_999_999, 0], [0, 1]])
+        with pytest.raises(ValueError, match="overflow int64"):
+            DirectedGraph(MAX_NODES + 1, [[0, 1]])
+        with pytest.raises(DataError, match=f"{path}: node count 4000000000 above"):
+            load_edge_list(path)
+        path.write_text("0 1\n")
+        with pytest.raises(DataError, match=f"{path}: node count 3037000500 above"):
+            load_edge_list(path, n=MAX_NODES + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # no array sized by the node count
 
 
 def test_degrees_and_self_loop_offset():

@@ -3,13 +3,13 @@ import pytest
 
 import dirlink.autodiff as ad
 from dirlink import models
-from dirlink.graph import normalize_adj, normalize_sym
-from helpers import (digae_encode_bipartite, random_graph, sdgae_encode_composite,
-                     sdgae_encode_explicit)
+from dirlink.graph import normalize_sym
+from helpers import (digae_encode_bipartite, expand_coefficients, random_graph,
+                     sdgae_encode_composite, sdgae_encode_explicit)
 
 
-def _sdgae(rng, in_dim=4, k=3, **kw):
-    return models.SdgaeParams.init(rng, in_dim, hidden=8, emb=6, k=k, **kw)
+def _sdgae(rng, g, in_dim=4, k=3, **kw):
+    return models.SdgaeParams.init(rng, g, in_dim, hidden=8, emb=6, k=k, **kw)
 
 
 def _randomize_gammas(p, rng):
@@ -18,7 +18,8 @@ def _randomize_gammas(p, rng):
 
 
 def test_gamma_coefficients_initialized_to_one():
-    p = _sdgae(np.random.default_rng(40))
+    rng = np.random.default_rng(40)
+    p = _sdgae(rng, random_graph(rng, 5))
     for g in p.gamma_s + p.gamma_t:
         assert g.data[0, 0] == 1.0
         assert g.requires_grad
@@ -28,11 +29,11 @@ def test_sdgae_iterative_matches_explicit_polynomial():
     rng = np.random.default_rng(41)
     for k in range(1, 6):
         g = random_graph(rng, int(rng.integers(5, 20)))
-        p = _sdgae(rng, k=k)
+        p = _sdgae(rng, g, k=k)
         _randomize_gammas(p, rng)
         x = rng.standard_normal((g.n, 4))
         a = normalize_sym(g)
-        it = models.sdgae_encode(p, a, x)
+        it = models.encoder_forward(p, x)
         ex = sdgae_encode_explicit(p, a, x)
         assert np.max(np.abs(it.S.data - ex.S.data)) < 1e-8
         assert np.max(np.abs(it.T.data - ex.T.data)) < 1e-8
@@ -42,11 +43,11 @@ def test_sdgae_simultaneous_update_reads_pre_step_values():
     # with k=1 the cross terms must use the initial embeddings, not each other
     rng = np.random.default_rng(42)
     g = random_graph(rng, 6)
-    p = _sdgae(rng, k=1)
+    p = _sdgae(rng, g, k=1)
     _randomize_gammas(p, rng)
     x = rng.standard_normal((6, 4))
     a = normalize_sym(g)
-    out = models.sdgae_encode(p, a, x)
+    out = models.encoder_forward(p, x)
     s0 = p.mlp_s(ad.Tensor(x)).data
     t0 = p.mlp_t(ad.Tensor(x)).data
     gs, gt = p.gamma_s[0].data[0, 0], p.gamma_t[0].data[0, 0]
@@ -58,33 +59,34 @@ def test_sdgae_simultaneous_update_reads_pre_step_values():
 
 def test_expand_coefficients_closed_forms():
     # k=2 with integer steps: w_s = [1, gs0+gs1, gs1*gt0], exactly
-    w_s, w_t = models.expand_coefficients([2.0, 3.0], [5.0, 7.0], 2)
+    w_s, w_t = expand_coefficients([2.0, 3.0], [5.0, 7.0], 2)
     assert np.array_equal(w_s, [1.0, 5.0, 15.0])
     assert np.array_equal(w_t, [1.0, 12.0, 14.0])
-    w_s, w_t = models.expand_coefficients([4.0], [9.0], 1)
+    w_s, w_t = expand_coefficients([4.0], [9.0], 1)
     assert np.array_equal(w_s, [1.0, 4.0])
     assert np.array_equal(w_t, [1.0, 9.0])
     with pytest.raises(ValueError):
-        models.expand_coefficients([1.0], [1.0, 2.0], 2)
+        expand_coefficients([1.0], [1.0, 2.0], 2)
 
 
 def test_sdgae_rejects_bad_k_and_shapes():
     rng = np.random.default_rng(43)
-    with pytest.raises(ValueError):
-        _sdgae(rng, k=0)
-    with pytest.raises(ValueError):
-        _sdgae(rng, k=9)
     g = random_graph(rng, 5)
-    p = _sdgae(rng, k=2)
     with pytest.raises(ValueError):
-        models.sdgae_encode(p, normalize_sym(g), np.zeros((4, 4)))
+        _sdgae(rng, g, k=0)
+    with pytest.raises(ValueError):
+        _sdgae(rng, g, k=9)
+    p = _sdgae(rng, g, k=2)
+    with pytest.raises(ValueError):
+        models.encoder_forward(p, np.zeros((4, 4)))
 
 
 def _sdgae_case(k, seed=44, n=30):
     rng = np.random.default_rng(seed)
-    p = _sdgae(rng, k=k)
+    g = random_graph(rng, n)
+    p = _sdgae(rng, g, k=k)
     _randomize_gammas(p, rng)
-    return p, normalize_sym(random_graph(rng, n)), rng.standard_normal((n, 4))
+    return p, normalize_sym(g), rng.standard_normal((n, 4))
 
 
 def _sdgae_loss(enc, read):
@@ -118,7 +120,7 @@ def test_sdgae_propagate_matches_composite_bitwise(k, read):
     """One fused node gives the values and grads of the 6k primitive nodes it
     replaces, bit for bit, whichever outputs the loss reads."""
     p, a, x = _sdgae_case(k)
-    fused = _sdgae_backward(p, models.sdgae_encode(p, a, x), read)
+    fused = _sdgae_backward(p, models.encoder_forward(p, x), read)
     composite = _sdgae_backward(p, sdgae_encode_composite(p, a, x), read)
     assert len(composite) == 2 + 8 + 2 * k
     _assert_bitwise(fused, composite)
@@ -129,8 +131,8 @@ def test_second_recorded_pass_gets_its_own_buffers():
     # pass has run: had they shared arrays, its gamma grads would be wrong
     p, a, x = _sdgae_case(5)
     x2 = np.random.default_rng(45).standard_normal(x.shape)
-    first = models.sdgae_encode(p, a, x)
-    second = models.sdgae_encode(p, a, x2)
+    first = models.encoder_forward(p, x)
+    second = models.encoder_forward(p, x2)
     got = [_sdgae_backward(p, first, "both"), _sdgae_backward(p, second, "both")]
     for feats, fused in zip((x, x2), got):
         _assert_bitwise(fused, _sdgae_backward(p, sdgae_encode_composite(p, a, feats), "both"))
@@ -147,14 +149,14 @@ def test_sdgae_products_go_through_spmm(monkeypatch):
 
     monkeypatch.setattr(ad, "_spmm", counting)
     for k in (1, 5):
-        p, a, x = _sdgae_case(k)
+        p, _, x = _sdgae_case(k)
         calls.clear()
-        enc = models.sdgae_encode(p, a, x)
+        enc = models.encoder_forward(p, x)
         assert len(calls) == 2 * k
         ad.backward(_sdgae_loss(enc, "both"))
         assert len(calls) == 4 * k
         with ad.no_grad():
-            models.sdgae_encode(p, a, x)
+            models.encoder_forward(p, x)
         assert len(calls) == 6 * k
 
 
@@ -180,10 +182,10 @@ def test_digae_matches_bipartite_oracle():
             for beta in (0.0, 0.4, 0.8):
                 g = random_graph(rng, int(rng.integers(4, 12)))
                 p = models.DigaeParams.init(
-                    rng, 5, hidden=7, emb=6, layers=layers, alpha=alpha, beta=beta
+                    rng, g, 5, hidden=7, emb=6, layers=layers, alpha=alpha, beta=beta
                 )
                 x = rng.standard_normal((g.n, 5))
-                a = models.digae_encode(p, normalize_adj(g, p.alpha, p.beta), x)
+                a = models.encoder_forward(p, x)
                 b = digae_encode_bipartite(p, g, x)
                 assert np.max(np.abs(a.S.data - b.S.data)) < 1e-10
                 assert np.max(np.abs(a.T.data - b.T.data)) < 1e-10
@@ -191,16 +193,17 @@ def test_digae_matches_bipartite_oracle():
 
 def test_digae_validation():
     rng = np.random.default_rng(45)
+    g = random_graph(rng, 5)
     with pytest.raises(ValueError):
-        models.DigaeParams.init(rng, 4, alpha=1.5)
+        models.DigaeParams.init(rng, g, 4, alpha=1.5)
     with pytest.raises(ValueError):
-        models.DigaeParams.init(rng, 4, layers=3)
+        models.DigaeParams.init(rng, g, 4, layers=3)
 
 
 def test_mlp_encoder_is_direction_blind():
     rng = np.random.default_rng(46)
-    p = models.MlpParams.init(rng, 4, hidden=8, emb=6)
-    out = models.mlp_encode(p, rng.standard_normal((5, 4)))
+    p = models.MlpParams.init(rng, random_graph(rng, 5), 4, hidden=8, emb=6)
+    out = models.encoder_forward(p, rng.standard_normal((5, 4)))
     assert out.S is out.T
 
 
@@ -269,21 +272,24 @@ def test_encoder_forward_dispatch():
     rng = np.random.default_rng(51)
     g = random_graph(rng, 7)
     x = rng.standard_normal((7, 4))
-    sd = _sdgae(rng, k=2)
-    out = models.encoder_forward(sd, normalize_sym(g), x)
-    ref = models.sdgae_encode(sd, normalize_sym(g), x)
+    sd = _sdgae(rng, g, k=2)
+    out = models.encoder_forward(sd, x)
+    ref = sd(ad.Tensor(x))
     assert np.allclose(out.S.data, ref.S.data)
-    dg = models.DigaeParams.init(rng, 4, emb=6)
-    assert models.encoder_forward(dg, normalize_adj(g, dg.alpha, dg.beta), x).S.data.shape == (7, 6)
-    ml = models.MlpParams.init(rng, 4, emb=6)
-    assert models.encoder_forward(ml, None, x).S.data.shape == (7, 6)
-    with pytest.raises(TypeError):
-        models.encoder_forward(object(), g, x)
+    dg = models.DigaeParams.init(rng, g, 4, emb=6)
+    assert models.encoder_forward(dg, x).S.data.shape == (7, 6)
+    ml = models.MlpParams.init(rng, g, 4, emb=6)
+    assert models.encoder_forward(ml, x).S.data.shape == (7, 6)
+    # every encoder, the graph-free MLP included, checks the feature rows
+    for enc in (sd, dg, ml):
+        with pytest.raises(ValueError, match="feature rows 6 != node count 7"):
+            models.encoder_forward(enc, x[:6])
 
 
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(52)
-    p = _sdgae(rng, k=2)
+    g = random_graph(rng, 5)
+    p = _sdgae(rng, g, k=2)
     named = {n: t.data for n, t in p.named_parameters().items()}
     path = tmp_path / "ckpt.npz"
     models.save_checkpoint(path, named, {"note": "test", "split_seed": 3})
@@ -291,7 +297,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert meta == {"note": "test", "split_seed": 3}
     assert set(arrays) == set(named)
 
-    q = _sdgae(np.random.default_rng(99), k=2)
+    q = _sdgae(np.random.default_rng(99), g, k=2)
     models.load_state(q, arrays)
     for name, t in q.named_parameters().items():
         assert np.array_equal(t.data, named[name])
@@ -299,15 +305,16 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_rejects_bad_version_and_shapes(tmp_path):
     rng = np.random.default_rng(53)
-    p = _sdgae(rng, k=2)
+    g = random_graph(rng, 5)
+    p = _sdgae(rng, g, k=2)
     path = tmp_path / "ckpt.npz"
     named = {n: t.data for n, t in p.named_parameters().items()}
     models.save_checkpoint(path, named, {})
     meta, arrays = models.load_checkpoint(path)
-    wrong = _sdgae(rng, k=3)
+    wrong = _sdgae(rng, g, k=3)
     with pytest.raises(ValueError, match="missing parameter"):
         models.load_state(wrong, arrays)
-    small = _sdgae(rng, k=2, mlp_layers=1)
+    small = _sdgae(rng, g, k=2, mlp_layers=1)
     with pytest.raises(ValueError, match="shape mismatch"):
         models.load_state(small, arrays)
 
@@ -321,9 +328,9 @@ def test_checkpoint_rejects_bad_version_and_shapes(tmp_path):
 
 def test_ranking_scores_build_no_tape(monkeypatch):
     rng = np.random.default_rng(53)
-    p = _sdgae(rng, k=2)
     g = random_graph(rng, 6)
-    enc = models.sdgae_encode(p, normalize_sym(g), rng.standard_normal((6, 4)))
+    p = _sdgae(rng, g, k=2)
+    enc = models.encoder_forward(p, rng.standard_normal((6, 4)))
     dec = models.DecoderKind.init(rng, "mlp_concat", enc.S.shape[1], hidden=5)
     outputs = []
     real_decode = models.decode

@@ -1,9 +1,15 @@
 """The benchmark's span tracer (perfbench/spans.py) patches package functions
 by name.  A rename or removal in the package would drop a per-layer metric
-without an error; here it fails a test instead."""
+without an error; here it fails a test instead.  So would a call that moves
+to a name the tracer does not patch: a traced run checks the counts."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from dirlink import training
+from helpers import run_under_memory_bound
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -30,3 +36,35 @@ def test_every_traced_target_resolves_in_the_package():
     if not callable(getattr(spans._resolve("dirlink.training"), "make_validation_scorer", None)):
         missing.append("training.validate: dirlink.training.make_validation_scorer")
     assert not missing, missing
+
+
+_TRACED_FIT = """
+import importlib.util
+spec = importlib.util.spec_from_file_location("perfbench_spans", {spans!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+tracer.install()
+from dirlink import datasets, splits, training
+bundle = splits.split_edges(datasets.load_fixture("synthetic200"), seed=0)
+feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
+cfg = training.TrainConfig(encoder={encoder!r}, max_epochs=3, patience=2)
+fitted = training.fit(cfg, bundle.train_graph, feats, training.make_validation_scorer(bundle),
+                      bundle.seed)
+names = [s["name"] for s in tracer.spans]
+in_fit = [names[s["parent"]] == "training.fit" for s in tracer.spans
+          if s["name"] == "graph.normalize"]
+print(f"epochs={{fitted.epochs_run}} normalize={{names.count('graph.normalize')}} "
+      f"normalize_in_fit={{sum(in_fit)}} encode={{names.count('models.encode')}}")
+"""
+
+
+@pytest.mark.parametrize("encoder", training.ENCODERS)
+def test_a_traced_fit_records_operator_builds_and_every_forward_pass(encoder):
+    # fresh process: install() patches the package for the rest of its life
+    stats = run_under_memory_bound(_TRACED_FIT.format(spans=str(SPANS), encoder=encoder), 400)
+    builds = 0 if encoder == "mlp" else 1
+    assert int(stats["epochs"]) == 3
+    assert int(stats["normalize"]) == int(stats["normalize_in_fit"]) == builds
+    # each epoch encodes once to train and once to score validation
+    assert int(stats["encode"]) == 2 * 3

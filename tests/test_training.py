@@ -80,6 +80,35 @@ def test_config_validation():
         training.TrainConfig(neg_strategy="static")
     with pytest.raises(ValueError, match="patience"):
         training.TrainConfig(patience=2000, max_epochs=2000)
+    for name in ("hidden", "emb", "dec_hidden", "mlp_layers"):
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1, got {bad}"):
+                training.TrainConfig(**{name: bad})
+    with pytest.raises(ValueError, match="max_epochs must be >= 1, got 0"):
+        training.TrainConfig(max_epochs=0, patience=-1)
+
+
+def test_fit_without_a_finite_validation_score_is_a_training_error():
+    # NaN never beats -inf, so no epoch becomes the best one to restore
+    bundle = small_bundle()
+    feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
+    for score in (float("nan"), -np.inf):
+        with pytest.raises(training.TrainingError, match="none of 2 epochs scored above -inf"):
+            training.fit(small_cfg(max_epochs=3, patience=2), bundle.train_graph, feats,
+                         lambda score_many: score, bundle.seed)
+
+
+def test_mlp_encoder_depth_follows_mlp_layers():
+    bundle = small_bundle()
+    feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
+    widths = {}
+    for layers in (1, 2, 3):
+        model = training.build_model(small_cfg(encoder="mlp", mlp_layers=layers),
+                                     bundle.train_graph, feats, np.random.default_rng(0))
+        widths[layers] = [w.shape for w, _ in model.enc_params.mlp.layers]
+    in_dim = feats.shape[1]
+    assert widths == {1: [(in_dim, 8)], 2: [(in_dim, 8), (8, 8)],
+                      3: [(in_dim, 8), (8, 8), (8, 8)]}
 
 
 def test_zero_lr_plateaus_and_stops_at_patience():
