@@ -3,7 +3,10 @@
 Every value is a 2-D array wrapped in a Tensor.  While recording (the
 default), an op whose inputs require gradients records its parents and a
 backward rule on the output; backward() linearizes the graph into a list
-(parents before children) and replays it in reverse exactly once.
+(parents before children) and replays it in reverse exactly once.  An op
+states one grad map per input, from the output grad to that input's grad,
+and ``_op`` makes the rule that applies them to the inputs that require
+gradients; only the fused ``sdgae_propagate`` writes a rule of its own.
 Rules capture their inputs, never their own output, so a graph holds no
 reference cycles and is freed as soon as its last tensor is dropped.  Inside
 ``no_grad()`` ops record nothing.  No broadcasting beyond the dedicated
@@ -146,78 +149,57 @@ def _result(data, op, parents, rule):
     return Tensor(data, op=op)
 
 
+def _op(data, op, parents, *grads):
+    """The output tensor of an op whose backward pass is one grad map per
+    input: each of ``grads`` is (input, g -> the input's grad), applied in
+    the order given, to the inputs that require gradients only."""
+
+    def rule(g):
+        for x, grad in grads:
+            if x.requires_grad:
+                _accumulate(x, grad(g))
+
+    return _result(data, op, parents, rule)
+
+
 def matmul(a, b):
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-
-    def rule(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    return _result(a.data @ b.data, "matmul", (a, b), rule)
+    return _op(a.data @ b.data, "matmul", (a, b),
+               (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def add(a, b):
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-    def rule(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
-
-    return _result(a.data + b.data, "add", (a, b), rule)
+    return _op(a.data + b.data, "add", (a, b), (a, lambda g: g), (b, lambda g: g))
 
 
 def add_bias(x, b):
     """Add a (1, d) bias row to every row of x."""
     if b.data.shape != (1, x.data.shape[1]):
         raise ValueError(f"bias shape {b.data.shape} incompatible with {x.data.shape}")
-
-    def rule(g):
-        if x.requires_grad:
-            _accumulate(x, g)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=0, keepdims=True))
-
-    return _result(x.data + b.data, "add_bias", (x, b), rule)
+    return _op(x.data + b.data, "add_bias", (x, b),
+               (x, lambda g: g), (b, lambda g: g.sum(axis=0, keepdims=True)))
 
 
 def hadamard(a, b):
     if a.data.shape != b.data.shape:
         raise ValueError(f"hadamard shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-    def rule(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
-
-    return _result(a.data * b.data, "hadamard", (a, b), rule)
+    return _op(a.data * b.data, "hadamard", (a, b),
+               (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def concat_cols(a, b):
     if a.data.shape[0] != b.data.shape[0]:
         raise ValueError(f"concat_cols row mismatch: {a.data.shape} vs {b.data.shape}")
     split = a.data.shape[1]
-
-    def rule(g):
-        if a.requires_grad:
-            _accumulate(a, g[:, :split])
-        if b.requires_grad:
-            _accumulate(b, g[:, split:])
-
-    return _result(np.hstack([a.data, b.data]), "concat_cols", (a, b), rule)
+    return _op(np.hstack([a.data, b.data]), "concat_cols", (a, b),
+               (a, lambda g: g[:, :split]), (b, lambda g: g[:, split:]))
 
 
 def relu(x):
-    def rule(g):
-        _accumulate(x, g * (x.data > 0.0))
-
-    return _result(np.maximum(x.data, 0.0), "relu", (x,), rule)
+    return _op(np.maximum(x.data, 0.0), "relu", (x,), (x, lambda g: g * (x.data > 0.0)))
 
 
 def _sigmoid(z):
@@ -250,12 +232,9 @@ def _scatter(rows, cols, vals, shape):
 def gather_rows(x, idx):
     n = x.data.shape[0]
     idx = _row_index(idx, n, "gather_rows")
-
-    def rule(g):
-        p = len(idx)
-        _accumulate(x, _scatter(idx, np.arange(p), np.ones(p), (n, p)) @ g)
-
-    return _result(x.data[idx], "gather_rows", (x,), rule)
+    p = len(idx)
+    return _op(x.data[idx], "gather_rows", (x,),
+               (x, lambda g: _scatter(idx, np.arange(p), np.ones(p), (n, p)) @ g))
 
 
 def pair_dot(s, t, u, v, block):
@@ -279,62 +258,38 @@ def pair_dot(s, t, u, v, block):
     for b0 in range(0, len(u), block):
         b = slice(b0, b0 + block)
         out[b, 0] = (s.data[u[b]] * t.data[v[b]]).sum(axis=1)
-
-    def rule(g):
-        g = g[:, 0]
-        if t.requires_grad:
-            _accumulate(t, _scatter(v, u, g, (n_t, n_s)) @ s.data)
-        if s.requires_grad:
-            _accumulate(s, _scatter(u, v, g, (n_s, n_t)) @ t.data)
-
-    return _result(out, "pair_dot", (s, t), rule)
+    return _op(out, "pair_dot", (s, t),
+               (t, lambda g: _scatter(v, u, g[:, 0], (n_t, n_s)) @ s.data),
+               (s, lambda g: _scatter(u, v, g[:, 0], (n_s, n_t)) @ t.data))
 
 
 def row_sum(x):
     """Sum each row to a single column: (n, d) -> (n, 1)."""
-
-    def rule(g):
-        _accumulate(x, g)
-
-    return _result(x.data.sum(axis=1, keepdims=True), "row_sum", (x,), rule)
+    return _op(x.data.sum(axis=1, keepdims=True), "row_sum", (x,), (x, lambda g: g))
 
 
 def sum_all(x):
-    def rule(g):
-        _accumulate(x, g[0, 0])
-
-    return _result(x.data.sum().reshape(1, 1), "sum_all", (x,), rule)
+    return _op(x.data.sum().reshape(1, 1), "sum_all", (x,), (x, lambda g: g[0, 0]))
 
 
 def scale(x, s):
     """Multiply a matrix by a scalar held in a (1, 1) tensor."""
     if s.data.shape != (1, 1):
         raise ValueError("scale factor must be a 1x1 tensor")
-
-    def rule(g):
-        if x.requires_grad:
-            _accumulate(x, g * s.data[0, 0])
-        if s.requires_grad:
-            _accumulate(s, (g * x.data).sum())
-
-    return _result(x.data * s.data[0, 0], "scale", (x, s), rule)
+    return _op(x.data * s.data[0, 0], "scale", (x, s),
+               (x, lambda g: g * s.data[0, 0]), (s, lambda g: (g * x.data).sum()))
 
 
-def spmm_const(m, x, m_t):
+def spmm_const(m, x):
     """Multiply a constant sparse matrix into a tensor: out = m @ x.
 
-    The backward pass multiplies the output grad by ``m_t``, the transpose of
-    m.  A product by the transpose swaps the two, and the scipy ``.T`` view
-    of a CSR matrix serves as either, so no transposed copy is ever built.
+    The backward pass multiplies the output grad by ``m.T``.  The scipy
+    ``.T`` of a CSR matrix is a CSC view of the same arrays, so no
+    transposed copy is ever built.
     """
-    if x.data.shape[0] != m.shape[1] or m_t.shape != m.shape[::-1]:
-        raise ValueError(f"spmm_const shape mismatch: {m.shape} @ {x.data.shape}, "
-                         f"transpose {m_t.shape}")
-
-    def rule(g):
-        _accumulate(x, _spmm(m_t, g))
-
-    return _result(_spmm(m, x.data), "spmm_const", (x,), rule)
+    if x.data.shape[0] != m.shape[1]:
+        raise ValueError(f"spmm_const shape mismatch: {m.shape} @ {x.data.shape}")
+    return _op(_spmm(m, x.data), "spmm_const", (x,), (x, lambda g: _spmm(m.T, g)))
 
 
 class Workspace:
@@ -473,11 +428,8 @@ def bce_with_logits(logits, labels):
     if not np.isfinite(val):
         raise FloatingPointError("non-finite loss")
     inv_n = 1.0 / z.shape[0]
-
-    def rule(g):
-        _accumulate(logits, g[0, 0] * (_sigmoid(z) - y) * inv_n)
-
-    return _result(np.array([[val]]), "bce_with_logits", (logits,), rule)
+    return _op(np.array([[val]]), "bce_with_logits", (logits,),
+               (logits, lambda g: g[0, 0] * (_sigmoid(z) - y) * inv_n))
 
 
 def ce_pairwise(logits, classes):
@@ -499,12 +451,12 @@ def ce_pairwise(logits, classes):
         raise FloatingPointError("non-finite loss")
     inv_n = 1.0 / z.shape[0]
 
-    def rule(g):
+    def grad(g):
         soft = np.exp(z - lse)
         soft[rows, cls] -= 1.0
-        _accumulate(logits, g[0, 0] * soft * inv_n)
+        return g[0, 0] * soft * inv_n
 
-    return _result(np.array([[val]]), "ce_pairwise", (logits,), rule)
+    return _op(np.array([[val]]), "ce_pairwise", (logits,), (logits, grad))
 
 
 class AdamState:

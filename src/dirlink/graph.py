@@ -33,17 +33,17 @@ def run_starts(sorted_keys):
 
 
 def spmm(m, x, out=None):
-    """Sparse-dense product ``m @ x``.
+    """Sparse-dense product ``m @ x`` by scipy's CSR or CSC multi-vector
+    kernel, the one ``m @ x`` runs; a test pins the bits to those of ``m @ x``.
 
     Parameters
     ----------
-    m : scipy sparse matrix, shape (r, c); CSR or CSC when ``out`` is given
+    m : float64 scipy sparse matrix in CSR or CSC format, shape (r, c)
     x : ndarray, shape (c, d)
     out : C-ordered float64 ndarray, shape (r, d), optional
-        Written with the product and returned, so a caller that multiplies
-        the same shapes over and over reuses one array.  scipy's CSR or CSC
-        multi-vector kernel, the one ``m @ x`` runs, sums into the zeroed
-        ``out``; a test pins its bits to those of ``m @ x``.
+        Zeroed, written with the product and returned, so a caller that
+        multiplies the same shapes over and over reuses one array.  A new
+        array when None.
 
     Returns
     -------
@@ -54,15 +54,17 @@ def spmm(m, x, out=None):
         x = x[:, None]
     if x.shape[0] != m.shape[1]:
         raise ValueError(f"dimension mismatch: {m.shape[0]}x{m.shape[1]} @ {x.shape}")
-    if out is None:
-        return np.ascontiguousarray(m @ x)
+    shape = (m.shape[0], x.shape[1])
     if (m.format not in ("csr", "csc") or m.dtype != np.float64
-            or out.shape != (m.shape[0], x.shape[1])
-            or out.dtype != np.float64 or not out.flags.c_contiguous):
-        raise ValueError(f"spmm out needs a float64 CSR or CSC matrix and a C-ordered "
-                         f"float64 array of shape {(m.shape[0], x.shape[1])}, got "
-                         f"{m.format} {m.dtype} and {out.dtype} {out.shape}")
-    out.fill(0.0)
+            or out is not None and (out.shape != shape or out.dtype != np.float64
+                                    or not out.flags.c_contiguous)):
+        got = "no out" if out is None else f"out {out.dtype} {out.shape}"
+        raise ValueError(f"spmm needs a float64 CSR or CSC matrix, and spmm out a C-ordered "
+                         f"float64 array of shape {shape}; got {m.format} {m.dtype}, {got}")
+    if out is None:
+        out = np.zeros(shape)
+    else:
+        out.fill(0.0)
     kernel = getattr(_sparsetools, m.format + "_matvecs")
     kernel(m.shape[0], m.shape[1], x.shape[1], m.indptr, m.indices, m.data,
            np.ascontiguousarray(x).ravel(), out.ravel())

@@ -14,12 +14,13 @@ alone; ``encoder_forward`` is the call the package makes.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .graph import normalize_adj
+from .graph import DataError, normalize_adj
 
 DECODER_KINDS = ("inner", "mlp_hadamard", "mlp_concat", "lr_concat")
 
@@ -92,8 +93,6 @@ class SdgaeParams:
 
     @classmethod
     def init(cls, rng, g, in_dim, hidden=64, emb=64, mlp_layers=2, k=5):
-        if not 1 <= k <= 8:
-            raise ValueError(f"k must be in 1..8, got {k}")
         mlp_s = Mlp.init(rng, in_dim, hidden, emb, mlp_layers)
         mlp_t = Mlp.init(rng, in_dim, hidden, emb, mlp_layers)
         ones = lambda: ad.Tensor(np.ones((1, 1)), requires_grad=True)
@@ -140,10 +139,6 @@ class DigaeParams:
 
     @classmethod
     def init(cls, rng, g, in_dim, hidden=64, emb=64, layers=1, alpha=0.4, beta=0.4):
-        if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
-            raise ValueError("alpha and beta must lie in [0, 1]")
-        if layers not in (1, 2):
-            raise ValueError("layers must be 1 or 2")
         dims = _widths(in_dim, hidden, emb, layers)
         w_s = [_uniform_weight(rng, a, b) for a, b in zip(dims[:-1], dims[1:])]
         w_t = [_uniform_weight(rng, a, b) for a, b in zip(dims[:-1], dims[1:])]
@@ -159,8 +154,8 @@ class DigaeParams:
         s = t = x
         last = len(self.w_s) - 1
         for layer, (w_s, w_t) in enumerate(zip(self.w_s, self.w_t)):
-            s_next = ad.spmm_const(op, ad.matmul(t, w_t), op_t)
-            t_next = ad.spmm_const(op_t, ad.matmul(s, w_s), op)
+            s_next = ad.spmm_const(op, ad.matmul(t, w_t))
+            t_next = ad.spmm_const(op_t, ad.matmul(s, w_s))
             if layer < last:
                 s_next = ad.relu(s_next)
                 t_next = ad.relu(t_next)
@@ -302,10 +297,22 @@ def save_checkpoint(path, named_arrays, meta):
 
 
 def load_checkpoint(path):
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["__meta__"]))
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('format_version')}")
+    """The (meta, arrays) that save_checkpoint wrote.  A file that is not such
+    an archive, or is one of another format version, is a DataError naming it."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path} is not a checkpoint: {exc}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile) or "__meta__" not in data.files:
+        raise DataError(f"{path} is not a checkpoint: no __meta__ entry")
+    with data:
+        try:
+            meta = json.loads(str(data["__meta__"]))
+        except json.JSONDecodeError:
+            raise DataError(f"{path} is not a checkpoint: its __meta__ is not JSON") from None
+        version = meta.get("format_version") if isinstance(meta, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise DataError(f"{path}: unsupported checkpoint version {version}")
         arrays = {k: data[k] for k in data.files if k != "__meta__"}
     meta.pop("format_version")
     return meta, arrays

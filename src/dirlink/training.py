@@ -66,6 +66,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.patience < self.max_epochs:
             raise ValueError("patience must be smaller than max_epochs")
+        if not 1 <= self.k <= 8:
+            raise ValueError(f"k must be in 1..8, got {self.k}")
+        for name in ("alpha", "beta"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if self.digae_layers not in (1, 2):
+            raise ValueError(f"digae_layers must be 1 or 2, got {self.digae_layers}")
 
 
 def config_id(cfg):
@@ -315,12 +322,12 @@ class GridResult:
 
 
 def _grid_task(args):
-    idx, cfg, bundle, feature_init, original = args
+    cfg, bundle, feature_init, original = args
     feats = init_features(feature_init, bundle.train_graph, original)
     try:
-        return idx, GridRow.from_run(train(cfg, bundle, feats))
+        return GridRow.from_run(train(cfg, bundle, feats))
     except TrainingError as exc:
-        return idx, GridRow(
+        return GridRow(
             config=config_id(cfg),
             split_seed=bundle.seed,
             status="failed",
@@ -336,27 +343,22 @@ def grid_run(configs, bundles, feature_init=None, original=None, workers=1):
     """Train every config on every bundle; aggregate mean and sample std.
 
     Failed runs are kept as flagged rows and excluded from aggregates, never
-    silently averaged.  Output is independent of the worker count: results
-    are keyed by (config, bundle) position, and every run seeds its own RNG
-    streams from the config identity and the split seed.
+    silently averaged.  Output is independent of the worker count: both maps
+    return the rows in task order, config-major, and every run seeds its own
+    RNG streams from the config identity and the split seed.
     """
     if not configs or not bundles:
         raise ValueError("grid_run needs at least one config and one bundle")
     feature_init = feature_init or FeatureInit(mode="degrees")
-    tasks = []
-    for ci, cfg in enumerate(configs):
-        for bi, bundle in enumerate(bundles):
-            tasks.append(((ci, bi), cfg, bundle, feature_init, original))
+    tasks = [(cfg, bundle, feature_init, original) for cfg in configs for bundle in bundles]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_grid_task, tasks))
+            rows = list(pool.map(_grid_task, tasks))
     else:
-        results = dict(map(_grid_task, tasks))
-
-    rows = [results[(ci, bi)] for ci in range(len(configs)) for bi in range(len(bundles))]
+        rows = list(map(_grid_task, tasks))
     summaries = []
     for ci, cfg in enumerate(configs):
-        cfg_rows = [results[(ci, bi)] for bi in range(len(bundles))]
+        cfg_rows = rows[ci * len(bundles):(ci + 1) * len(bundles)]
         ok = [r for r in cfg_rows if r.status == "ok"]
         summary = GridSummary(
             config=config_id(cfg),

@@ -168,8 +168,8 @@ def sdgae_encode_composite(p, a_norm, x):
     s = p.mlp_s(xt)
     t = p.mlp_t(xt)
     for step in range(p.k):
-        s_next = ad.add(ad.scale(ad.spmm_const(a_norm, t, a_t), p.gamma_s[step]), s)
-        t_next = ad.add(ad.scale(ad.spmm_const(a_t, s, a_norm), p.gamma_t[step]), t)
+        s_next = ad.add(ad.scale(ad.spmm_const(a_norm, t), p.gamma_s[step]), s)
+        t_next = ad.add(ad.scale(ad.spmm_const(a_t, s), p.gamma_t[step]), t)
         s, t = s_next, t_next
     return EncoderOutput(s, t)
 

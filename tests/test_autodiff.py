@@ -42,8 +42,8 @@ def test_every_op_gradient_matches_finite_differences():
         "pair_dot": lambda: _squared_sum(ad.pair_dot(x, ad.relu(x), idx, idx[::-1], 2)),
         "row_sum": lambda: ad.sum_all(ad.hadamard(ad.row_sum(x), ad.row_sum(x))),
         "scale": lambda: ad.sum_all(ad.scale(ad.matmul(x, w), s)),
-        "spmm": lambda: ad.sum_all(ad.relu(ad.spmm_const(a, x, a.T))),
-        "spmm_t": lambda: ad.sum_all(ad.relu(ad.spmm_const(a.T, x, a))),
+        "spmm": lambda: ad.sum_all(ad.relu(ad.spmm_const(a, x))),
+        "spmm_t": lambda: ad.sum_all(ad.relu(ad.spmm_const(a.T, x))),
         "sdgae_propagate": lambda: ad.sum_all(ad.hadamard(*ad.sdgae_propagate(
             a, ad.matmul(x, w), ad.hadamard(ad.matmul(x, w), ad.matmul(x, w)),
             gammas[:2], gammas[2:]))),
@@ -265,11 +265,11 @@ def test_spmm_const_matches_dense_with_gradients():
     g = DirectedGraph(4, [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]])
     m = adjacency(g)
     x = _param(rng, 4, 3)
-    out = ad.spmm_const(m, x, m.T)
+    out = ad.spmm_const(m, x)
     assert np.allclose(out.data, m.toarray() @ x.data)
     ad.backward(ad.sum_all(out))
     assert np.allclose(x.grad, m.toarray().T @ np.ones((4, 3)))
-    out_t = ad.spmm_const(m.T, ad.Tensor(x.data), m)
+    out_t = ad.spmm_const(m.T, ad.Tensor(x.data))
     assert np.allclose(out_t.data, m.toarray().T @ x.data)
 
 

@@ -70,15 +70,15 @@ def test_config_text_is_pinned(tmp_path):
     )
 
 
-# a valid value other than the default for each string field
-_STR_FIELD_VALUES = {"encoder": "mlp", "decoder": "mlp_concat", "loss": "ce",
-                     "neg_strategy": "per_epoch"}
+# a valid non-default value for the fields where default + 1 is none
+_FIELD_VALUES = {"encoder": "mlp", "decoder": "mlp_concat", "loss": "ce",
+                 "neg_strategy": "per_epoch", "alpha": 0.5, "beta": 0.6}
 
 
 def test_every_train_config_field_is_a_model_and_grid_key():
     for f in dataclasses.fields(training.TrainConfig):
         key = "model" if f.name == "encoder" else f.name
-        value = _STR_FIELD_VALUES.get(f.name) or f.default + 1
+        value = _FIELD_VALUES.get(f.name) or f.default + 1
         cfg = cli.config_from_text(f"[model]\n{key} = {value}\n")
         (single,) = cli.expand_grid(cfg)
         assert getattr(single, f.name) == value, f.name
@@ -287,6 +287,33 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         bad.write_text(f"[experiment]\ndataset = synthetic200\nfeatures = degrees\n[model]\n{line}\n")
         assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert f"usage error: {line.split()[0]} must be >= 1" in capsys.readouterr().err
+
+
+def test_grid_rejects_a_bad_model_value_before_any_run(tmp_path, capsys, monkeypatch):
+    fits = []
+    monkeypatch.setattr(training, "fit", lambda *a, **kw: fits.append(a))
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text("[experiment]\ndataset = synthetic200\nfeatures = degrees\nseeds = 0\n"
+                        "[grid]\nk = 3, 9\n")
+    out = tmp_path / "g"
+    assert cli.main(["grid", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "usage error: k must be in 1..8, got 9" in capsys.readouterr().err
+    assert fits == []
+    assert not (out / "runs.tsv").exists()
+
+
+def test_eval_of_a_file_that_is_not_a_checkpoint_exits_2(tmp_path, capsys):
+    path = tmp_path / "x.npz"
+    for meta, why in ((None, "no __meta__ entry"), ("{not json", "__meta__ is not JSON"),
+                      ('{"format_version": 99}', "unsupported checkpoint version 99")):
+        entries = {"w": np.zeros(3)} if meta is None else {"__meta__": np.array(meta)}
+        np.savez(path, **entries)
+        assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(path) in err and why in err
+    path.write_text("not an archive\n")
+    assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+    assert f"data error: {path} is not a checkpoint" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

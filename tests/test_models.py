@@ -69,13 +69,9 @@ def test_expand_coefficients_closed_forms():
         expand_coefficients([1.0], [1.0, 2.0], 2)
 
 
-def test_sdgae_rejects_bad_k_and_shapes():
+def test_sdgae_rejects_features_of_the_wrong_shape():
     rng = np.random.default_rng(43)
     g = random_graph(rng, 5)
-    with pytest.raises(ValueError):
-        _sdgae(rng, g, k=0)
-    with pytest.raises(ValueError):
-        _sdgae(rng, g, k=9)
     p = _sdgae(rng, g, k=2)
     with pytest.raises(ValueError):
         models.encoder_forward(p, np.zeros((4, 4)))
@@ -189,15 +185,6 @@ def test_digae_matches_bipartite_oracle():
                 b = digae_encode_bipartite(p, g, x)
                 assert np.max(np.abs(a.S.data - b.S.data)) < 1e-10
                 assert np.max(np.abs(a.T.data - b.T.data)) < 1e-10
-
-
-def test_digae_validation():
-    rng = np.random.default_rng(45)
-    g = random_graph(rng, 5)
-    with pytest.raises(ValueError):
-        models.DigaeParams.init(rng, g, 4, alpha=1.5)
-    with pytest.raises(ValueError):
-        models.DigaeParams.init(rng, g, 4, layers=3)
 
 
 def test_mlp_encoder_is_direction_blind():

@@ -54,9 +54,15 @@ fitted = training.fit(cfg, bundle.train_graph, feats, training.make_validation_s
 names = [s["name"] for s in tracer.spans]
 in_fit = [names[s["parent"]] == "training.fit" for s in tracer.spans
           if s["name"] == "graph.normalize"]
+tape = sum(s["counts"]["tape_nodes"] for s in tracer.spans if s["name"] == "autodiff.backward")
 print(f"epochs={{fitted.epochs_run}} normalize={{names.count('graph.normalize')}} "
-      f"normalize_in_fit={{sum(in_fit)}} encode={{names.count('models.encode')}}")
+      f"normalize_in_fit={{sum(in_fit)}} encode={{names.count('models.encode')}} "
+      f"tape={{tape}} spmm={{names.count('graph.spmm')}}")
 """
+
+
+# (summed tape nodes of the 3 backward passes, graph.spmm spans) of that fit
+_TAPE_AND_SPMM = {"sdgae": (96, 90), "digae": (24, 18), "mlp": (33, 0)}
 
 
 @pytest.mark.parametrize("encoder", training.ENCODERS)
@@ -68,3 +74,5 @@ def test_a_traced_fit_records_operator_builds_and_every_forward_pass(encoder):
     assert int(stats["normalize"]) == int(stats["normalize_in_fit"]) == builds
     # each epoch encodes once to train and once to score validation
     assert int(stats["encode"]) == 2 * 3
+    # an op change that adds a tape node or a sparse product shows here
+    assert (int(stats["tape"]), int(stats["spmm"])) == _TAPE_AND_SPMM[encoder]

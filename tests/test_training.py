@@ -86,6 +86,17 @@ def test_config_validation():
                 training.TrainConfig(**{name: bad})
     with pytest.raises(ValueError, match="max_epochs must be >= 1, got 0"):
         training.TrainConfig(max_epochs=0, patience=-1)
+    # the model ranges are checked here, before any run builds a model
+    for bad in (0, 9):
+        with pytest.raises(ValueError, match=f"k must be in 1..8, got {bad}"):
+            training.TrainConfig(k=bad)
+    for name in ("alpha", "beta"):
+        for bad in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must lie in"):
+                training.TrainConfig(**{name: bad})
+    for bad in (0, 3):
+        with pytest.raises(ValueError, match=f"digae_layers must be 1 or 2, got {bad}"):
+            training.TrainConfig(digae_layers=bad)
 
 
 def test_fit_without_a_finite_validation_score_is_a_training_error():
