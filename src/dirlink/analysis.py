@@ -118,62 +118,34 @@ class FeasibilityCertificate:
 
 
 def _constraint_pairs(g):
-    """(edges to score positive, reverse pairs to score negative)."""
-    keys = set(map(tuple, g.edges.tolist()))
-    rev = [(v, u) for (u, v) in keys if (v, u) not in keys]
-    rev_arr = np.asarray(sorted(rev), dtype=np.int64).reshape(-1, 2)
-    return g.edges, rev_arr
+    """(edges to score positive, reverse pairs to score negative): the
+    reversed edges whose key is no edge key, sorted by key."""
+    keys = np.sort(g.edges[:, 1] * np.int64(g.n) + g.edges[:, 0])
+    keys = keys[~np.isin(keys, g.edge_keys())]
+    return g.edges, np.stack([keys // g.n, keys % g.n], axis=1)
 
 
 def _unreciprocated_cycle(g):
-    """A directed cycle using only unreciprocated edges, or None."""
-    keys = set(map(tuple, g.edges.tolist()))
-    adj = {}
-    for u, v in sorted(keys):
-        if (v, u) not in keys:
-            adj.setdefault(u, []).append(v)
-    color = {}
-    stack_nodes = []
+    """A directed cycle using only unreciprocated edges, as a node list, or None.
 
-    def dfs(u):
-        color[u] = 1
-        stack_nodes.append(u)
-        for v in adj.get(u, ()):
-            if color.get(v, 0) == 1:
-                return stack_nodes[stack_nodes.index(v):]
-            if color.get(v, 0) == 0:
-                found = dfs(v)
-                if found is not None:
-                    return found
-        color[u] = 2
-        stack_nodes.pop()
-        return None
-
-    for start in sorted(adj):
-        if color.get(start, 0) == 0:
-            cycle = dfs(start)
-            if cycle is not None:
-                return cycle
-    return None
-
-
-def _telescoping_cancels(cycle):
-    """Symbolic check that summing the per-edge difference inequalities of an
-    affine concat decoder over the cycle cancels every coefficient.
-
-    Each edge (u, v) with absent reverse forces logit(u,v) - logit(v,u) > 0,
-    i.e. (h_u - h_v) . w1 + (h_v - h_u) . w2 > 0; the bias cancels per edge.
-    If the summed left side is identically zero, the constraints demand
-    0 > 0, which is the contradiction.
+    An edge whose source has no in-edge or whose target has no out-edge lies
+    on no cycle.  Once no such edge is left, every remaining node has an
+    out-edge, so a walk along out-edges from the smallest one must repeat a
+    node; the walk from its first visit on is a cycle.
     """
-    coeff = {}
-    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
-    for u, v in edges:
-        coeff[(u, "w1")] = coeff.get((u, "w1"), 0) + 1
-        coeff[(v, "w1")] = coeff.get((v, "w1"), 0) - 1
-        coeff[(v, "w2")] = coeff.get((v, "w2"), 0) + 1
-        coeff[(u, "w2")] = coeff.get((u, "w2"), 0) - 1
-    return all(c == 0 for c in coeff.values())
+    edges = _constraint_pairs(g)[1][:, ::-1]
+    while True:
+        keep = np.isin(edges[:, 0], edges[:, 1]) & np.isin(edges[:, 1], edges[:, 0])
+        if keep.all():
+            break
+        edges = edges[keep]
+    if not len(edges):
+        return None
+    succ = dict(edges.tolist())
+    walk = [int(edges[:, 0].min())]
+    while (nxt := succ[walk[-1]]) not in walk:
+        walk.append(nxt)
+    return walk[walk.index(nxt):]
 
 
 def replay_margin(g, dec, s_emb, t_emb):
@@ -181,11 +153,12 @@ def replay_margin(g, dec, s_emb, t_emb):
     constraints, positive iff every edge is oriented correctly."""
     enc = models.EncoderOutput(ad.Tensor(s_emb), ad.Tensor(t_emb))
     pos_pairs, rev_pairs = _constraint_pairs(g)
-    pos = models.decode(dec, enc, pos_pairs).data[:, 0]
-    margin = float(pos.min())
-    if len(rev_pairs):
-        rev = models.decode(dec, enc, rev_pairs).data[:, 0]
-        margin = min(margin, float(-rev.max()))
+    with ad.no_grad():
+        pos = models.decode(dec, enc, pos_pairs).data[:, 0]
+        margin = float(pos.min())
+        if len(rev_pairs):
+            rev = models.decode(dec, enc, rev_pairs).data[:, 0]
+            margin = min(margin, float(-rev.max()))
     return margin
 
 
@@ -236,10 +209,12 @@ def check_expressiveness(g, mode, decoder, dim=2, attempts=50, delta=0.1, seed=0
 
     Analytic shortcuts first: with a single embedding, inner and hadamard
     decoders are direction-symmetric, so any unreciprocated edge is already a
-    contradiction; with a single embedding and the affine concat decoder, an
-    unreciprocated directed cycle makes the summed difference inequalities
-    cancel to 0 > 0.  Otherwise gradient-descent restarts search for a
-    witness; failure to find one leaves the verdict undetermined.
+    contradiction.  The affine concat decoder scores w1.s_u + w2.t_v + b in
+    either mode, so logit(u,v) - logit(v,u) = f(u) - f(v) with
+    f(x) = w1.s_x - w2.t_x; around a directed cycle of unreciprocated edges
+    these differences sum to 0, yet each must be positive.  Otherwise
+    gradient-descent restarts search for a witness; failure to find one
+    leaves the verdict undetermined.
     """
     if mode not in ("single", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -259,14 +234,15 @@ def check_expressiveness(g, mode, decoder, dim=2, attempts=50, delta=0.1, seed=0
                 "cannot both hold when the two logits are equal"
             ),
         )
-    if mode == "single" and decoder == "lr_concat":
+    if decoder == "lr_concat":
         cycle = _unreciprocated_cycle(g)
-        if cycle is not None and _telescoping_cancels(cycle):
+        if cycle is not None:
             return FeasibilityCertificate(
                 "infeasible",
                 detail=(
-                    f"cycle {cycle}: summing logit(u,v) - logit(v,u) > 0 over the cycle "
-                    "cancels every embedding coefficient, leaving 0 > 0"
+                    f"cycle {cycle}: lr_concat gives logit(u,v) - logit(v,u) = f(u) - f(v) "
+                    "with f(x) = w1.s_x - w2.t_x, and summing f(u) - f(v) > 0 over the "
+                    "cycle's unreciprocated edges leaves 0 > 0"
                 ),
             )
 

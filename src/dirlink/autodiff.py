@@ -459,24 +459,24 @@ def ce_pairwise(logits, classes):
     return _op(np.array([[val]]), "ce_pairwise", (logits,), (logits, grad))
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
     """Adam with bias correction; weight decay enters as an L2 term on the gradient."""
 
-    def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, weight_decay=0.0):
         self.params = list(params)
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.step_count += 1
-        c1 = 1.0 - self.beta1 ** self.step_count
-        c2 = 1.0 - self.beta2 ** self.step_count
+        c1 = 1.0 - ADAM_BETA1 ** self.step_count
+        c2 = 1.0 - ADAM_BETA2 ** self.step_count
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 raise ValueError("parameter has no gradient; call backward first")
@@ -485,8 +485,8 @@ class AdamState:
             g = p.grad
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

@@ -308,11 +308,20 @@ def cmd_grid(args):
 
 def _restore_model(checkpoint, dataset_override=None):
     meta, arrays = models.load_checkpoint(checkpoint)
-    tcfg = TrainConfig(**meta["config"])
-    dataset = dataset_override or meta["dataset"]
-    g = _load_graph(dataset)
-    bundle = split_edges(g, seed=meta["split_seed"])
-    init, original = _feature_inputs(meta["features"], meta["features_path"], meta["feature_dim"])
+    try:
+        config, split_seed, dataset = meta["config"], meta["split_seed"], meta["dataset"]
+        features = (meta["features"], meta["features_path"], meta["feature_dim"])
+    except KeyError as exc:
+        raise DataError(f"{checkpoint}: checkpoint meta has no {exc} key") from None
+    if not isinstance(config, dict):
+        raise DataError(f"{checkpoint}: checkpoint config is not a table")
+    try:
+        tcfg = TrainConfig(**config)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{checkpoint}: bad checkpoint config: {exc}") from None
+    g = _load_graph(dataset_override or dataset)
+    bundle = split_edges(g, seed=split_seed)
+    init, original = _feature_inputs(*features)
     feats = init_features(init, bundle.train_graph, original)
     model = training.build_model(tcfg, bundle.train_graph, feats, np.random.default_rng(0))
     models.load_state(model, arrays)

@@ -338,12 +338,12 @@ def _scan_pairs(path):
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def load_edge_list(path, n=None):
+def load_edge_list(path):
     """Read a directed graph from an edge-list file.
 
     Format: as ``read_pairs``.  Duplicate edges are collapsed; self-loops
     are dropped with a warning giving their count.  The node count is
-    ``1 + max index`` unless ``n`` overrides it.
+    ``1 + max index``.
     """
     edges = read_pairs(path)
     loops = edges[:, 0] == edges[:, 1]
@@ -352,11 +352,7 @@ def load_edge_list(path, n=None):
         raise DataError(f"{path}: no edges found")
     if loops.any():
         warnings.warn(f"{path}: dropped {int(loops.sum())} self-loop(s)", stacklevel=2)
-    max_idx = int(edges.max())
-    if n is None:
-        n = max_idx + 1
-    elif n <= max_idx:
-        raise DataError(f"{path}: node index {max_idx} exceeds declared count {n}")
+    n = int(edges.max()) + 1
     if n > MAX_NODES:
         raise DataError(f"{path}: node count {n} above {MAX_NODES}: its edge keys overflow int64")
     return DirectedGraph(n, edges)

@@ -41,36 +41,34 @@ class SplitBundle:
     test_neg: np.ndarray
     seed: int
     train_graph: DirectedGraph
-    ratios: tuple = DEFAULT_RATIOS
 
 
 @dataclass
 class FeatureInit:
     """Feature input choice: the dataset's own features, train-graph degrees,
-    or seeded standard-normal noise of width dim."""
+    or standard-normal noise of width dim drawn with seed 0."""
 
     mode: str = "degrees"
     dim: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("original", "degrees", "random"):
             raise ValueError(f"unknown feature mode {self.mode!r}")
 
 
-def split_edges(g, ratios=DEFAULT_RATIOS, seed=0):
-    """Split g's edges into train/val/test keeping the train graph weakly connected.
+def split_edges(g, seed=0):
+    """Split g's edges 80/5/15 into train/val/test (DEFAULT_RATIOS) keeping
+    the train graph weakly connected.
 
-    Holdout sizes use floor rounding: |test| = floor(r_test * m),
-    |val| = floor(r_val * m), remainder to train.  Raises if the holdout
+    Holdout sizes use floor rounding: |test| = floor(0.15 * m),
+    |val| = floor(0.05 * m), remainder to train.  Raises if the holdout
     cannot be reached without disconnecting the training graph.
     """
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) < 0:
-        raise ValueError(f"ratios must be a nonnegative triple summing to 1, got {ratios}")
+    _, r_val, r_test = DEFAULT_RATIOS
     m = g.edge_count
     # the epsilon keeps exact products like 0.15*500 from flooring to 74
-    n_val = int(np.floor(ratios[1] * m + 1e-9))
-    n_test = int(np.floor(ratios[2] * m + 1e-9))
+    n_val = int(np.floor(r_val * m + 1e-9))
+    n_test = int(np.floor(r_test * m + 1e-9))
 
     root = np.random.SeedSequence(seed)
     shuffle_ss, neg_ss = root.spawn(2)
@@ -117,7 +115,6 @@ def split_edges(g, ratios=DEFAULT_RATIOS, seed=0):
         test_neg=negs[:n_test],
         seed=seed,
         train_graph=DirectedGraph(g.n, train_pos),
-        ratios=tuple(ratios),
     )
 
 
@@ -200,7 +197,7 @@ def init_features(init, train_graph, original=None):
 
     degrees mode returns exactly the two columns [out_deg, in_deg] of the
     training graph (no self-loops, no held-out information); random mode is
-    seeded standard normal; original passes the dataset features through.
+    standard normal drawn with seed 0; original passes the dataset features through.
     """
     if init.mode == "original":
         if original is None:
@@ -212,7 +209,7 @@ def init_features(init, train_graph, original=None):
     if init.mode == "degrees":
         out_deg, in_deg = degrees(train_graph, add_self_loops=False)
         return np.stack([out_deg, in_deg], axis=1).astype(np.float64)
-    return np.random.default_rng(init.seed).standard_normal((train_graph.n, init.dim))
+    return np.random.default_rng(0).standard_normal((train_graph.n, init.dim))
 
 
 def save_split(directory, bundle):
@@ -229,7 +226,7 @@ def save_split(directory, bundle):
         fh.write(f"n = {bundle.train_graph.n}\n")
         fh.write(f"m = {m}\n")
         fh.write(f"seed = {bundle.seed}\n")
-        fh.write(f"ratios = {','.join(repr(r) for r in bundle.ratios)}\n")
+        fh.write(f"ratios = {','.join(map(repr, DEFAULT_RATIOS))}\n")
 
 
 def load_split(directory):
@@ -250,5 +247,4 @@ def load_split(directory):
         test_neg=read_pairs(directory / "test_neg.txt"),
         seed=int(meta["seed"]),
         train_graph=DirectedGraph(n, train_pos),
-        ratios=tuple(float(r) for r in meta["ratios"].split(",")),
     )

@@ -176,15 +176,16 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
     labels = np.concatenate([np.ones(count), np.zeros(count)])
     classes = np.concatenate([np.zeros(count, np.int64), np.ones(count, np.int64)])
 
-    def negatives(strategy, epoch=0):
+    def training_pairs(strategy, epoch=0):
+        """The positives followed by freshly drawn negatives."""
         try:
-            return sample_train_negatives(train_graph, count, neg_seed, strategy, epoch)
+            negs = sample_train_negatives(train_graph, count, neg_seed, strategy, epoch)
         except DataError as exc:
             raise TrainingError(f"{exc} [{config_id(cfg)}]") from exc
+        return np.vstack([pos_pairs, negs])
 
-    negs = None
     if cfg.neg_strategy == "per_run":
-        negs = negatives("per_run")
+        pairs = training_pairs("per_run")
 
     losses = []
     vals = []
@@ -195,8 +196,7 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
     try:
         for epoch in range(1, cfg.max_epochs + 1):
             if cfg.neg_strategy == "per_epoch":
-                negs = negatives("per_epoch", epoch)
-            pairs = np.vstack([pos_pairs, negs])
+                pairs = training_pairs("per_epoch", epoch)
             loss_value = _train_step(model, cfg, params, optimizer, pairs, labels, classes)
 
             # a diverged model first shows up here as NaN ranking scores

@@ -173,6 +173,7 @@ def test_criterion_6_proposition_certificates():
     two_path = datasets.graph_d()
 
     ring_cert = analysis.check_expressiveness(ring, "single", "lr_concat")
+    ring_dual_cert = analysis.check_expressiveness(ring, "dual", "lr_concat")
     feas_cert = analysis.check_expressiveness(two_path, "single", "lr_concat", attempts=10)
 
     w = ad.Tensor(np.array([[1.0], [0.0], [0.0], [1.0]]))
@@ -183,11 +184,13 @@ def test_criterion_6_proposition_certificates():
 
     dual_cert = analysis.check_expressiveness(ring, "dual", "inner", dim=3, attempts=10)
     elapsed = time.perf_counter() - start
-    print(f"criterion 6: ring single+concat {ring_cert.verdict}; two-path "
+    print(f"criterion 6: ring single+concat {ring_cert.verdict}; ring dual+concat "
+          f"{ring_dual_cert.verdict}; two-path "
           f"{feas_cert.verdict} (margin {feas_cert.margin:.3f}); hand witness margin "
           f"{hand_margin}; ring dual+inner {dual_cert.verdict} "
           f"(margin {dual_cert.margin:.3f}); {elapsed:.1f}s (budget 60s)")
     assert ring_cert.verdict == "infeasible" and "0 > 0" in ring_cert.detail
+    assert ring_dual_cert.verdict == "infeasible" and "0 > 0" in ring_dual_cert.detail
     assert feas_cert.verdict == "feasible" and feas_cert.margin > 0
     assert hand_margin == 1.0
     assert dual_cert.verdict == "feasible" and dual_cert.margin > 0

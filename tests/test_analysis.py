@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 import dirlink.autodiff as ad
 from dirlink import analysis, datasets, models
@@ -203,6 +207,106 @@ def test_ring_single_lr_concat_infeasible_by_telescoping():
     cert = analysis.check_expressiveness(datasets.ring3(), "single", "lr_concat")
     assert cert.verdict == "infeasible"
     assert "cycle" in cert.detail
+
+
+def test_ring_dual_lr_concat_infeasible_without_search():
+    # logit(u,v) - logit(v,u) = f(u) - f(v) holds for distinct S and T too
+    start = time.perf_counter()
+    cert = analysis.check_expressiveness(datasets.ring3(), "dual", "lr_concat")
+    assert time.perf_counter() - start < 1.0
+    assert cert.verdict == "infeasible"
+    assert cert.witness is None and cert.margin is None
+    assert "cycle [0, 1, 2]" in cert.detail and "0 > 0" in cert.detail
+    assert "f(x) = w1.s_x - w2.t_x" in cert.detail
+
+
+# (graph, mode, decoder, verdict, repr(margin)) with the default search
+# settings; ring3 dual lr_concat is the one case the cycle certificate
+# settles before the search (the search alone leaves it undetermined)
+CERTIFICATES = (
+    ("ring3", "single", "inner", "infeasible", "None"),
+    ("ring3", "single", "mlp_hadamard", "infeasible", "None"),
+    ("ring3", "single", "mlp_concat", "feasible", "0.12150761704636069"),
+    ("ring3", "single", "lr_concat", "infeasible", "None"),
+    ("ring3", "dual", "inner", "feasible", "0.11974145448619533"),
+    ("ring3", "dual", "mlp_hadamard", "feasible", "0.10440934042115486"),
+    ("ring3", "dual", "mlp_concat", "feasible", "0.12059994757291184"),
+    ("ring3", "dual", "lr_concat", "infeasible", "None"),
+    ("graph_d", "single", "inner", "infeasible", "None"),
+    ("graph_d", "single", "mlp_hadamard", "infeasible", "None"),
+    ("graph_d", "single", "mlp_concat", "feasible", "0.15490799107847325"),
+    ("graph_d", "single", "lr_concat", "feasible", "0.10998115205578829"),
+    ("graph_d", "dual", "inner", "feasible", "0.1194530138822548"),
+    ("graph_d", "dual", "mlp_hadamard", "feasible", "0.11685998637987058"),
+    ("graph_d", "dual", "mlp_concat", "feasible", "0.1444764934079215"),
+    ("graph_d", "dual", "lr_concat", "feasible", "0.10974010602004193"),
+)
+
+
+def test_certificate_table():
+    got = tuple(
+        (name, mode, decoder, cert.verdict, repr(cert.margin))
+        for name, mode, decoder, *_ in CERTIFICATES
+        for cert in [analysis.check_expressiveness(getattr(datasets, name)(), mode, decoder)]
+    )
+    assert got == CERTIFICATES
+
+
+def _random_small_graph(rng):
+    n = int(rng.integers(1, 11))
+    density = rng.uniform(0.05, 0.6)
+    mask = (rng.random((n, n)) < density) & ~np.eye(n, dtype=bool)
+    return DirectedGraph(n, np.argwhere(mask))
+
+
+def test_unreciprocated_cycle_matches_strong_components():
+    """A cycle is found exactly when the unreciprocated edges have a strong
+    component of more than one node, and what is found is such a cycle."""
+    rng = np.random.default_rng(66)
+    found = 0
+    for _ in range(2500):
+        g = _random_small_graph(rng)
+        edge_set = set(map(tuple, g.edges.tolist()))
+        unrec = [(u, v) for u, v in sorted(edge_set) if (v, u) not in edge_set]
+        pos, rev = analysis._constraint_pairs(g)
+        assert pos is g.edges
+        assert rev.dtype == np.int64 and rev.shape == (len(unrec), 2)
+        assert rev.tolist() == sorted([v, u] for u, v in unrec)
+
+        src, dst = np.asarray(unrec, dtype=np.int64).reshape(-1, 2).T
+        adj = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(g.n, g.n))
+        _, labels = connected_components(adj, directed=True, connection="strong")
+        has_cycle = np.bincount(labels).max() > 1
+        cycle = analysis._unreciprocated_cycle(g)
+        assert (cycle is not None) == has_cycle
+        if cycle is not None:
+            found += 1
+            assert len(set(cycle)) == len(cycle) >= 3
+            assert all(isinstance(x, int) for x in cycle)
+            assert all((u, v) in edge_set and (v, u) not in edge_set
+                       for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+    assert 500 < found < 2000  # both outcomes are well represented
+
+
+def test_replay_margin_records_no_tape(monkeypatch):
+    outputs = []
+    decode = models.decode
+
+    def recording_decode(*args):
+        outputs.append(decode(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(models, "decode", recording_decode)
+    rng = np.random.default_rng(67)
+    g = datasets.graph_d()
+    dec = models.DecoderKind.init(rng, "mlp_concat", 2, hidden=16, out_dim=1)
+    assert all(t.requires_grad for t in dec.named_parameters().values())
+    s, t = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+    margin = analysis.replay_margin(g, dec, s, t)
+    assert len(outputs) == 2
+    assert all(out.parents == () and not out.requires_grad for out in outputs)
+    monkeypatch.undo()
+    assert analysis.replay_margin(g, dec, s, t) == margin
 
 
 def test_graph_d_single_lr_concat_feasible():

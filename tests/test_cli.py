@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -314,6 +315,31 @@ def test_eval_of_a_file_that_is_not_a_checkpoint_exits_2(tmp_path, capsys):
     path.write_text("not an archive\n")
     assert cli.main(["eval", "--checkpoint", str(path)]) == 2
     assert f"data error: {path} is not a checkpoint" in capsys.readouterr().err
+
+
+# the meta keys cmd_train writes, with a config that builds a model on ring3
+_META = {"config": {"encoder": "mlp"}, "split_seed": 0, "features": "degrees",
+         "feature_dim": 64, "features_path": "", "dataset": "ring3"}
+
+
+@pytest.mark.parametrize("change, why", [
+    ({"config": None}, "checkpoint meta has no 'config' key"),
+    ({"dataset": None}, "checkpoint meta has no 'dataset' key"),
+    ({"config": [1, 2]}, "checkpoint config is not a table"),
+    ({"config": {"encoder": "mlp", "bogus": 1}}, "bad checkpoint config: "),
+    ({"config": {"k": 9}}, "bad checkpoint config: k must be in 1..8"),
+])
+def test_restore_of_a_bad_checkpoint_meta_exits_2(tmp_path, capsys, change, why):
+    # a key changed to None is left out of the meta
+    meta = {k: v for k, v in {**_META, **change}.items() if v is not None}
+    path = str(tmp_path / "model.npz")
+    np.savez(path, __meta__=np.array(json.dumps({"format_version": 1, **meta})))
+    for argv in (["eval", "--checkpoint", path],
+                 ["reconstruct", "--checkpoint", path, "--out", str(tmp_path / "r")]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and why in err, err
+    assert not (tmp_path / "r").exists()
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

@@ -160,14 +160,6 @@ def test_split_requires_connected_input():
         split_edges(g, seed=0)
 
 
-def test_split_rejects_bad_ratios():
-    g = DirectedGraph(3, [[0, 1], [1, 2], [2, 0]])
-    with pytest.raises(ValueError):
-        split_edges(g, ratios=(0.5, 0.2, 0.2), seed=0)
-    with pytest.raises(ValueError):
-        split_edges(g, ratios=(1.2, -0.1, -0.1), seed=0)
-
-
 def test_eval_negatives_avoid_full_edge_set_only():
     rng = np.random.default_rng(35)
     g = weakly_connected_random_graph(rng, 20, p=0.3)
@@ -250,11 +242,10 @@ def test_init_features_modes():
     feats = init_features(FeatureInit(mode="degrees"), g)
     assert np.array_equal(feats, [[2, 1], [0, 1], [0, 1], [1, 0]])
 
-    r1 = init_features(FeatureInit(mode="random", dim=16, seed=3), g)
-    r2 = init_features(FeatureInit(mode="random", dim=16, seed=3), g)
+    r1 = init_features(FeatureInit(mode="random", dim=16), g)
+    r2 = init_features(FeatureInit(mode="random", dim=16), g)
     assert r1.shape == (4, 16)
     assert np.array_equal(r1, r2)
-    assert not np.array_equal(r1, init_features(FeatureInit(mode="random", dim=16, seed=4), g))
 
     orig = np.eye(4)
     assert np.array_equal(init_features(FeatureInit(mode="original"), g, orig), orig)
@@ -268,7 +259,7 @@ def test_init_features_modes():
 
 def test_random_features_are_standard_normal():
     g = DirectedGraph(600, [[i, (i + 1) % 600] for i in range(600)])
-    feats = init_features(FeatureInit(mode="random", dim=64, seed=0), g)
+    feats = init_features(FeatureInit(mode="random", dim=64), g)
     assert abs(feats.mean()) < 0.02
     assert abs(feats.std() - 1.0) < 0.02
 
@@ -282,14 +273,14 @@ def test_split_save_load_round_trip(tmp_path):
     for name in ("train_pos", "val_pos", "test_pos", "val_neg", "test_neg"):
         assert np.array_equal(getattr(bundle, name), getattr(loaded, name)), name
     assert loaded.seed == 3
-    assert loaded.ratios == bundle.ratios
     assert loaded.train_graph.n == g.n
     assert np.array_equal(loaded.train_graph.edges, bundle.train_graph.edges)
 
 
 def test_load_split_rejects_malformed_file(tmp_path):
-    g = DirectedGraph(4, [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2], [1, 3], [2, 0]])
-    save_split(tmp_path / "s", split_edges(g, ratios=(0.6, 0.2, 0.2), seed=0))
+    # 40 edges: the 80/5/15 split holds out 2 validation negatives
+    g = DirectedGraph(8, [[u, (u + d) % 8] for u in range(8) for d in (1, 2, 3, 5, 6)])
+    save_split(tmp_path / "s", split_edges(g, seed=0))
     path = tmp_path / "s" / "val_neg.txt"
     path.write_text(path.read_text() + "12 x 4\n")
     line = len(path.read_text().splitlines())
