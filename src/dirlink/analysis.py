@@ -18,6 +18,10 @@ from . import autodiff as ad
 from . import models
 from .graph import DataError
 
+EMBEDDING_MODES = ("single", "dual")
+SEARCH_MARGIN = 0.1  # the hinge margin of the witness search
+SEARCH_SEED = 0  # the root seed of its restarts
+
 
 @dataclass
 class DegreeHistogram:
@@ -169,7 +173,7 @@ def validate_witness(g, mode, dec, s_emb, t_emb=None):
     return replay_margin(g, dec, s_emb, t_emb)
 
 
-def _search_once(g, mode, decoder, dim, rng, delta, steps, lr):
+def _search_once(g, mode, decoder, dim, rng, steps, lr):
     n = g.n
     s_emb = ad.Tensor(rng.standard_normal((n, dim)), requires_grad=True)
     t_emb = s_emb if mode == "single" else ad.Tensor(rng.standard_normal((n, dim)), requires_grad=True)
@@ -178,8 +182,8 @@ def _search_once(g, mode, decoder, dim, rng, delta, steps, lr):
     optimizer = ad.AdamState(params, lr=lr)
     pos_pairs, rev_pairs = _constraint_pairs(g)
     minus_one = ad.Tensor(np.array([[-1.0]]))
-    margin_pos = ad.Tensor(np.full((len(pos_pairs), 1), delta))
-    margin_rev = ad.Tensor(np.full((len(rev_pairs), 1), delta))
+    margin_pos = ad.Tensor(np.full((len(pos_pairs), 1), SEARCH_MARGIN))
+    margin_rev = ad.Tensor(np.full((len(rev_pairs), 1), SEARCH_MARGIN))
     for step in range(steps):
         enc = models.EncoderOutput(s_emb, t_emb)
         pos_logits = models.decode(dec, enc, pos_pairs)
@@ -204,7 +208,7 @@ def _search_once(g, mode, decoder, dim, rng, delta, steps, lr):
     return None
 
 
-def check_expressiveness(g, mode, decoder, dim=2, attempts=50, delta=0.1, seed=0, steps=400, lr=0.05):
+def check_expressiveness(g, mode, decoder, dim=2, attempts=50, steps=400, lr=0.05):
     """Can this embedding/decoder combination orient every edge of g?
 
     Analytic shortcuts first: with a single embedding, inner and hadamard
@@ -216,7 +220,7 @@ def check_expressiveness(g, mode, decoder, dim=2, attempts=50, delta=0.1, seed=0
     gradient-descent restarts search for a witness; failure to find one
     leaves the verdict undetermined.
     """
-    if mode not in ("single", "dual"):
+    if mode not in EMBEDDING_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if decoder not in models.DECODER_KINDS:
         raise ValueError(f"unknown decoder {decoder!r}")
@@ -247,8 +251,8 @@ def check_expressiveness(g, mode, decoder, dim=2, attempts=50, delta=0.1, seed=0
             )
 
     for attempt in range(attempts):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-        cert = _search_once(g, mode, decoder, dim, rng, delta, steps, lr)
+        rng = np.random.default_rng(np.random.SeedSequence([SEARCH_SEED, attempt]))
+        cert = _search_once(g, mode, decoder, dim, rng, steps, lr)
         if cert is not None:
             return cert
     return FeasibilityCertificate(

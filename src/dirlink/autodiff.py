@@ -29,8 +29,7 @@ from .graph import spmm_t as _spmm_t
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward", "_done",
-                 "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, op="leaf", parents=()):
         data = np.asarray(data, dtype=np.float64)
@@ -44,7 +43,6 @@ class Tensor:
         self.op = op
         self.parents = parents
         self._backward = None
-        self._done = False
 
     @property
     def shape(self):
@@ -108,9 +106,8 @@ def backward(loss, params=()):
         raise ValueError("backward requires a scalar loss")
     if not loss.requires_grad:
         raise ValueError("loss does not require gradients")
-    if loss._done:
+    if loss._backward is _released:
         raise RuntimeError("backward already called on this loss; rebuild the forward pass")
-    loss._done = True
     tape = _trace(loss)
     for t in (*tape, *params):
         t.grad = None

@@ -30,7 +30,8 @@ from .graph import (
     save_features,
 )
 from .metrics import MetricsReport
-from .splits import DEFAULT_SEEDS, FeatureInit, init_features, save_split, split_edges
+from .splits import (DEFAULT_SEEDS, FEATURE_MODES, FeatureInit, init_features, save_split,
+                     split_edges)
 from .training import TrainConfig, TrainingError
 
 
@@ -63,9 +64,14 @@ class ExperimentConfig:
     grid: dict = field(default_factory=dict)
 
     def validate(self):
+        for key, typ in EXPERIMENT_KEY_TYPES.items():
+            value = getattr(self, key)
+            if type(value) is not typ or (typ is tuple and any(type(v) is not int for v in value)):
+                kind = "a tuple of ints" if typ is tuple else typ.__name__
+                raise UsageError(f"experiment key {key!r} must be {kind}, got {value!r}")
         if not self.dataset:
             raise UsageError("a dataset is required (--dataset or config)")
-        if self.features not in ("original", "degrees", "random"):
+        if self.features not in FEATURE_MODES:
             raise UsageError(f"unknown feature mode {self.features!r}")
         if not self.seeds:
             raise UsageError("seed list must be nonempty")
@@ -157,47 +163,32 @@ def save_config(path, cfg):
 
 
 def _to_train_config(model_args):
-    kwargs = dict(model_args)
-    encoder = kwargs.pop("model", "sdgae")
+    kwargs = {("encoder" if key == "model" else key): v for key, v in model_args.items()}
     try:
-        return TrainConfig(encoder=encoder, **kwargs)
+        return TrainConfig(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def expand_grid(cfg):
-    base = dict(cfg.model)
-    if not cfg.grid:
-        return [_to_train_config(base)]
+    """One TrainConfig per combination of [grid] values; one with no grid."""
     keys = sorted(cfg.grid)
-    out = []
-    for combo in itertools.product(*(cfg.grid[k] for k in keys)):
-        out.append(_to_train_config({**base, **dict(zip(keys, combo))}))
-    return out
+    return [_to_train_config({**cfg.model, **dict(zip(keys, combo))})
+            for combo in itertools.product(*(cfg.grid[k] for k in keys))]
 
 
 def _resolve(args, seeds=DEFAULT_SEEDS):
     """Merge config file and flags; flags win.  ``seeds`` are the split seeds
     when neither sets any."""
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, seeds)
-    else:
-        cfg = ExperimentConfig(seeds=seeds)
-    for name in ("dataset", "features", "out"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
-    if getattr(args, "seeds", None) is not None:
-        cfg.seeds = tuple(args.seeds)
-    if getattr(args, "seed", None) is not None:
-        cfg.seeds = (args.seed,)
-    for flag, key in (("model", "model"), ("decoder", "decoder"), ("loss", "loss"),
-                      ("k", "k"), ("lr", "lr"), ("wd", "wd")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg.model[key] = val
+    cfg = load_config(args.config, seeds) if args.config else ExperimentConfig(seeds=seeds)
+    for key in _SHARED_FLAGS:
+        value = getattr(args, key, None)
+        if value is None:
+            continue
+        if key in EXPERIMENT_KEY_TYPES:
+            setattr(cfg, key, value)
+        else:
+            cfg.model[key] = value
     cfg.validate()
     return cfg
 
@@ -214,11 +205,11 @@ def _dataset_label(name_or_path):
     return base[:-4] if base.endswith(".txt") else base
 
 
-def _feature_inputs(features, features_path, feature_dim):
+def _feature_inputs(cfg):
     """The FeatureInit of a run and the original feature matrix it reads,
     which is loaded only for the 'original' mode."""
-    original = load_features(features_path) if features == "original" else None
-    return FeatureInit(mode=features, dim=feature_dim), original
+    original = load_features(cfg.features_path) if cfg.features == "original" else None
+    return FeatureInit(mode=cfg.features, dim=cfg.feature_dim), original
 
 
 def _metrics_line(report):
@@ -254,6 +245,10 @@ def cmd_split(args):
     return 0
 
 
+# the [experiment] values a checkpoint records besides its config and split seed
+_META_KEYS = ("features", "feature_dim", "features_path", "dataset")
+
+
 def cmd_train(args):
     cfg = _resolve(args, seeds=(0,))
     if len(cfg.seeds) > 1:
@@ -262,7 +257,7 @@ def cmd_train(args):
     g = _load_graph(cfg.dataset)
     (split_seed,) = cfg.seeds
     bundle = split_edges(g, seed=split_seed)
-    init, original = _feature_inputs(cfg.features, cfg.features_path, cfg.feature_dim)
+    init, original = _feature_inputs(cfg)
     feats = init_features(init, bundle.train_graph, original)
     tcfg = _to_train_config(cfg.model)
     result = training.train(tcfg, bundle, feats)
@@ -270,14 +265,8 @@ def cmd_train(args):
     os.makedirs(cfg.out, exist_ok=True)
     training.write_runs_tsv(os.path.join(cfg.out, "runs.tsv"), [training.GridRow.from_run(result)],
                             _dataset_label(cfg.dataset))
-    meta = {
-        "config": asdict(tcfg),
-        "split_seed": split_seed,
-        "features": cfg.features,
-        "feature_dim": cfg.feature_dim,
-        "features_path": cfg.features_path,
-        "dataset": cfg.dataset,
-    }
+    meta = {"config": asdict(tcfg), "split_seed": split_seed,
+            **{key: getattr(cfg, key) for key in _META_KEYS}}
     models.save_checkpoint(
         os.path.join(cfg.out, "model.npz"),
         {n: t.data for n, t in fitted.model.named_parameters().items()},
@@ -291,7 +280,7 @@ def cmd_train(args):
 def cmd_grid(args):
     cfg = _resolve(args)
     g = _load_graph(cfg.dataset)
-    init, original = _feature_inputs(cfg.features, cfg.features_path, cfg.feature_dim)
+    init, original = _feature_inputs(cfg)
     bundles = [split_edges(g, seed=s) for s in cfg.seeds]
     configs = expand_grid(cfg)
     result = training.grid_run(configs, bundles, feature_init=init, original=original,
@@ -307,24 +296,33 @@ def cmd_grid(args):
 
 
 def _restore_model(checkpoint, dataset_override=None):
+    """A checkpoint's model, split and graph; any fault in it is a DataError."""
     meta, arrays = models.load_checkpoint(checkpoint)
     try:
-        config, split_seed, dataset = meta["config"], meta["split_seed"], meta["dataset"]
-        features = (meta["features"], meta["features_path"], meta["feature_dim"])
+        config = meta["config"]
+        cfg = ExperimentConfig(seeds=(meta["split_seed"],), **{key: meta[key] for key in _META_KEYS})
     except KeyError as exc:
         raise DataError(f"{checkpoint}: checkpoint meta has no {exc} key") from None
     if not isinstance(config, dict):
         raise DataError(f"{checkpoint}: checkpoint config is not a table")
+    cfg.dataset = dataset_override or cfg.dataset
+    try:
+        cfg.validate()
+    except UsageError as exc:
+        raise DataError(f"{checkpoint}: bad checkpoint meta: {exc}") from None
     try:
         tcfg = TrainConfig(**config)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{checkpoint}: bad checkpoint config: {exc}") from None
-    g = _load_graph(dataset_override or dataset)
-    bundle = split_edges(g, seed=split_seed)
-    init, original = _feature_inputs(*features)
+    g = _load_graph(cfg.dataset)
+    bundle = split_edges(g, seed=cfg.seeds[0])
+    init, original = _feature_inputs(cfg)
     feats = init_features(init, bundle.train_graph, original)
     model = training.build_model(tcfg, bundle.train_graph, feats, np.random.default_rng(0))
-    models.load_state(model, arrays)
+    try:
+        models.load_state(model, arrays)
+    except ValueError as exc:
+        raise DataError(f"{checkpoint}: {exc}") from None
     return model, bundle, g
 
 
@@ -382,35 +380,50 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_list(text):
+def _seed_list(raw):
+    """The value of --seeds, read by the config file's comma-list rule."""
     try:
-        return [int(s) for s in text.split(",") if s.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        return _parse_value("experiment", "seeds", EXPERIMENT_KEY_TYPES["seeds"], raw)
+    except DataError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_seed_flags(group):
-    group.add_argument("--seed", type=int, help="single split seed")
-    group.add_argument("--seeds", type=_int_list, help="comma-separated split seeds")
+def _one_seed(raw):
+    """The value of --seed: a one-seed list."""
+    seeds = _seed_list(raw)
+    if len(seeds) > 1:
+        raise argparse.ArgumentTypeError(f"expected one split seed, got {raw!r}")
+    return seeds
 
 
-def _add_common(p, *names):
-    reg = {
-        "config": lambda: p.add_argument("--config", help="experiment config file"),
-        "dataset": lambda: p.add_argument("--dataset", help="edge list path or bundled fixture name"),
-        "features": lambda: p.add_argument("--features", choices=("original", "degrees", "random")),
-        "out": lambda: p.add_argument("--out", help="output directory"),
-        "seeds": lambda: _add_seed_flags(p.add_mutually_exclusive_group()),
-        "workers": lambda: p.add_argument("--workers", type=int),
-        "model": lambda: p.add_argument("--model", choices=training.ENCODERS),
-        "decoder": lambda: p.add_argument("--decoder", choices=models.DECODER_KINDS),
-        "loss": lambda: p.add_argument("--loss", choices=training.LOSSES),
-        "k": lambda: p.add_argument("--k", type=int, help="propagation steps"),
-        "lr": lambda: p.add_argument("--lr", type=float),
-        "wd": lambda: p.add_argument("--wd", type=float),
-    }
+# Flags of split, train and grid that set the config key of the same name, with
+# the options they add to the key's type; --seed sets a one-seed "seeds".
+_SHARED_FLAGS = {
+    "dataset": {"help": "edge list path or bundled fixture name"},
+    "features": {"choices": FEATURE_MODES},
+    "out": {"help": "output directory"},
+    "seeds": {"help": "comma-separated split seeds"},
+    "workers": {},
+    "model": {"choices": training.ENCODERS},
+    "decoder": {"choices": models.DECODER_KINDS},
+    "loss": {"choices": training.LOSSES},
+    "k": {"help": "propagation steps"},
+    "lr": {},
+    "wd": {},
+}
+
+
+def _add_shared(p, *names):
+    p.add_argument("--config", help="experiment config file")
     for name in names:
-        reg[name]()
+        if name == "seeds":
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--seed", dest="seeds", type=_one_seed, metavar="SEED",
+                               help="single split seed")
+            group.add_argument("--seeds", type=_seed_list, **_SHARED_FLAGS[name])
+        else:
+            typ = EXPERIMENT_KEY_TYPES.get(name) or MODEL_KEY_TYPES[name]
+            p.add_argument(f"--{name}", type=typ, **_SHARED_FLAGS[name])
 
 
 def build_parser():
@@ -424,17 +437,16 @@ def build_parser():
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("split", help="write per-seed benchmark splits")
-    _add_common(p, "config", "dataset", "out", "seeds")
+    _add_shared(p, "dataset", "out", "seeds")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train one model on one split")
-    _add_common(p, "config", "dataset", "features", "out", "seeds",
+    _add_shared(p, "dataset", "features", "out", "seeds",
                 "model", "decoder", "loss", "k", "lr", "wd")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("grid", help="run a config grid over all seeds")
-    _add_common(p, "config", "dataset", "features", "out", "seeds", "workers",
-                "model", "decoder", "loss", "k", "lr", "wd")
+    _add_shared(p, *_SHARED_FLAGS)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("eval", help="re-evaluate a checkpoint on its split")
@@ -451,7 +463,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="expressiveness certificate for a small graph")
     p.add_argument("--dataset", required=True, help="fixture name or edge list path")
-    p.add_argument("--mode", choices=("single", "dual"), required=True)
+    p.add_argument("--mode", choices=analysis.EMBEDDING_MODES, required=True)
     p.add_argument("--decoder", choices=models.DECODER_KINDS, required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--attempts", type=int, default=50)
@@ -470,10 +482,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -14,23 +14,19 @@ import numpy as np
 
 from .graph import DirectedGraph, load_edge_list, weakly_connected_components
 
-# 0 -> 1 -> 2 -> 0: every edge unreciprocated, so orienting it defeats any
-# direction-symmetric scorer.
-RING3_EDGES = ((0, 1), (1, 2), (2, 0))
-
-# Three nodes, edges 0->1, 2->1, 2->0: same size as the ring but orientable
-# by a single embedding with an affine concat decoder.
-GRAPH_D_EDGES = ((0, 1), (2, 1), (2, 0))
-
 FIXTURE_NAMES = ("ring3", "graph_d", "synthetic200")
 
 
 def ring3():
-    return DirectedGraph(3, np.asarray(RING3_EDGES, dtype=np.int64))
+    """0 -> 1 -> 2 -> 0: every edge unreciprocated, so orienting it defeats
+    any direction-symmetric scorer."""
+    return load_fixture("ring3")
 
 
 def graph_d():
-    return DirectedGraph(3, np.asarray(GRAPH_D_EDGES, dtype=np.int64))
+    """Three nodes, edges 0->1, 2->1, 2->0: same size as the ring but
+    orientable by a single embedding with an affine concat decoder."""
+    return load_fixture("graph_d")
 
 
 def planted_graph(n=200, latent_dim=2, per_node=8, seed=7):

@@ -27,6 +27,7 @@ from .graph import (
 
 DEFAULT_RATIOS = (0.80, 0.05, 0.15)
 DEFAULT_SEEDS = tuple(range(10))
+FEATURE_MODES = ("original", "degrees", "random")
 
 
 @dataclass
@@ -52,7 +53,7 @@ class FeatureInit:
     dim: int = 64
 
     def __post_init__(self):
-        if self.mode not in ("original", "degrees", "random"):
+        if self.mode not in FEATURE_MODES:
             raise ValueError(f"unknown feature mode {self.mode!r}")
 
 

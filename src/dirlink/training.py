@@ -282,10 +282,11 @@ class GridRow:
     config: str
     split_seed: int
     status: str
-    report: MetricsReport | None
-    best_val: float
-    epochs_run: int
-    seconds: float
+    # a failed run has no report, no score, no epochs and no time
+    report: MetricsReport | None = None
+    best_val: float = float("nan")
+    epochs_run: int = 0
+    seconds: float = 0.0
     error: str = ""
 
     @classmethod
@@ -327,16 +328,7 @@ def _grid_task(args):
     try:
         return GridRow.from_run(train(cfg, bundle, feats))
     except TrainingError as exc:
-        return GridRow(
-            config=config_id(cfg),
-            split_seed=bundle.seed,
-            status="failed",
-            report=None,
-            best_val=float("nan"),
-            epochs_run=0,
-            seconds=0.0,
-            error=str(exc),
-        )
+        return GridRow(config_id(cfg), bundle.seed, "failed", error=str(exc))
 
 
 def grid_run(configs, bundles, feature_init=None, original=None, workers=1):
@@ -388,10 +380,8 @@ def grid_run(configs, bundles, feature_init=None, original=None, workers=1):
     )
 
 
-RUN_COLUMNS = (
-    "config", "dataset", "seed", "hits20", "hits50", "hits100",
-    "mrr", "auc", "ap", "acc", "epochs", "seconds", "status",
-)
+RUN_COLUMNS = ("config", "dataset", "seed", *MetricsReport.FIELDS,
+               "epochs", "seconds", "status")
 
 
 def write_runs_tsv(path, rows, dataset):

@@ -122,6 +122,14 @@ def test_flags_override_config(tmp_path):
     assert cfg.model["lr"] == 0.5
     assert cfg.model["k"] == 3
     assert cfg.features == "degrees"
+    # each flag takes its config key's type, and --seeds the config's list rule
+    args = parser.parse_args(["grid", "--config", str(path), "--workers", "3", "--k", "2",
+                              "--lr", "1", "--wd", "0", "--seeds", "1,2"])
+    cfg = cli._resolve(args)
+    assert type(cfg.workers) is int and type(cfg.model["k"]) is int
+    assert type(cfg.model["lr"]) is float and type(cfg.model["wd"]) is float
+    assert (cfg.workers, cfg.model["k"], cfg.model["lr"], cfg.model["wd"]) == (3, 2, 1.0, 0.0)
+    assert cfg.seeds == (1, 2)
 
 
 def test_expand_grid_orders_and_types(tmp_path):
@@ -278,6 +286,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli.main(["grid", "--dataset", "ring3", "--seeds", "1,2", "--seed", "3",
                      "--out", str(tmp_path / "g")]) == 1
     assert "not allowed with" in capsys.readouterr().err
+    for seeds in ("0,,1", "1,2,"):
+        assert cli.main(["split", "--dataset", "ring3", "--seeds", seeds,
+                         "--out", str(tmp_path / "s")]) == 1
+        assert f"bad value for experiment key 'seeds': '{seeds}'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
     for dim in ("0", "-3"):
         bad.write_text("[experiment]\ndataset = synthetic200\nfeatures = random\n"
                        f"feature_dim = {dim}\n")
@@ -328,12 +341,31 @@ _META = {"config": {"encoder": "mlp"}, "split_seed": 0, "features": "degrees",
     ({"config": [1, 2]}, "checkpoint config is not a table"),
     ({"config": {"encoder": "mlp", "bogus": 1}}, "bad checkpoint config: "),
     ({"config": {"k": 9}}, "bad checkpoint config: k must be in 1..8"),
+    ({"split_seed": "x"}, "bad checkpoint meta: experiment key 'seeds' must be a tuple of ints"),
+    ({"split_seed": 1.5}, "bad checkpoint meta: experiment key 'seeds' must be a tuple of ints"),
+    ({"feature_dim": "64"}, "bad checkpoint meta: experiment key 'feature_dim' must be int"),
+    ({"features": "bogus"}, "bad checkpoint meta: unknown feature mode 'bogus'"),
 ])
 def test_restore_of_a_bad_checkpoint_meta_exits_2(tmp_path, capsys, change, why):
     # a key changed to None is left out of the meta
     meta = {k: v for k, v in {**_META, **change}.items() if v is not None}
     path = str(tmp_path / "model.npz")
     np.savez(path, __meta__=np.array(json.dumps({"format_version": 1, **meta})))
+    for argv in (["eval", "--checkpoint", path],
+                 ["reconstruct", "--checkpoint", path, "--out", str(tmp_path / "r")]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and why in err, err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("arrays, why", [
+    ({}, "checkpoint missing parameter 'mlp.0.w'"),
+    ({"mlp.0.w": np.zeros((3, 64))}, "shape mismatch for 'mlp.0.w'"),
+])
+def test_restore_of_bad_parameter_arrays_exits_2(tmp_path, capsys, arrays, why):
+    path = str(tmp_path / "model.npz")
+    np.savez(path, __meta__=np.array(json.dumps({"format_version": 1, **_META})), **arrays)
     for argv in (["eval", "--checkpoint", path],
                  ["reconstruct", "--checkpoint", path, "--out", str(tmp_path / "r")]):
         assert cli.main(argv) == 2

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 import dirlink.autodiff as ad
-from dirlink import models
+from dirlink import datasets, models
 from dirlink.graph import (
     MAX_NODES,
     DataError,
@@ -320,6 +320,12 @@ def test_edge_list_round_trip(tmp_path):
     g2 = load_edge_list(path)
     assert g2.n == 6
     assert np.array_equal(g2.edges, g.edges)
+
+
+def test_synthetic200_fixture_is_the_planted_graph():
+    fixture, planted = datasets.load_fixture("synthetic200"), datasets.planted_graph()
+    assert fixture.n == planted.n
+    assert np.array_equal(fixture.edges, planted.edges)
 
 
 def test_edge_list_parse_errors(tmp_path):
