@@ -166,13 +166,6 @@ def replay_margin(g, dec, s_emb, t_emb):
     return margin
 
 
-def validate_witness(g, mode, dec, s_emb, t_emb=None):
-    """Replay an explicit witness; returns its margin."""
-    s_emb = np.asarray(s_emb, dtype=np.float64)
-    t_emb = s_emb if (mode == "single" or t_emb is None) else np.asarray(t_emb, dtype=np.float64)
-    return replay_margin(g, dec, s_emb, t_emb)
-
-
 def _search_once(g, mode, decoder, dim, rng, steps, lr):
     n = g.n
     s_emb = ad.Tensor(rng.standard_normal((n, dim)), requires_grad=True)
@@ -224,6 +217,9 @@ def check_expressiveness(g, mode, decoder, dim=2, attempts=50, steps=400, lr=0.0
         raise ValueError(f"unknown mode {mode!r}")
     if decoder not in models.DECODER_KINDS:
         raise ValueError(f"unknown decoder {decoder!r}")
+    for name, value in (("dim", dim), ("attempts", attempts)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if g.n > 10:
         raise ValueError("expressiveness checks are for small graphs (n <= 10)")
     pos_pairs, rev_pairs = _constraint_pairs(g)

@@ -237,12 +237,13 @@ def gather_rows(x, idx):
 def pair_dot(s, t, u, v, block):
     """Row-wise inner products of S[u] and T[v]: a (P, 1) column.
 
-    The numbers of row_sum(hadamard(gather_rows(s, u), gather_rows(t, v)))
-    without its (P, d) arrays.  The forward pass is a sampled dense-dense
-    product over blocks of ``block`` pairs.  The backward pass is two
-    sparse-dense products with W, the CSR of the output grads at (u, v):
-    first dT = W.T @ S, then dS = W @ T, the order in which the three-op
-    graph replays them, so a T that aliases S sums its grad the same way.
+    The numbers of gathering S[u] and T[v], multiplying them elementwise
+    and summing each row, without the (P, d) arrays.  The forward pass is a
+    sampled dense-dense product over blocks of ``block`` pairs.  The
+    backward pass is two sparse-dense products with W, the CSR of the
+    output grads at (u, v): first dT = W.T @ S, then dS = W @ T, the order
+    in which the three-op graph replays them, so a T that aliases S sums
+    its grad the same way.
     """
     n_s, n_t = s.data.shape[0], t.data.shape[0]
     u = _row_index(u, n_s, "pair_dot")
@@ -258,11 +259,6 @@ def pair_dot(s, t, u, v, block):
     return _op(out, "pair_dot", (s, t),
                (t, lambda g: _scatter(v, u, g[:, 0], (n_t, n_s)) @ s.data),
                (s, lambda g: _scatter(u, v, g[:, 0], (n_s, n_t)) @ t.data))
-
-
-def row_sum(x):
-    """Sum each row to a single column: (n, d) -> (n, 1)."""
-    return _op(x.data.sum(axis=1, keepdims=True), "row_sum", (x,), (x, lambda g: g))
 
 
 def sum_all(x):

@@ -96,10 +96,6 @@ EXPERIMENT_KEY_TYPES = {
 }
 
 
-def _format_value(value):
-    return ", ".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
-
-
 def _parse_value(section, key, typ, raw):
     """One typed config value.  A [grid] value, and a tuple field such as
     seeds, is a comma list; a tuple field's items are ints."""
@@ -110,18 +106,6 @@ def _parse_value(section, key, typ, raw):
         return typ(raw.strip())
     except ValueError:
         raise DataError(f"bad value for {section} key {key!r}: {raw!r}") from None
-
-
-def config_to_text(cfg):
-    lines = ["[experiment]"]
-    for key in EXPERIMENT_KEY_TYPES:
-        if key != "features_path" or cfg.features_path:
-            lines.append(f"{key} = {_format_value(getattr(cfg, key))}")
-    for section, values in (("model", cfg.model), ("grid", cfg.grid)):
-        if values:
-            lines += ["", f"[{section}]"]
-            lines.extend(f"{k} = {_format_value(values[k])}" for k in sorted(values))
-    return "\n".join(lines) + "\n"
 
 
 def config_from_text(text, seeds=DEFAULT_SEEDS):
@@ -155,11 +139,6 @@ def load_config(path, seeds=DEFAULT_SEEDS):
             return config_from_text(fh.read(), seeds)
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from None
-
-
-def save_config(path, cfg):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(cfg))
 
 
 def _to_train_config(model_args):

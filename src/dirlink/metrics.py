@@ -9,7 +9,7 @@ threshold at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,6 +116,3 @@ class MetricsReport:
             ap=ap(pos_scores, neg_scores),
             acc=accuracy(pos_scores, neg_scores),
         )
-
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}

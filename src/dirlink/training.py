@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -53,6 +53,11 @@ class TrainConfig:
     dec_hidden: int = 64
 
     def __post_init__(self):
+        # each field has its default's type; a bool is no int, an int is a float
+        for f in fields(self):
+            value, typ = getattr(self, f.name), type(f.default)
+            if type(value) is not typ and not (typ is float and type(value) is int):
+                raise ValueError(f"{f.name} must be {typ.__name__}, got {value!r}")
         if self.encoder not in ENCODERS:
             raise ValueError(f"unknown encoder {self.encoder!r}")
         if self.decoder not in models.DECODER_KINDS:

@@ -1,6 +1,7 @@
-"""Shared test utilities: random graph builders, loop-based reference
-implementations of the data path, dense and explicit-form oracles of the
-encoders, finite-difference checks and a memory-bounded subprocess runner."""
+"""Shared test utilities: random graph builders, the generator of the
+synthetic200 fixture, loop-based reference implementations of the data path,
+dense and explicit-form oracles of the encoders and of ``pair_dot``,
+finite-difference checks and a memory-bounded subprocess runner."""
 
 import os
 import subprocess
@@ -11,7 +12,8 @@ import scipy.sparse as sp
 
 import dirlink
 import dirlink.autodiff as ad
-from dirlink.graph import DirectedGraph, adjacency, degrees, spmm, spmm_t
+from dirlink.graph import (DirectedGraph, adjacency, degrees, spmm, spmm_t,
+                           weakly_connected_components)
 from dirlink.models import EncoderOutput
 
 
@@ -35,6 +37,39 @@ def weakly_connected_random_graph(rng, n, p=0.2):
     path = np.stack([perm[:-1], perm[1:]], axis=1)
     edges = np.vstack([g.edges, path]) if len(g.edges) else path
     return DirectedGraph(n, edges)
+
+
+def planted_graph(n=200, latent_dim=2, per_node=8, seed=7):
+    """A directed graph whose edges are the strongest pairs of a planted
+    low-rank score matrix; with its defaults, the synthetic200 fixture.
+
+    Each node keeps its ``per_node`` highest-scoring outgoing pairs under
+    logits S* T*^T with Gaussian factors, then components are stitched
+    together (best cross-component pair first) until the graph is weakly
+    connected.  Out-degrees are uniform; in-degrees are heavy-tailed.
+    Deterministic in ``seed``.
+    """
+    if per_node >= n:
+        raise ValueError("per_node must be below n")
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    src = rng.standard_normal((n, latent_dim))
+    dst = rng.standard_normal((n, latent_dim))
+    scores = src @ dst.T
+    np.fill_diagonal(scores, -np.inf)
+    edges = []
+    for u in range(n):
+        order = np.argsort(-scores[u], kind="stable")[:per_node]
+        edges.extend((u, int(v)) for v in order)
+    g = DirectedGraph(n, np.asarray(edges, dtype=np.int64))
+    while True:
+        labels = weakly_connected_components(g)
+        if labels.max() == 0:
+            return g
+        cross = labels[:, None] != labels[None, :]
+        masked = np.where(cross, scores, -np.inf)
+        flat = int(np.argmax(masked))
+        u, v = divmod(flat, n)
+        g = DirectedGraph(n, np.vstack([g.edges, [[u, v]]]))
 
 
 class UnionFind:
@@ -172,6 +207,12 @@ def sdgae_encode_composite(p, a_norm, x):
         t_next = ad.add(ad.scale(ad.spmm_const(a_t, s), p.gamma_t[step]), t)
         s, t = s_next, t_next
     return EncoderOutput(s, t)
+
+
+def row_sum(x):
+    """Sum each row to a single column, (n, d) -> (n, 1), as a tape op: the
+    last op of ``pair_dot``'s three-op composite oracle."""
+    return ad._op(x.data.sum(axis=1, keepdims=True), "row_sum", (x,), (x, lambda g: g))
 
 
 def digae_encode_bipartite(p, g, x):

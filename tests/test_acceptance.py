@@ -169,8 +169,8 @@ def test_criterion_5_metric_oracle_equivalence():
 
 def test_criterion_6_proposition_certificates():
     start = time.perf_counter()
-    ring = datasets.ring3()
-    two_path = datasets.graph_d()
+    ring = datasets.load_fixture("ring3")
+    two_path = datasets.load_fixture("graph_d")
 
     ring_cert = analysis.check_expressiveness(ring, "single", "lr_concat")
     ring_dual_cert = analysis.check_expressiveness(ring, "dual", "lr_concat")
@@ -180,7 +180,7 @@ def test_criterion_6_proposition_certificates():
     b = ad.Tensor(np.zeros((1, 1)))
     dec = models.DecoderKind(kind="lr_concat", out_dim=1, layers=[(w, b)])
     hand = np.array([[1.0, -1.0], [-1.0, 1.0], [2.0, -2.0]])
-    hand_margin = analysis.validate_witness(two_path, "single", dec, hand)
+    hand_margin = analysis.replay_margin(two_path, dec, hand, hand)
 
     dual_cert = analysis.check_expressiveness(ring, "dual", "inner", dim=3, attempts=10)
     elapsed = time.perf_counter() - start

@@ -8,11 +8,11 @@ from scipy.sparse.csgraph import connected_components
 import dirlink.autodiff as ad
 from dirlink import analysis, datasets, models
 from dirlink.graph import DataError, DirectedGraph
-from helpers import run_under_memory_bound
+from helpers import planted_graph, run_under_memory_bound
 
 
 def test_degree_histograms_hand_cases():
-    ring = datasets.ring3()
+    ring = datasets.load_fixture("ring3")
     h = analysis.degree_histograms(ring.edges, ring.n)
     assert h.out_hist == {1: 3}
     assert h.in_hist == {1: 3}
@@ -24,7 +24,7 @@ def test_degree_histograms_hand_cases():
 
 
 def test_degree_histograms_conserve_edge_count():
-    g = datasets.planted_graph(n=50, per_node=4, seed=11)
+    g = planted_graph(n=50, per_node=4, seed=11)
     h = analysis.degree_histograms(g.edges, g.n)
     m = len(g.edges)
     assert sum(d * c for d, c in h.out_hist.items()) == m
@@ -56,7 +56,7 @@ def test_reconstruct_matches_exhaustive_oracle():
 
 
 def test_reconstruct_indicator_recovers_edges_exactly():
-    g = datasets.planted_graph(n=30, per_node=3, seed=12)
+    g = planted_graph(n=30, per_node=3, seed=12)
     table = np.zeros((g.n, g.n))
     table[g.edges[:, 0], g.edges[:, 1]] = 1.0
     got = analysis.reconstruct_topm(_table_score_fn(table), g.n, len(g.edges))
@@ -155,7 +155,7 @@ def test_reconstruct_symmetric_scores_close_under_reversal():
 def test_reconstruct_from_trained_embeddings():
     # fit source/target embeddings on the planted graph with a hinge on every
     # ordered pair, then check the top-m list essentially recovers the edges
-    g = datasets.planted_graph(n=60, per_node=4, seed=3)
+    g = planted_graph(n=60, per_node=4, seed=3)
     rng = np.random.default_rng(63)
     dim = 8
     s = ad.Tensor(rng.standard_normal((g.n, dim)) * 0.1, requires_grad=True)
@@ -195,7 +195,7 @@ def test_reconstruct_from_trained_embeddings():
 
 
 def test_ring_single_symmetric_decoders_infeasible():
-    ring = datasets.ring3()
+    ring = datasets.load_fixture("ring3")
     for decoder in ("inner", "mlp_hadamard"):
         cert = analysis.check_expressiveness(ring, "single", decoder)
         assert cert.verdict == "infeasible"
@@ -204,7 +204,7 @@ def test_ring_single_symmetric_decoders_infeasible():
 
 
 def test_ring_single_lr_concat_infeasible_by_telescoping():
-    cert = analysis.check_expressiveness(datasets.ring3(), "single", "lr_concat")
+    cert = analysis.check_expressiveness(datasets.load_fixture("ring3"), "single", "lr_concat")
     assert cert.verdict == "infeasible"
     assert "cycle" in cert.detail
 
@@ -212,7 +212,7 @@ def test_ring_single_lr_concat_infeasible_by_telescoping():
 def test_ring_dual_lr_concat_infeasible_without_search():
     # logit(u,v) - logit(v,u) = f(u) - f(v) holds for distinct S and T too
     start = time.perf_counter()
-    cert = analysis.check_expressiveness(datasets.ring3(), "dual", "lr_concat")
+    cert = analysis.check_expressiveness(datasets.load_fixture("ring3"), "dual", "lr_concat")
     assert time.perf_counter() - start < 1.0
     assert cert.verdict == "infeasible"
     assert cert.witness is None and cert.margin is None
@@ -247,7 +247,7 @@ def test_certificate_table():
     got = tuple(
         (name, mode, decoder, cert.verdict, repr(cert.margin))
         for name, mode, decoder, *_ in CERTIFICATES
-        for cert in [analysis.check_expressiveness(getattr(datasets, name)(), mode, decoder)]
+        for cert in [analysis.check_expressiveness(datasets.load_fixture(name), mode, decoder)]
     )
     assert got == CERTIFICATES
 
@@ -298,7 +298,7 @@ def test_replay_margin_records_no_tape(monkeypatch):
 
     monkeypatch.setattr(models, "decode", recording_decode)
     rng = np.random.default_rng(67)
-    g = datasets.graph_d()
+    g = datasets.load_fixture("graph_d")
     dec = models.DecoderKind.init(rng, "mlp_concat", 2, hidden=16, out_dim=1)
     assert all(t.requires_grad for t in dec.named_parameters().values())
     s, t = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
@@ -311,7 +311,7 @@ def test_replay_margin_records_no_tape(monkeypatch):
 
 def test_graph_d_single_lr_concat_feasible():
     cert = analysis.check_expressiveness(
-        datasets.graph_d(), "single", "lr_concat", attempts=10
+        datasets.load_fixture("graph_d"), "single", "lr_concat", attempts=10
     )
     assert cert.verdict == "feasible"
     assert cert.margin is not None and cert.margin > 0
@@ -327,12 +327,13 @@ def test_graph_d_hand_witness_margin():
     b = ad.Tensor(np.zeros((1, 1)))
     dec = models.DecoderKind(kind="lr_concat", out_dim=1, layers=[(w, b)])
     h = np.array([[1.0, -1.0], [-1.0, 1.0], [2.0, -2.0]])
-    margin = analysis.validate_witness(datasets.graph_d(), "single", dec, h)
+    margin = analysis.replay_margin(datasets.load_fixture("graph_d"), dec, h, h)
     assert margin == 1.0
 
 
 def test_ring_dual_inner_feasible():
-    cert = analysis.check_expressiveness(datasets.ring3(), "dual", "inner", dim=3, attempts=10)
+    cert = analysis.check_expressiveness(datasets.load_fixture("ring3"), "dual", "inner",
+                                         dim=3, attempts=10)
     assert cert.verdict == "feasible"
     assert cert.margin > 0
     assert not np.array_equal(cert.witness["S"], cert.witness["T"])
@@ -342,7 +343,7 @@ def test_ring_single_nonlinear_concat_finds_witness():
     # the telescoping contradiction needs linearity; a relu decoder over
     # concatenated distinct embeddings can orient the cycle, and the search
     # should find a witness that survives an independent replay
-    ring = datasets.ring3()
+    ring = datasets.load_fixture("ring3")
     cert = analysis.check_expressiveness(ring, "single", "mlp_concat", attempts=5, steps=120)
     assert cert.verdict == "feasible"
     w = cert.witness
@@ -363,7 +364,7 @@ def test_ring_single_nonlinear_concat_finds_witness():
 def test_failed_search_is_undetermined_not_infeasible():
     # a search that cannot move must not claim anything stronger
     cert = analysis.check_expressiveness(
-        datasets.ring3(), "single", "mlp_concat", attempts=1, steps=1, lr=0.0
+        datasets.load_fixture("ring3"), "single", "mlp_concat", attempts=1, steps=1, lr=0.0
     )
     assert cert.verdict == "undetermined"
     assert "restarts" in cert.detail
@@ -371,12 +372,12 @@ def test_failed_search_is_undetermined_not_infeasible():
 
 
 def test_expressiveness_validation():
-    ring = datasets.ring3()
+    ring = datasets.load_fixture("ring3")
     with pytest.raises(ValueError, match="mode"):
         analysis.check_expressiveness(ring, "triple", "inner")
     with pytest.raises(ValueError, match="decoder"):
         analysis.check_expressiveness(ring, "single", "bilinear")
-    big = datasets.planted_graph(n=20, per_node=2, seed=1)
+    big = planted_graph(n=20, per_node=2, seed=1)
     with pytest.raises(ValueError, match="small"):
         analysis.check_expressiveness(big, "single", "inner")
 

@@ -40,35 +40,21 @@ def test_cli_import_leaves_out_csgraph_and_linalg():
     assert proc.stdout.split() == []
 
 
-def test_config_round_trip(tmp_path):
-    cfg = _sample_config(tmp_path)
-    assert cli.config_from_text(cli.config_to_text(cfg)) == cfg
-    path = tmp_path / "exp.cfg"
-    cli.save_config(path, cfg)
-    assert cli.load_config(path) == cfg
-
-
-def test_config_text_is_pinned(tmp_path):
-    cfg = _sample_config(tmp_path)
-    out = tmp_path / "run"
-    grid_and_model = (
+def _sample_config_text(tmp_path):
+    return (
+        "[experiment]\ndataset = synthetic200\nfeatures = degrees\nfeature_dim = 32\n"
+        f"out = {tmp_path / 'run'}\nseeds = 0, 4\nworkers = 2\n\n"
         "[model]\nk = 3\nlr = 0.05\nmodel = mlp\n\n"
         "[grid]\nk = 1, 2\nlr = 0.1, 0.01\n"
     )
-    assert cli.config_to_text(cfg) == (
-        "[experiment]\ndataset = synthetic200\nfeatures = degrees\nfeature_dim = 32\n"
-        f"out = {out}\nseeds = 0, 4\nworkers = 2\n\n" + grid_and_model
-    )
-    cfg = dataclasses.replace(cfg, features="original", features_path="feats.txt")
-    assert cli.config_to_text(cfg) == (
-        "[experiment]\ndataset = synthetic200\nfeatures = original\n"
-        "features_path = feats.txt\nfeature_dim = 32\n"
-        f"out = {out}\nseeds = 0, 4\nworkers = 2\n\n" + grid_and_model
-    )
-    assert cli.config_to_text(cli.ExperimentConfig()) == (
-        "[experiment]\ndataset = \nfeatures = degrees\nfeature_dim = 64\nout = runs\n"
-        "seeds = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9\nworkers = 1\n"
-    )
+
+
+def test_config_round_trip(tmp_path):
+    cfg = _sample_config(tmp_path)
+    assert cli.config_from_text(_sample_config_text(tmp_path)) == cfg
+    path = tmp_path / "exp.cfg"
+    path.write_text(_sample_config_text(tmp_path))
+    assert cli.load_config(path) == cfg
 
 
 # a valid non-default value for the fields where default + 1 is none
@@ -111,7 +97,7 @@ def test_config_rejects_unknown_content():
 
 def test_flags_override_config(tmp_path):
     path = tmp_path / "exp.cfg"
-    cli.save_config(path, _sample_config(tmp_path))
+    path.write_text(_sample_config_text(tmp_path))
     parser = cli.build_parser()
     args = parser.parse_args(
         ["train", "--config", str(path), "--lr", "0.5", "--seed", "3", "--dataset", "ring3"]
@@ -275,6 +261,17 @@ def test_check_command_verdicts(capsys):
     assert "margin:" in out and "S =" in out
 
 
+@pytest.mark.parametrize("decoder, flag, value", [
+    ("inner", "--dim", "0"),
+    ("mlp_concat", "--dim", "0"),
+    ("inner", "--attempts", "-1"),
+])
+def test_check_rejects_a_setting_below_1(capsys, decoder, flag, value):
+    assert cli.main(["check", "--dataset", "ring3", "--mode", "dual", "--decoder", decoder,
+                     flag, value]) == 1
+    assert capsys.readouterr().err == f"usage error: {flag[2:]} must be >= 1, got {value}\n"
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli.main([]) == 1
     assert cli.main(["train", "--nonsense"]) == 1
@@ -341,6 +338,9 @@ _META = {"config": {"encoder": "mlp"}, "split_seed": 0, "features": "degrees",
     ({"config": [1, 2]}, "checkpoint config is not a table"),
     ({"config": {"encoder": "mlp", "bogus": 1}}, "bad checkpoint config: "),
     ({"config": {"k": 9}}, "bad checkpoint config: k must be in 1..8"),
+    ({"config": {"emb": 8.0}}, "bad checkpoint config: emb must be int, got 8.0"),
+    ({"config": {"hidden": True}}, "bad checkpoint config: hidden must be int, got True"),
+    ({"config": {"lr": "0.1"}}, "bad checkpoint config: lr must be float, got '0.1'"),
     ({"split_seed": "x"}, "bad checkpoint meta: experiment key 'seeds' must be a tuple of ints"),
     ({"split_seed": 1.5}, "bad checkpoint meta: experiment key 'seeds' must be a tuple of ints"),
     ({"feature_dim": "64"}, "bad checkpoint meta: experiment key 'feature_dim' must be int"),

@@ -28,7 +28,7 @@ from dirlink.graph import (
     spmm_t,
     weakly_connected_components,
 )
-from helpers import UnionFind, bipartite_block, kruskal_pins, random_graph
+from helpers import UnionFind, bipartite_block, kruskal_pins, planted_graph, random_graph
 
 
 def test_union_find_merges_and_reports():
@@ -323,7 +323,7 @@ def test_edge_list_round_trip(tmp_path):
 
 
 def test_synthetic200_fixture_is_the_planted_graph():
-    fixture, planted = datasets.load_fixture("synthetic200"), datasets.planted_graph()
+    fixture, planted = datasets.load_fixture("synthetic200"), planted_graph()
     assert fixture.n == planted.n
     assert np.array_equal(fixture.edges, planted.edges)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,6 @@ def test_report_from_scores_consistent_with_functions():
     assert rep.auc == pytest.approx(auc(pos, neg))
     assert rep.ap == pytest.approx(ap(pos, neg))
     assert rep.acc == pytest.approx(accuracy(pos, neg))
-    d = rep.as_dict()
+    d = dataclasses.asdict(rep)
     assert tuple(d) == MetricsReport.FIELDS
     assert all(0.0 <= v <= 100.0 for v in d.values())

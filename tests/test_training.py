@@ -29,7 +29,7 @@ def test_training_is_deterministic():
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
     a = training.train(small_cfg(), bundle, feats)
     b = training.train(small_cfg(), bundle, feats)
-    assert a.report.as_dict() == b.report.as_dict()
+    assert a.report == b.report
     assert np.array_equal(a.fitted.loss_history, b.fitted.loss_history)
     b_params = b.fitted.model.named_parameters()
     for name, t in a.fitted.model.named_parameters().items():
@@ -97,6 +97,12 @@ def test_config_validation():
     for bad in (0, 3):
         with pytest.raises(ValueError, match=f"digae_layers must be 1 or 2, got {bad}"):
             training.TrainConfig(digae_layers=bad)
+    # each field takes its default's type, and an int where a float is due
+    assert training.TrainConfig(lr=1, alpha=0).lr == 1
+    for name, bad in (("emb", 8.0), ("hidden", True), ("lr", "0.1"), ("encoder", None)):
+        kind = type(getattr(training.TrainConfig, name)).__name__
+        with pytest.raises(ValueError, match=f"{name} must be {kind}, got {bad!r}"):
+            training.TrainConfig(**{name: bad})
 
 
 def test_fit_without_a_finite_validation_score_is_a_training_error():
@@ -195,7 +201,7 @@ def _grid_inputs():
 
 
 def _row_key(r):
-    rep = tuple(sorted(r.report.as_dict().items())) if r.report is not None else None
+    rep = tuple(sorted(dataclasses.asdict(r.report).items())) if r.report is not None else None
     return (r.config, r.split_seed, r.status, rep, r.best_val, r.epochs_run)
 
 

@@ -1,0 +1,49 @@
+"""The package keeps only what its commands and the benchmark run: every public
+function, class and method of ``src/dirlink`` and ``perfbench`` is named
+somewhere in those two trees.  Code that only tests call belongs in
+``tests/``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# public names that no command runs, each with the reason it stays
+ALLOWED = {
+    # reads the files `dirlink split` writes; the golden split test
+    # round-trips every split through it
+    "load_split",
+}
+
+
+def _unused_names():
+    files = [*sorted((ROOT / "src" / "dirlink").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    defined, used = {}, set()
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.name
+            if isinstance(node, ast.ClassDef):
+                defined.update((item.name, f"{path.name}: {node.name}") for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+            elif (path.parent.name == "perfbench" and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                # spans.TARGETS names the functions it patches as strings
+                used.add(node.value)
+    return {name: where for name, where in defined.items() if name not in used}
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    unused = _unused_names()
+    assert set(ALLOWED) <= set(unused), "an allowed name is used now; drop it from ALLOWED"
+    assert {k: v for k, v in unused.items() if k not in ALLOWED} == {}
