@@ -64,11 +64,12 @@ class ExperimentConfig:
     grid: dict = field(default_factory=dict)
 
     def validate(self):
-        for key, typ in EXPERIMENT_KEY_TYPES.items():
-            value = getattr(self, key)
-            if type(value) is not typ or (typ is tuple and any(type(v) is not int for v in value)):
-                kind = "a tuple of ints" if typ is tuple else typ.__name__
-                raise UsageError(f"experiment key {key!r} must be {kind}, got {value!r}")
+        try:
+            training.check_field_types(self)
+            if any(type(s) is not int for s in self.seeds):
+                raise ValueError(f"seeds must be a tuple of ints, got {self.seeds!r}")
+        except ValueError as exc:
+            raise UsageError(f"experiment key {exc}") from None
         if not self.dataset:
             raise UsageError("a dataset is required (--dataset or config)")
         if self.features not in FEATURE_MODES:
@@ -79,10 +80,9 @@ class ExperimentConfig:
         if repeated:
             raise UsageError(f"split seed(s) {', '.join(map(str, repeated))} repeated in seeds; "
                              f"each split runs once")
-        if self.workers < 1:
-            raise UsageError("workers must be >= 1")
-        if self.feature_dim < 1:
-            raise UsageError("feature_dim must be >= 1")
+        for key in ("workers", "feature_dim"):
+            if getattr(self, key) < 1:
+                raise UsageError(f"{key} must be >= 1")
         if self.features == "original" and not self.features_path:
             raise UsageError("feature mode 'original' needs features_path")
         for key in list(self.model) + list(self.grid):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +25,14 @@ from .splits import FeatureInit, init_features, sample_train_negatives
 
 ENCODERS = ("sdgae", "digae", "mlp")
 LOSSES = ("bce", "ce")
+
+
+def check_field_types(obj):
+    """ValueError unless each field of ``obj`` with a plain default has exactly its type."""
+    for f in fields(obj):
+        value, typ = getattr(obj, f.name), type(f.default)
+        if f.default is not MISSING and type(value) is not typ:
+            raise ValueError(f"{f.name} must be {typ.__name__}, got {value!r}")
 
 
 class TrainingError(RuntimeError):
@@ -53,11 +61,7 @@ class TrainConfig:
     dec_hidden: int = 64
 
     def __post_init__(self):
-        # each field has its default's type; a bool is no int, an int is a float
-        for f in fields(self):
-            value, typ = getattr(self, f.name), type(f.default)
-            if type(value) is not typ and not (typ is float and type(value) is int):
-                raise ValueError(f"{f.name} must be {typ.__name__}, got {value!r}")
+        check_field_types(self)
         if self.encoder not in ENCODERS:
             raise ValueError(f"unknown encoder {self.encoder!r}")
         if self.decoder not in models.DECODER_KINDS:

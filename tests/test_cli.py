@@ -261,17 +261,6 @@ def test_check_command_verdicts(capsys):
     assert "margin:" in out and "S =" in out
 
 
-@pytest.mark.parametrize("decoder, flag, value", [
-    ("inner", "--dim", "0"),
-    ("mlp_concat", "--dim", "0"),
-    ("inner", "--attempts", "-1"),
-])
-def test_check_rejects_a_setting_below_1(capsys, decoder, flag, value):
-    assert cli.main(["check", "--dataset", "ring3", "--mode", "dual", "--decoder", decoder,
-                     flag, value]) == 1
-    assert capsys.readouterr().err == f"usage error: {flag[2:]} must be >= 1, got {value}\n"
-
-
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli.main([]) == 1
     assert cli.main(["train", "--nonsense"]) == 1
@@ -298,6 +287,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         bad.write_text(f"[experiment]\ndataset = synthetic200\nfeatures = degrees\n[model]\n{line}\n")
         assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert f"usage error: {line.split()[0]} must be >= 1" in capsys.readouterr().err
+    for decoder, flag, value in (("inner", "--dim", "0"), ("mlp_concat", "--dim", "0"),
+                                 ("inner", "--attempts", "-1")):
+        assert cli.main(["check", "--dataset", "ring3", "--mode", "dual", "--decoder", decoder,
+                         flag, value]) == 1
+        assert capsys.readouterr().err == f"usage error: {flag[2:]} must be >= 1, got {value}\n"
 
 
 def test_grid_rejects_a_bad_model_value_before_any_run(tmp_path, capsys, monkeypatch):
@@ -341,9 +335,9 @@ _META = {"config": {"encoder": "mlp"}, "split_seed": 0, "features": "degrees",
     ({"config": {"emb": 8.0}}, "bad checkpoint config: emb must be int, got 8.0"),
     ({"config": {"hidden": True}}, "bad checkpoint config: hidden must be int, got True"),
     ({"config": {"lr": "0.1"}}, "bad checkpoint config: lr must be float, got '0.1'"),
-    ({"split_seed": "x"}, "bad checkpoint meta: experiment key 'seeds' must be a tuple of ints"),
-    ({"split_seed": 1.5}, "bad checkpoint meta: experiment key 'seeds' must be a tuple of ints"),
-    ({"feature_dim": "64"}, "bad checkpoint meta: experiment key 'feature_dim' must be int"),
+    ({"split_seed": "x"}, "bad checkpoint meta: experiment key seeds must be a tuple of ints"),
+    ({"split_seed": 1.5}, "bad checkpoint meta: experiment key seeds must be a tuple of ints"),
+    ({"feature_dim": "64"}, "bad checkpoint meta: experiment key feature_dim must be int"),
     ({"features": "bogus"}, "bad checkpoint meta: unknown feature mode 'bogus'"),
 ])
 def test_restore_of_a_bad_checkpoint_meta_exits_2(tmp_path, capsys, change, why):
