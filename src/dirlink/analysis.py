@@ -21,6 +21,8 @@ from .graph import DataError
 EMBEDDING_MODES = ("single", "dual")
 SEARCH_MARGIN = 0.1  # the hinge margin of the witness search
 SEARCH_SEED = 0  # the root seed of its restarts
+SEARCH_STEPS = 400  # the most Adam steps of one restart
+SEARCH_LR = 0.05  # their learning rate
 
 
 @dataclass
@@ -166,18 +168,18 @@ def replay_margin(g, dec, s_emb, t_emb):
     return margin
 
 
-def _search_once(g, mode, decoder, dim, rng, steps, lr):
+def _search_once(g, mode, decoder, dim, rng):
     n = g.n
     s_emb = ad.Tensor(rng.standard_normal((n, dim)), requires_grad=True)
     t_emb = s_emb if mode == "single" else ad.Tensor(rng.standard_normal((n, dim)), requires_grad=True)
     dec = models.DecoderKind.init(rng, decoder, dim, hidden=16, out_dim=1)
     params = [s_emb] + ([t_emb] if mode == "dual" else []) + list(dec.named_parameters().values())
-    optimizer = ad.AdamState(params, lr=lr)
+    optimizer = ad.AdamState(params, lr=SEARCH_LR)
     pos_pairs, rev_pairs = _constraint_pairs(g)
     minus_one = ad.Tensor(np.array([[-1.0]]))
     margin_pos = ad.Tensor(np.full((len(pos_pairs), 1), SEARCH_MARGIN))
     margin_rev = ad.Tensor(np.full((len(rev_pairs), 1), SEARCH_MARGIN))
-    for step in range(steps):
+    for step in range(SEARCH_STEPS):
         enc = models.EncoderOutput(s_emb, t_emb)
         pos_logits = models.decode(dec, enc, pos_pairs)
         hinge = ad.sum_all(ad.relu(ad.add(margin_pos, ad.scale(pos_logits, minus_one))))
@@ -201,7 +203,7 @@ def _search_once(g, mode, decoder, dim, rng, steps, lr):
     return None
 
 
-def check_expressiveness(g, mode, decoder, dim=2, attempts=50, steps=400, lr=0.05):
+def check_expressiveness(g, mode, decoder, dim=2, attempts=50):
     """Can this embedding/decoder combination orient every edge of g?
 
     Analytic shortcuts first: with a single embedding, inner and hadamard
@@ -248,7 +250,7 @@ def check_expressiveness(g, mode, decoder, dim=2, attempts=50, steps=400, lr=0.0
 
     for attempt in range(attempts):
         rng = np.random.default_rng(np.random.SeedSequence([SEARCH_SEED, attempt]))
-        cert = _search_once(g, mode, decoder, dim, rng, steps, lr)
+        cert = _search_once(g, mode, decoder, dim, rng)
         if cert is not None:
             return cert
     return FeasibilityCertificate(

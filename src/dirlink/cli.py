@@ -268,6 +268,11 @@ def cmd_grid(args):
     label = _dataset_label(cfg.dataset)
     training.write_runs_tsv(os.path.join(cfg.out, "runs.tsv"), result.rows, label)
     training.write_summary_tsv(os.path.join(cfg.out, "summary.tsv"), result, label)
+    for r in result.rows:
+        if r.status == "failed":
+            print(f"run failed: seed {r.split_seed} [{r.config}]: {r.error}", file=sys.stderr)
+    if not result.best_config:
+        return 3
     for family in sorted(result.best_by_family):
         print(f"best[{family}]: {result.best_by_family[family]}")
     print(f"best overall: {result.best_config}")
@@ -383,7 +388,7 @@ _SHARED_FLAGS = {
     "out": {"help": "output directory"},
     "seeds": {"help": "comma-separated split seeds"},
     "workers": {},
-    "model": {"choices": training.ENCODERS},
+    "model": {"choices": models.ENCODERS},
     "decoder": {"choices": models.DECODER_KINDS},
     "loss": {"choices": training.LOSSES},
     "k": {"help": "propagation steps"},

@@ -133,16 +133,15 @@ def degrees(g, add_self_loops=False):
     return out_deg.astype(np.int64), in_deg.astype(np.int64)
 
 
-def adjacency(g, self_loops=False):
+def adjacency(g):
     """The adjacency matrix of g as a scipy CSR matrix in canonical form
-    (sorted columns, no duplicates), optionally with self-loops added.
+    (sorted columns, no duplicates).
 
     The edges are sorted, so their targets are the column indices as they
     stand and the row pointer is the running count of sources."""
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(g.edges[:, 0], minlength=g.n), out=indptr[1:])
-    a = _sp.csr_matrix((np.ones(g.edge_count), g.edges[:, 1], indptr), shape=(g.n, g.n))
-    return a + _sp.identity(g.n, format="csr") if self_loops else a
+    return _sp.csr_matrix((np.ones(g.edge_count), g.edges[:, 1], indptr), shape=(g.n, g.n))
 
 
 def normalize_adj(g, alpha, beta):
@@ -153,7 +152,7 @@ def normalize_adj(g, alpha, beta):
     are strictly positive and the powers are always defined).
     """
     out_deg, in_deg = degrees(g, add_self_loops=True)
-    a_hat = adjacency(g, self_loops=True)
+    a_hat = adjacency(g) + _sp.identity(g.n, format="csr")
     rr = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(a_hat.indptr))
     a_hat.data *= np.power(out_deg[rr], -beta) * np.power(in_deg[a_hat.indices], -alpha)
     return a_hat
@@ -363,12 +362,10 @@ def load_edge_list(path):
 _SAVE_BLOCK = 1 << 14
 
 
-def save_edge_list(path, edges, header=None):
+def save_edge_list(path, edges):
     """Write edges (iterable of pairs) in the edge-list format."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
         for lo in range(0, len(edges), _SAVE_BLOCK):
             block = edges[lo : lo + _SAVE_BLOCK]
             fh.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))

@@ -6,9 +6,11 @@ pair (u, v) is scored by a decoder over (s_u, t_v), so scores need not be
 symmetric under direction reversal.  The plain MLP encoder aliases T to S,
 which is exactly what makes it direction-blind.
 
-Each encoder is built by ``init(rng, g, in_dim, ...)`` on the training graph
-g, holds what it needs of g, and is called on the (n, in_dim) feature tensor
-alone; ``encoder_forward`` is the call the package makes.
+Each encoder is built by ``init(rng, g, in_dim, cfg)`` on the training graph
+g, reading its settings from the ``training.TrainConfig`` cfg; it holds what
+it needs of g and is called on the (n, in_dim) feature tensor alone.
+``ENCODERS`` maps the config's encoder names to the classes, and
+``encoder_forward`` is the call the package makes.
 """
 
 from __future__ import annotations
@@ -86,20 +88,19 @@ class SdgaeParams:
     mlp_t: Mlp
     gamma_s: list
     gamma_t: list
-    k: int
     op: object = field(repr=False, compare=False)
     # the propagation's scratch arrays, reused across the run's passes
     workspace: ad.Workspace = field(default_factory=ad.Workspace, repr=False, compare=False)
 
     @classmethod
-    def init(cls, rng, g, in_dim, hidden=64, emb=64, mlp_layers=2, k=5):
-        mlp_s = Mlp.init(rng, in_dim, hidden, emb, mlp_layers)
-        mlp_t = Mlp.init(rng, in_dim, hidden, emb, mlp_layers)
+    def init(cls, rng, g, in_dim, cfg):
+        mlp_s = Mlp.init(rng, in_dim, cfg.hidden, cfg.emb, cfg.mlp_layers)
+        mlp_t = Mlp.init(rng, in_dim, cfg.hidden, cfg.emb, cfg.mlp_layers)
         ones = lambda: ad.Tensor(np.ones((1, 1)), requires_grad=True)
         # normalize_adj at exponents 1/2 is graph.normalize_sym; both encoders build
         # their operator through this one name, which perfbench/spans.py traces
         op = normalize_adj(g, 0.5, 0.5)
-        return cls(mlp_s, mlp_t, [ones() for _ in range(k)], [ones() for _ in range(k)], k, op)
+        return cls(mlp_s, mlp_t, [ones() for _ in range(cfg.k)], [ones() for _ in range(cfg.k)], op)
 
     @property
     def n(self):
@@ -133,17 +134,14 @@ class DigaeParams:
 
     w_s: list
     w_t: list
-    alpha: float
-    beta: float
     op: object = field(repr=False, compare=False)
 
     @classmethod
-    def init(cls, rng, g, in_dim, hidden=64, emb=64, layers=1, alpha=0.4, beta=0.4):
-        dims = _widths(in_dim, hidden, emb, layers)
+    def init(cls, rng, g, in_dim, cfg):
+        dims = _widths(in_dim, cfg.hidden, cfg.emb, cfg.digae_layers)
         w_s = [_uniform_weight(rng, a, b) for a, b in zip(dims[:-1], dims[1:])]
         w_t = [_uniform_weight(rng, a, b) for a, b in zip(dims[:-1], dims[1:])]
-        alpha, beta = float(alpha), float(beta)
-        return cls(w_s, w_t, alpha, beta, normalize_adj(g, alpha, beta))
+        return cls(w_s, w_t, normalize_adj(g, cfg.alpha, cfg.beta))
 
     @property
     def n(self):
@@ -180,8 +178,8 @@ class MlpParams:
     n: int
 
     @classmethod
-    def init(cls, rng, g, in_dim, hidden=64, emb=64, layers=2):
-        return cls(Mlp.init(rng, in_dim, hidden, emb, layers), g.n)
+    def init(cls, rng, g, in_dim, cfg):
+        return cls(Mlp.init(rng, in_dim, cfg.hidden, cfg.emb, cfg.mlp_layers), g.n)
 
     def __call__(self, x):
         h = self.mlp(x)
@@ -189,6 +187,9 @@ class MlpParams:
 
     def named_parameters(self):
         return self.mlp.named_parameters("mlp")
+
+
+ENCODERS = {"sdgae": SdgaeParams, "digae": DigaeParams, "mlp": MlpParams}
 
 
 def encoder_forward(enc, x):
@@ -212,11 +213,11 @@ class DecoderKind:
     """
 
     kind: str
-    layers: list = field(default_factory=list)
-    out_dim: int = 1
+    layers: list
+    out_dim: int
 
     @classmethod
-    def init(cls, rng, kind, emb, hidden=64, out_dim=1):
+    def init(cls, rng, kind, emb, hidden, out_dim):
         if kind not in DECODER_KINDS:
             raise ValueError(f"unknown decoder kind {kind!r}")
         if out_dim not in (1, 2):
@@ -263,8 +264,8 @@ SCORE_BLOCK_BYTES = 256 * 1024
 
 def score_block_pairs(dec, enc):
     """Pairs per scoring block for this decoder and these embeddings."""
-    width = enc.S.shape[1] * (2 if dec.kind.endswith("concat") else 1)
-    width = max([width] + [w.shape[1] for w, _ in dec.layers])
+    # a head's first weight reads the gathered rows, so its input dim is their width
+    width = max([enc.S.shape[1]] + [d for w, _ in dec.layers for d in w.shape])
     return max(1, SCORE_BLOCK_BYTES // (8 * width))
 
 

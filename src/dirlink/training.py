@@ -23,7 +23,6 @@ from .graph import DataError, normalize_sym  # noqa: F401
 from .metrics import MetricsReport, auc
 from .splits import FeatureInit, init_features, sample_train_negatives
 
-ENCODERS = ("sdgae", "digae", "mlp")
 LOSSES = ("bce", "ce")
 
 
@@ -62,7 +61,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.encoder not in ENCODERS:
+        if self.encoder not in models.ENCODERS:
             raise ValueError(f"unknown encoder {self.encoder!r}")
         if self.decoder not in models.DECODER_KINDS:
             raise ValueError(f"unknown decoder {self.decoder!r}")
@@ -97,7 +96,6 @@ def _run_entropy(cfg, split_seed):
 
 @dataclass
 class TrainedModel:
-    cfg: TrainConfig
     enc_params: object
     dec_params: models.DecoderKind
     feats: np.ndarray
@@ -123,19 +121,10 @@ class TrainedModel:
 
 def build_model(cfg, train_graph, feats, rng):
     feats = np.asarray(feats, dtype=np.float64)
-    in_dim = feats.shape[1]
-    if cfg.encoder == "sdgae":
-        enc = models.SdgaeParams.init(rng, train_graph, in_dim, hidden=cfg.hidden, emb=cfg.emb,
-                                      mlp_layers=cfg.mlp_layers, k=cfg.k)
-    elif cfg.encoder == "digae":
-        enc = models.DigaeParams.init(rng, train_graph, in_dim, hidden=cfg.hidden, emb=cfg.emb,
-                                      layers=cfg.digae_layers, alpha=cfg.alpha, beta=cfg.beta)
-    else:
-        enc = models.MlpParams.init(rng, train_graph, in_dim, hidden=cfg.hidden, emb=cfg.emb,
-                                    layers=cfg.mlp_layers)
-    out_dim = 1 if cfg.loss == "bce" else 2
-    dec = models.DecoderKind.init(rng, cfg.decoder, cfg.emb, hidden=cfg.dec_hidden, out_dim=out_dim)
-    return TrainedModel(cfg, enc, dec, feats)
+    enc = models.ENCODERS[cfg.encoder].init(rng, train_graph, feats.shape[1], cfg)
+    dec = models.DecoderKind.init(rng, cfg.decoder, cfg.emb, cfg.dec_hidden,
+                                  1 if cfg.loss == "bce" else 2)
+    return TrainedModel(enc, dec, feats)
 
 
 @dataclass

@@ -182,11 +182,11 @@ def sdgae_encode_explicit(p, a_norm, x):
     t0 = p.mlp_t(xt).data
     gs = [float(g.data[0, 0]) for g in p.gamma_s]
     gt = [float(g.data[0, 0]) for g in p.gamma_t]
-    w_s, w_t = expand_coefficients(gs, gt, p.k)
+    w_s, w_t = expand_coefficients(gs, gt, len(gs))
     u, v = s0, t0
     s_out = w_s[0] * u
     t_out = w_t[0] * v
-    for j in range(1, p.k + 1):
+    for j in range(1, len(gs) + 1):
         u, v = spmm(a_norm, v), spmm_t(a_norm, u)
         s_out = s_out + w_s[j] * u
         t_out = t_out + w_t[j] * v
@@ -202,7 +202,7 @@ def sdgae_encode_composite(p, a_norm, x):
     a_t = a_norm.T
     s = p.mlp_s(xt)
     t = p.mlp_t(xt)
-    for step in range(p.k):
+    for step in range(len(p.gamma_s)):
         s_next = ad.add(ad.scale(ad.spmm_const(a_norm, t), p.gamma_s[step]), s)
         t_next = ad.add(ad.scale(ad.spmm_const(a_t, s), p.gamma_t[step]), t)
         s, t = s_next, t_next
@@ -215,7 +215,7 @@ def row_sum(x):
     return ad._op(x.data.sum(axis=1, keepdims=True), "row_sum", (x,), (x, lambda g: g))
 
 
-def digae_encode_bipartite(p, g, x):
+def digae_encode_bipartite(p, g, x, alpha, beta):
     """Forward-only oracle for the convolution via the bipartite block form.
 
     Stacks [S @ W_s; T @ W_t], multiplies by the symmetric 2n x 2n block
@@ -224,13 +224,13 @@ def digae_encode_bipartite(p, g, x):
     """
     x = np.asarray(x, dtype=np.float64)
     n = g.n
-    a_hat = adjacency(g, self_loops=True).toarray()
+    a_hat = adjacency(g).toarray() + np.eye(n)
     block = np.zeros((2 * n, 2 * n))
     block[:n, n:] = a_hat
     block[n:, :n] = a_hat.T
     out_deg, in_deg = degrees(g, add_self_loops=True)
     dvec = np.concatenate(
-        [np.power(out_deg.astype(np.float64), -p.beta), np.power(in_deg.astype(np.float64), -p.alpha)]
+        [np.power(out_deg.astype(np.float64), -beta), np.power(in_deg.astype(np.float64), -alpha)]
     )
     norm_block = dvec[:, None] * block * dvec[None, :]
     s = t = x

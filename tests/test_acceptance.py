@@ -8,6 +8,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import dirlink.autodiff as ad
 from dirlink import analysis, datasets, models, training
@@ -41,7 +42,7 @@ def test_criterion_1_bipartite_normalization_identity():
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
         g = random_graph(rng, int(rng.integers(2, 51)))
-        block = bipartite_block(adjacency(g, self_loops=True)).toarray()
+        block = bipartite_block(adjacency(g) + sp.identity(g.n, format="csr")).toarray()
         deg = block.sum(axis=1)
         sandwich = block / np.sqrt(np.outer(deg, deg))
         lifted = bipartite_block(normalize_sym(g)).toarray()
@@ -62,10 +63,10 @@ def test_criterion_2_digae_layer_equals_bipartite_gcn():
         x = rng.standard_normal((g.n, 5))
         for alpha in (0.0, 0.4, 0.8):
             for beta in (0.0, 0.4, 0.8):
-                p = models.DigaeParams.init(rng, g, 5, hidden=7, emb=6,
-                                            layers=1, alpha=alpha, beta=beta)
+                cfg = TrainConfig(hidden=7, emb=6, digae_layers=1, alpha=alpha, beta=beta)
+                p = models.DigaeParams.init(rng, g, 5, cfg)
                 layered = models.encoder_forward(p, x)
-                lifted = digae_encode_bipartite(p, g, x)
+                lifted = digae_encode_bipartite(p, g, x, alpha, beta)
                 worst = max(worst,
                             float(np.max(np.abs(layered.S.data - lifted.S.data))),
                             float(np.max(np.abs(layered.T.data - lifted.T.data))))
@@ -83,7 +84,7 @@ def test_criterion_3_sdgae_iterative_equals_polynomial():
     for i in range(20):
         k = 1 + i % 5
         g = random_graph(rng, int(rng.integers(5, 25)))
-        p = models.SdgaeParams.init(rng, g, 4, hidden=8, emb=6, k=k)
+        p = models.SdgaeParams.init(rng, g, 4, TrainConfig(hidden=8, emb=6, k=k))
         for gamma in p.gamma_s + p.gamma_t:
             gamma.data[0, 0] = rng.uniform(-1.5, 1.5)
         x = rng.standard_normal((g.n, 4))

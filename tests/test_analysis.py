@@ -160,7 +160,7 @@ def test_reconstruct_from_trained_embeddings():
     dim = 8
     s = ad.Tensor(rng.standard_normal((g.n, dim)) * 0.1, requires_grad=True)
     t = ad.Tensor(rng.standard_normal((g.n, dim)) * 0.1, requires_grad=True)
-    dec = models.DecoderKind.init(rng, "inner", dim)
+    dec = models.DecoderKind.init(rng, "inner", dim, 64, 1)
 
     table = np.zeros((g.n, g.n), dtype=bool)
     table[g.edges[:, 0], g.edges[:, 1]] = True
@@ -339,12 +339,13 @@ def test_ring_dual_inner_feasible():
     assert not np.array_equal(cert.witness["S"], cert.witness["T"])
 
 
-def test_ring_single_nonlinear_concat_finds_witness():
+def test_ring_single_nonlinear_concat_finds_witness(monkeypatch):
     # the telescoping contradiction needs linearity; a relu decoder over
     # concatenated distinct embeddings can orient the cycle, and the search
     # should find a witness that survives an independent replay
+    monkeypatch.setattr(analysis, "SEARCH_STEPS", 120)
     ring = datasets.load_fixture("ring3")
-    cert = analysis.check_expressiveness(ring, "single", "mlp_concat", attempts=5, steps=120)
+    cert = analysis.check_expressiveness(ring, "single", "mlp_concat", attempts=5)
     assert cert.verdict == "feasible"
     w = cert.witness
     layers = []
@@ -361,10 +362,12 @@ def test_ring_single_nonlinear_concat_finds_witness():
     assert -rev.max() >= cert.margin
 
 
-def test_failed_search_is_undetermined_not_infeasible():
+def test_failed_search_is_undetermined_not_infeasible(monkeypatch):
     # a search that cannot move must not claim anything stronger
+    monkeypatch.setattr(analysis, "SEARCH_STEPS", 1)
+    monkeypatch.setattr(analysis, "SEARCH_LR", 0.0)
     cert = analysis.check_expressiveness(
-        datasets.load_fixture("ring3"), "single", "mlp_concat", attempts=1, steps=1, lr=0.0
+        datasets.load_fixture("ring3"), "single", "mlp_concat", attempts=1
     )
     assert cert.verdict == "undetermined"
     assert "restarts" in cert.detail
@@ -391,7 +394,7 @@ n, emb, m_prime = 3000, 64, 30_000
 rng = np.random.default_rng(0)
 s, t = rng.standard_normal((n, emb)), rng.standard_normal((n, emb))
 enc = models.EncoderOutput(ad.Tensor(s), ad.Tensor(t))
-dec = models.DecoderKind.init(rng, "inner", emb)
+dec = models.DecoderKind.init(rng, "inner", emb, 64, 1)
 recon = analysis.reconstruct_topm(
     lambda pairs: models.ranking_scores(dec, enc, pairs), n, m_prime)
 print(f"shape={recon.shape[0]},{recon.shape[1]}", flush=True)

@@ -386,3 +386,39 @@ def test_failed_run_exits_3(tmp_path, capsys):
     rc = cli.main(["train", "--config", str(cfg_path), "--lr", "1e155"])
     assert rc == 3
     assert "run failed" in capsys.readouterr().err
+
+
+# ring3's splits hold out no validation pair, so every run on it fails
+_RING3_GRID = ["grid", "--dataset", "ring3", "--seeds", "0,1"]
+
+
+def test_grid_prints_why_each_run_failed(tmp_path, capsys):
+    cli.main([*_RING3_GRID, "--out", str(tmp_path / "g")])
+    config = training.config_id(training.TrainConfig())
+    assert capsys.readouterr().err.splitlines() == [
+        f"run failed: seed {seed} [{config}]: empty validation split (seed {seed}): "
+        "0 positive and 0 negative pairs; early stopping needs at least one of each"
+        for seed in (0, 1)
+    ]
+
+
+def test_grid_in_which_every_run_failed_exits_3(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert cli.main([*_RING3_GRID, "--out", str(out)]) == 3
+    assert capsys.readouterr().out == ""
+    runs = [line.split("\t") for line in (out / "runs.tsv").read_text().splitlines()]
+    assert runs[0] == list(training.RUN_COLUMNS)
+    assert [(row[2], row[-1]) for row in runs[1:]] == [("0", "failed"), ("1", "failed")]
+    summary = [line.split("\t") for line in (out / "summary.tsv").read_text().splitlines()]
+    assert len(summary) == 2 and summary[1][2:4] == ["2", "2"] and summary[1][-1] == "0"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_with_some_failed_runs_exits_0(tmp_path, capsys):
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text(_train_config_text(tmp_path) + "\n[grid]\nlr = 0.01, 1e155\n")
+    assert cli.main(["grid", "--config", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("run failed: seed 0 [") and "lr=1e+155" in line
+    assert "lr=0.01," in captured.out.splitlines()[-1]

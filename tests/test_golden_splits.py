@@ -113,7 +113,7 @@ def _digests(name, tmp_path):
     of its preprocessed edge list."""
     if name == "generated2k":
         raw = tmp_path / "raw.txt"
-        save_edge_list(raw, _generated_raw_edges(), header="golden generated graph")
+        save_edge_list(raw, _generated_raw_edges())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             g, _ = preprocess(load_edge_list(raw))

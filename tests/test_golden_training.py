@@ -16,7 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dirlink import datasets, splits, training
+from dirlink import datasets, models, splits, training
 
 EPOCHS = 40
 # the other decoders run shorter: every encoder, decoder and loss in ~2 s
@@ -50,7 +50,7 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("encoder", training.ENCODERS)
+@pytest.mark.parametrize("encoder", list(models.ENCODERS))
 @pytest.mark.parametrize("loss", training.LOSSES)
 def test_trained_parameters_and_histories_match_golden_digests(encoder, loss):
     assert _training_digest(encoder, loss) == GOLDEN[encoder, loss]
@@ -78,7 +78,7 @@ GOLDEN_SHORT = {
 }
 
 
-@pytest.mark.parametrize("encoder", training.ENCODERS)
+@pytest.mark.parametrize("encoder", list(models.ENCODERS))
 @pytest.mark.parametrize("decoder", ["mlp_hadamard", "mlp_concat", "lr_concat"])
 @pytest.mark.parametrize("loss", training.LOSSES)
 def test_short_runs_of_the_other_decoders_match_golden_digests(encoder, decoder, loss):

@@ -1,15 +1,18 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import dirlink.autodiff as ad
-from dirlink import models
+from dirlink import models, training
 from dirlink.graph import normalize_sym
+from dirlink.training import TrainConfig
 from helpers import (digae_encode_bipartite, expand_coefficients, random_graph,
                      sdgae_encode_composite, sdgae_encode_explicit)
 
 
 def _sdgae(rng, g, in_dim=4, k=3, **kw):
-    return models.SdgaeParams.init(rng, g, in_dim, hidden=8, emb=6, k=k, **kw)
+    return models.SdgaeParams.init(rng, g, in_dim, TrainConfig(hidden=8, emb=6, k=k, **kw))
 
 
 def _randomize_gammas(p, rng):
@@ -177,21 +180,35 @@ def test_digae_matches_bipartite_oracle():
         for alpha in (0.0, 0.4, 0.8):
             for beta in (0.0, 0.4, 0.8):
                 g = random_graph(rng, int(rng.integers(4, 12)))
-                p = models.DigaeParams.init(
-                    rng, g, 5, hidden=7, emb=6, layers=layers, alpha=alpha, beta=beta
-                )
+                cfg = TrainConfig(hidden=7, emb=6, digae_layers=layers, alpha=alpha, beta=beta)
+                p = models.DigaeParams.init(rng, g, 5, cfg)
                 x = rng.standard_normal((g.n, 5))
                 a = models.encoder_forward(p, x)
-                b = digae_encode_bipartite(p, g, x)
+                b = digae_encode_bipartite(p, g, x, alpha, beta)
                 assert np.max(np.abs(a.S.data - b.S.data)) < 1e-10
                 assert np.max(np.abs(a.T.data - b.T.data)) < 1e-10
 
 
 def test_mlp_encoder_is_direction_blind():
     rng = np.random.default_rng(46)
-    p = models.MlpParams.init(rng, random_graph(rng, 5), 4, hidden=8, emb=6)
+    p = models.MlpParams.init(rng, random_graph(rng, 5), 4, TrainConfig(hidden=8, emb=6))
     out = models.encoder_forward(p, rng.standard_normal((5, 4)))
     assert out.S is out.T
+
+
+def test_model_settings_have_one_source():
+    # TrainConfig holds every model setting and its default: the builders take
+    # each one from their caller, and the config's encoder names are the table's
+    builders = [*(cls.init for cls in models.ENCODERS.values()), models.DecoderKind.init,
+                models.Mlp.init]
+    for init in builders:
+        params = inspect.signature(init).parameters.values()
+        assert [p.name for p in params if p.default is not p.empty] == [], init
+    g = random_graph(np.random.default_rng(55), 5)
+    for name, cls in models.ENCODERS.items():
+        cfg = TrainConfig(encoder=name, hidden=4, emb=3)
+        model = training.build_model(cfg, g, np.ones((5, 2)), np.random.default_rng(0))
+        assert type(model.enc_params) is cls
 
 
 def test_inner_decoder_is_row_dot_product():
@@ -199,7 +216,7 @@ def test_inner_decoder_is_row_dot_product():
     s = ad.Tensor(rng.standard_normal((6, 4)))
     t = ad.Tensor(rng.standard_normal((6, 4)))
     enc = models.EncoderOutput(s, t)
-    dec = models.DecoderKind.init(rng, "inner", 4)
+    dec = models.DecoderKind.init(rng, "inner", 4, 64, 1)
     pairs = np.array([[0, 1], [5, 2], [3, 3]])
     z = models.decode(dec, enc, pairs)
     want = np.einsum("ij,ij->i", s.data[pairs[:, 0]], t.data[pairs[:, 1]])
@@ -211,7 +228,7 @@ def test_inner_decoder_two_logit_pads_zero_column():
     enc = models.EncoderOutput(
         ad.Tensor(rng.standard_normal((4, 3))), ad.Tensor(rng.standard_normal((4, 3)))
     )
-    dec = models.DecoderKind.init(rng, "inner", 3, out_dim=2)
+    dec = models.DecoderKind.init(rng, "inner", 3, 64, 2)
     z = models.decode(dec, enc, [[0, 1], [2, 3]])
     assert z.data.shape == (2, 2)
     assert np.array_equal(z.data[:, 1], [0.0, 0.0])
@@ -224,7 +241,7 @@ def test_lr_concat_decoder_is_affine():
     s = rng.standard_normal((5, 3))
     t = rng.standard_normal((5, 3))
     enc = models.EncoderOutput(ad.Tensor(s), ad.Tensor(t))
-    dec = models.DecoderKind.init(rng, "lr_concat", 3)
+    dec = models.DecoderKind.init(rng, "lr_concat", 3, 64, 1)
     w, b = dec.layers[0]
     pairs = np.array([[1, 4], [0, 0]])
     z = models.decode(dec, enc, pairs)
@@ -237,14 +254,14 @@ def test_mlp_decoders_shapes_and_hidden_width():
     enc = models.EncoderOutput(
         ad.Tensor(rng.standard_normal((4, 6))), ad.Tensor(rng.standard_normal((4, 6)))
     )
-    had = models.DecoderKind.init(rng, "mlp_hadamard", 6, hidden=9)
-    cat = models.DecoderKind.init(rng, "mlp_concat", 6, hidden=9, out_dim=2)
+    had = models.DecoderKind.init(rng, "mlp_hadamard", 6, 9, 1)
+    cat = models.DecoderKind.init(rng, "mlp_concat", 6, 9, 2)
     assert had.layers[0][0].shape == (6, 9)
     assert cat.layers[0][0].shape == (12, 9)
     assert models.decode(had, enc, [[0, 1]]).data.shape == (1, 1)
     assert models.decode(cat, enc, [[0, 1]]).data.shape == (1, 2)
     with pytest.raises(ValueError):
-        models.DecoderKind.init(rng, "bilinear", 6)
+        models.DecoderKind.init(rng, "bilinear", 6, 64, 1)
 
 
 def test_ranking_scores_margin_for_two_logits():
@@ -263,9 +280,9 @@ def test_encoder_forward_dispatch():
     out = models.encoder_forward(sd, x)
     ref = sd(ad.Tensor(x))
     assert np.allclose(out.S.data, ref.S.data)
-    dg = models.DigaeParams.init(rng, g, 4, emb=6)
+    dg = models.DigaeParams.init(rng, g, 4, TrainConfig(emb=6))
     assert models.encoder_forward(dg, x).S.data.shape == (7, 6)
-    ml = models.MlpParams.init(rng, g, 4, emb=6)
+    ml = models.MlpParams.init(rng, g, 4, TrainConfig(emb=6))
     assert models.encoder_forward(ml, x).S.data.shape == (7, 6)
     # every encoder, the graph-free MLP included, checks the feature rows
     for enc in (sd, dg, ml):
@@ -318,7 +335,7 @@ def test_ranking_scores_build_no_tape(monkeypatch):
     g = random_graph(rng, 6)
     p = _sdgae(rng, g, k=2)
     enc = models.encoder_forward(p, rng.standard_normal((6, 4)))
-    dec = models.DecoderKind.init(rng, "mlp_concat", enc.S.shape[1], hidden=5)
+    dec = models.DecoderKind.init(rng, "mlp_concat", enc.S.shape[1], 5, 1)
     outputs = []
     real_decode = models.decode
 
@@ -345,7 +362,7 @@ def test_ranking_scores_are_block_invariant(kind, width, out_dim, monkeypatch):
     n, emb = 80, 64
     enc = models.EncoderOutput(ad.Tensor(rng.standard_normal((n, emb))),
                                ad.Tensor(rng.standard_normal((n, emb))))
-    dec = models.DecoderKind.init(rng, kind, emb, hidden=64, out_dim=out_dim)
+    dec = models.DecoderKind.init(rng, kind, emb, 64, out_dim)
     block = models.score_block_pairs(dec, enc)
     assert block == models.SCORE_BLOCK_BYTES // (8 * width)
     pairs = rng.integers(0, n, size=(3 * block + 17, 2))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dirlink import training
+from dirlink import models
 from helpers import run_under_memory_bound
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -65,7 +65,7 @@ print(f"epochs={{fitted.epochs_run}} normalize={{names.count('graph.normalize')}
 _TAPE_AND_SPMM = {"sdgae": (96, 90), "digae": (24, 18), "mlp": (33, 0)}
 
 
-@pytest.mark.parametrize("encoder", training.ENCODERS)
+@pytest.mark.parametrize("encoder", list(models.ENCODERS))
 def test_a_traced_fit_records_operator_builds_and_every_forward_pass(encoder):
     # fresh process: install() patches the package for the rest of its life
     stats = run_under_memory_bound(_TRACED_FIT.format(spans=str(SPANS), encoder=encoder), 400)

@@ -347,7 +347,7 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("encoder", training.ENCODERS)
+@pytest.mark.parametrize("encoder", list(models.ENCODERS))
 def test_train_step_allocates_no_pair_sized_array(encoder):
     """A training step with the inner decoder peaks, beyond what the encoder
     forward pass alone needs, at less than one (P, d) float64 array."""
