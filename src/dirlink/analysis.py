@@ -23,6 +23,10 @@ SEARCH_MARGIN = 0.1  # the hinge margin of the witness search
 SEARCH_SEED = 0  # the root seed of its restarts
 SEARCH_STEPS = 400  # the most Adam steps of one restart
 SEARCH_LR = 0.05  # their learning rate
+SEARCH_HIDDEN = 16  # the hidden width of the search's MLP decoders
+# the candidates of one reconstruction block: their int64 pair array fills
+# models.SCORE_BLOCK_BYTES
+RECONSTRUCT_CHUNK = models.SCORE_BLOCK_BYTES // 16
 
 
 @dataclass
@@ -64,12 +68,11 @@ def _top(ks, ss, m):
     return k[order], s[order]
 
 
-def reconstruct_topm(score_fn, n, m_prime, chunk_size=models.SCORE_BLOCK_BYTES // 16):
+def reconstruct_topm(score_fn, n, m_prime):
     """The m_prime ordered pairs (u != v) with the highest scores.
 
     score_fn maps an (B, 2) int array of pairs to B scores; it is called on
-    consecutive blocks of at most chunk_size candidates in (u, v) order.  By
-    default a block's int64 pair array fills models.SCORE_BLOCK_BYTES.
+    consecutive blocks of at most RECONSTRUCT_CHUNK candidates in (u, v) order.
     Ties break deterministically by (score desc, u asc, v asc), which is also
     the order of the result; NaN scores rank last.  Working memory is the
     m_prime best candidates so far, at most m_prime newer survivors, and one
@@ -85,8 +88,8 @@ def reconstruct_topm(score_fn, n, m_prime, chunk_size=models.SCORE_BLOCK_BYTES /
     best_k, best_s = np.empty(0, dtype=np.int64), np.empty(0)
     new_k, new_s, pending = [], [], 0
     threshold = None
-    for k0 in range(0, total, chunk_size):
-        k = np.arange(k0, min(k0 + chunk_size, total), dtype=np.int64)
+    for k0 in range(0, total, RECONSTRUCT_CHUNK):
+        k = np.arange(k0, min(k0 + RECONSTRUCT_CHUNK, total), dtype=np.int64)
         pairs = _candidate_pairs(k, n)
         s = np.asarray(score_fn(pairs), dtype=np.float64).reshape(-1)
         if len(s) != len(pairs):
@@ -172,7 +175,7 @@ def _search_once(g, mode, decoder, dim, rng):
     n = g.n
     s_emb = ad.Tensor(rng.standard_normal((n, dim)), requires_grad=True)
     t_emb = s_emb if mode == "single" else ad.Tensor(rng.standard_normal((n, dim)), requires_grad=True)
-    dec = models.DecoderKind.init(rng, decoder, dim, hidden=16, out_dim=1)
+    dec = models.DecoderKind.init(rng, decoder, dim, hidden=SEARCH_HIDDEN, out_dim=1)
     params = [s_emb] + ([t_emb] if mode == "dual" else []) + list(dec.named_parameters().values())
     optimizer = ad.AdamState(params, lr=SEARCH_LR)
     pos_pairs, rev_pairs = _constraint_pairs(g)
@@ -203,7 +206,7 @@ def _search_once(g, mode, decoder, dim, rng):
     return None
 
 
-def check_expressiveness(g, mode, decoder, dim=2, attempts=50):
+def check_expressiveness(g, mode, decoder, dim, attempts):
     """Can this embedding/decoder combination orient every edge of g?
 
     Analytic shortcuts first: with a single embedding, inner and hadamard

@@ -25,7 +25,7 @@ from .graph import spmm as _spmm
 
 # No op calls this: perfbench/spans.py patches the name, so it stays
 # importable until the layers report their own spans (ROADMAP item 5).
-from .graph import spmm_t as _spmm_t
+_spmm_t = _spmm
 
 
 class Tensor:

@@ -50,7 +50,8 @@ class ExperimentConfig:
     """One experiment: data, feature mode, model settings, seeds, output dir.
 
     ``model`` holds scalar overrides of the training defaults; ``grid`` maps
-    keys to candidate tuples whose cartesian product cmd_grid expands.
+    keys to candidate tuples whose cartesian product expand_grid expands:
+    cmd_grid trains every combination, cmd_train the only one.
     """
 
     dataset: str = ""
@@ -141,19 +142,17 @@ def load_config(path, seeds=DEFAULT_SEEDS):
         raise DataError(f"cannot read config {path}: {exc}") from None
 
 
-def _to_train_config(model_args):
-    kwargs = {("encoder" if key == "model" else key): v for key, v in model_args.items()}
+def expand_grid(cfg):
+    """One TrainConfig per combination of [grid] values over the [model]
+    values; one with no grid.  A bad value is a usage error."""
+    keys = sorted(cfg.grid)
+    combos = [{**cfg.model, **dict(zip(keys, combo))}
+              for combo in itertools.product(*(cfg.grid[k] for k in keys))]
     try:
-        return TrainConfig(**kwargs)
+        return [TrainConfig(**{("encoder" if key == "model" else key): v for key, v in c.items()})
+                for c in combos]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def expand_grid(cfg):
-    """One TrainConfig per combination of [grid] values; one with no grid."""
-    keys = sorted(cfg.grid)
-    return [_to_train_config({**cfg.model, **dict(zip(keys, combo))})
-            for combo in itertools.product(*(cfg.grid[k] for k in keys))]
 
 
 def _resolve(args, seeds=DEFAULT_SEEDS):
@@ -233,17 +232,19 @@ def cmd_train(args):
     if len(cfg.seeds) > 1:
         raise UsageError(f"train runs one split seed, got {len(cfg.seeds)}; "
                          f"use grid to train on several")
+    configs = expand_grid(cfg)
+    if len(configs) > 1:
+        raise UsageError(f"train runs one config, got {len(configs)} from [grid]; "
+                         f"use grid to train on several")
+    (tcfg,) = configs
     g = _load_graph(cfg.dataset)
     (split_seed,) = cfg.seeds
     bundle = split_edges(g, seed=split_seed)
     init, original = _feature_inputs(cfg)
     feats = init_features(init, bundle.train_graph, original)
-    tcfg = _to_train_config(cfg.model)
-    result = training.train(tcfg, bundle, feats)
-    fitted = result.fitted
+    fitted, row = training.train(tcfg, bundle, feats)
     os.makedirs(cfg.out, exist_ok=True)
-    training.write_runs_tsv(os.path.join(cfg.out, "runs.tsv"), [training.GridRow.from_run(result)],
-                            _dataset_label(cfg.dataset))
+    training.write_runs_tsv(os.path.join(cfg.out, "runs.tsv"), [row], _dataset_label(cfg.dataset))
     meta = {"config": asdict(tcfg), "split_seed": split_seed,
             **{key: getattr(cfg, key) for key in _META_KEYS}}
     models.save_checkpoint(
@@ -251,17 +252,17 @@ def cmd_train(args):
         {n: t.data for n, t in fitted.model.named_parameters().items()},
         meta,
     )
-    print(f"seed {split_seed}: epochs={fitted.epochs_run} best_val_auc={fitted.best_val:.2f}")
-    print(_metrics_line(result.report))
+    print(f"seed {split_seed}: epochs={row.epochs_run} best_val_auc={row.best_val:.2f}")
+    print(_metrics_line(row.report))
     return 0
 
 
 def cmd_grid(args):
     cfg = _resolve(args)
+    configs = expand_grid(cfg)
     g = _load_graph(cfg.dataset)
     init, original = _feature_inputs(cfg)
     bundles = [split_edges(g, seed=s) for s in cfg.seeds]
-    configs = expand_grid(cfg)
     result = training.grid_run(configs, bundles, feature_init=init, original=original,
                                workers=cfg.workers)
     os.makedirs(cfg.out, exist_ok=True)

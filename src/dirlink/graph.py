@@ -35,6 +35,8 @@ def run_starts(sorted_keys):
 def spmm(m, x, out=None):
     """Sparse-dense product ``m @ x`` by scipy's CSR or CSC multi-vector
     kernel, the one ``m @ x`` runs; a test pins the bits to those of ``m @ x``.
+    ``spmm(m.T, x)`` copies nothing: scipy's ``.T`` of a CSR matrix is a CSC
+    view of the same arrays.
 
     Parameters
     ----------
@@ -69,12 +71,6 @@ def spmm(m, x, out=None):
     kernel(m.shape[0], m.shape[1], x.shape[1], m.indptr, m.indices, m.data,
            np.ascontiguousarray(x).ravel(), out.ravel())
     return out
-
-
-def spmm_t(m, x):
-    """Sparse-dense product by the transpose, ``m.T @ x``.  scipy's ``.T`` of
-    a CSR matrix is a CSC view of the same arrays, so nothing is copied."""
-    return spmm(m.T, x)
 
 
 # edge keys u*n + v run up to n*n - 1, so they fit in int64 up to this node count

@@ -36,7 +36,8 @@ def check_field_types(obj):
 
 class TrainingError(RuntimeError):
     """A run aborted (non-finite loss, an infeasible sampling request, or an
-    empty validation split)."""
+    empty validation split).  The message is the reason alone; the caller
+    that knows the run names its config."""
 
 
 @dataclass
@@ -174,17 +175,7 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
     labels = np.concatenate([np.ones(count), np.zeros(count)])
     classes = np.concatenate([np.zeros(count, np.int64), np.ones(count, np.int64)])
 
-    def training_pairs(strategy, epoch=0):
-        """The positives followed by freshly drawn negatives."""
-        try:
-            negs = sample_train_negatives(train_graph, count, neg_seed, strategy, epoch)
-        except DataError as exc:
-            raise TrainingError(f"{exc} [{config_id(cfg)}]") from exc
-        return np.vstack([pos_pairs, negs])
-
-    if cfg.neg_strategy == "per_run":
-        pairs = training_pairs("per_run")
-
+    pairs = None
     losses = []
     vals = []
     best_val = -np.inf
@@ -193,17 +184,18 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
     epoch = 0
     try:
         for epoch in range(1, cfg.max_epochs + 1):
-            if cfg.neg_strategy == "per_epoch":
-                pairs = training_pairs("per_epoch", epoch)
+            # the positives followed by negatives drawn once per run or per epoch
+            if pairs is None or cfg.neg_strategy == "per_epoch":
+                negs = sample_train_negatives(train_graph, count, neg_seed, cfg.neg_strategy,
+                                              epoch)
+                pairs = np.vstack([pos_pairs, negs])
             loss_value = _train_step(model, cfg, params, optimizer, pairs, labels, classes)
 
             # a diverged model first shows up here as NaN ranking scores
             try:
                 val = float(validation_scorer(model.score_many))
             except (FloatingPointError, ValueError) as exc:
-                raise TrainingError(
-                    f"aborted at epoch {epoch}: {exc} [{config_id(cfg)}]"
-                ) from exc
+                raise TrainingError(f"aborted at epoch {epoch}: {exc}") from exc
             losses.append(loss_value)
             vals.append(val)
             if val > best_val:
@@ -213,10 +205,12 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
             elif epoch - best_epoch >= cfg.patience:
                 break
     except FloatingPointError as exc:
-        raise TrainingError(f"aborted at epoch {epoch}: {exc} [{config_id(cfg)}]") from exc
+        raise TrainingError(f"aborted at epoch {epoch}: {exc}") from exc
+    except DataError as exc:
+        raise TrainingError(str(exc)) from exc
     if best_state is None:
         raise TrainingError(f"none of {epoch} epochs scored above -inf on validation "
-                            f"(last score {vals[-1]}) [{config_id(cfg)}]")
+                            f"(last score {vals[-1]})")
 
     for name, t in model.named_parameters().items():
         t.data = best_state[name]
@@ -257,26 +251,9 @@ def evaluate(model, bundle):
 
 
 @dataclass
-class RunResult:
-    """One finished run; ``fitted.model`` is the model at its best epoch."""
-
-    cfg: TrainConfig
-    split_seed: int
-    fitted: FitResult
-    report: MetricsReport
-    seconds: float
-
-
-def train(cfg, bundle, feats):
-    """Full protocol on one split: fit with early stopping, then test."""
-    start = time.perf_counter()
-    fitted = fit(cfg, bundle.train_graph, feats, make_validation_scorer(bundle), bundle.seed)
-    report = evaluate(fitted.model, bundle)
-    return RunResult(cfg, bundle.seed, fitted, report, time.perf_counter() - start)
-
-
-@dataclass
 class GridRow:
+    """The record of one run: its runs.tsv row, and its reason if it failed."""
+
     config: str
     split_seed: int
     status: str
@@ -287,18 +264,18 @@ class GridRow:
     seconds: float = 0.0
     error: str = ""
 
-    @classmethod
-    def from_run(cls, result):
-        """The row of a finished run."""
-        return cls(
-            config=config_id(result.cfg),
-            split_seed=result.split_seed,
-            status="ok",
-            report=result.report,
-            best_val=result.fitted.best_val,
-            epochs_run=result.fitted.epochs_run,
-            seconds=result.seconds,
-        )
+
+def train(cfg, bundle, feats):
+    """Full protocol on one split: fit with early stopping, then test.
+
+    Returns the FitResult, whose model is the one at its best epoch, and the
+    run's GridRow, whose seconds cover the fit and the test evaluation."""
+    start = time.perf_counter()
+    fitted = fit(cfg, bundle.train_graph, feats, make_validation_scorer(bundle), bundle.seed)
+    report = evaluate(fitted.model, bundle)
+    row = GridRow(config_id(cfg), bundle.seed, "ok", report, fitted.best_val, fitted.epochs_run,
+                  time.perf_counter() - start)
+    return fitted, row
 
 
 @dataclass
@@ -324,7 +301,7 @@ def _grid_task(args):
     cfg, bundle, feature_init, original = args
     feats = init_features(feature_init, bundle.train_graph, original)
     try:
-        return GridRow.from_run(train(cfg, bundle, feats))
+        return train(cfg, bundle, feats)[1]
     except TrainingError as exc:
         return GridRow(config_id(cfg), bundle.seed, "failed", error=str(exc))
 

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 import dirlink
 import dirlink.autodiff as ad
-from dirlink.graph import (DirectedGraph, adjacency, degrees, spmm, spmm_t,
+from dirlink.graph import (DirectedGraph, adjacency, degrees, spmm,
                            weakly_connected_components)
 from dirlink.models import EncoderOutput
 
@@ -187,7 +187,7 @@ def sdgae_encode_explicit(p, a_norm, x):
     s_out = w_s[0] * u
     t_out = w_t[0] * v
     for j in range(1, len(gs) + 1):
-        u, v = spmm(a_norm, v), spmm_t(a_norm, u)
+        u, v = spmm(a_norm, v), spmm(a_norm.T, u)
         s_out = s_out + w_s[j] * u
         t_out = t_out + w_t[j] * v
     return EncoderOutput(ad.Tensor(s_out), ad.Tensor(t_out))

@@ -173,9 +173,10 @@ def test_criterion_6_proposition_certificates():
     ring = datasets.load_fixture("ring3")
     two_path = datasets.load_fixture("graph_d")
 
-    ring_cert = analysis.check_expressiveness(ring, "single", "lr_concat")
-    ring_dual_cert = analysis.check_expressiveness(ring, "dual", "lr_concat")
-    feas_cert = analysis.check_expressiveness(two_path, "single", "lr_concat", attempts=10)
+    ring_cert = analysis.check_expressiveness(ring, "single", "lr_concat", dim=2, attempts=50)
+    ring_dual_cert = analysis.check_expressiveness(ring, "dual", "lr_concat", dim=2, attempts=50)
+    feas_cert = analysis.check_expressiveness(two_path, "single", "lr_concat", dim=2,
+                                              attempts=10)
 
     w = ad.Tensor(np.array([[1.0], [0.0], [0.0], [1.0]]))
     b = ad.Tensor(np.zeros((1, 1)))

@@ -63,12 +63,13 @@ def test_reconstruct_indicator_recovers_edges_exactly():
     assert np.array_equal(got, g.edges)
 
 
-def test_reconstruct_chunking_is_invisible():
+def test_reconstruct_chunking_is_invisible(monkeypatch):
     rng = np.random.default_rng(61)
     table = rng.standard_normal((7, 7))
     fn = _table_score_fn(table)
     whole = analysis.reconstruct_topm(fn, 7, 20)
-    tiny = analysis.reconstruct_topm(fn, 7, 20, chunk_size=1)
+    monkeypatch.setattr(analysis, "RECONSTRUCT_CHUNK", 1)
+    tiny = analysis.reconstruct_topm(fn, 7, 20)
     assert np.array_equal(whole, tiny)
 
 
@@ -113,7 +114,7 @@ def _score_table(case, n, rng):
 
 
 @pytest.mark.parametrize("case", ["distinct", "few_values", "all_equal", "nan_inf"])
-def test_reconstruct_streaming_matches_lexsort_oracle(case):
+def test_reconstruct_streaming_matches_lexsort_oracle(case, monkeypatch):
     """Streamed top-m' equals an exhaustive lexsort on every block size:
     ties lose to earlier pairs across block boundaries, NaN ranks last."""
     n = 9
@@ -123,8 +124,9 @@ def test_reconstruct_streaming_matches_lexsort_oracle(case):
     oracle = np.stack([us[order], vs[order]], axis=1)
     for chunk_size in (1, 2, 5, 8, 13, 72, 100):
         fn = _capped_score_fn(table, chunk_size)
+        monkeypatch.setattr(analysis, "RECONSTRUCT_CHUNK", chunk_size)
         for m_prime in (0, 1, 3, 8, 9, 30, 60, n * (n - 1)):
-            got = analysis.reconstruct_topm(fn, n, m_prime, chunk_size=chunk_size)
+            got = analysis.reconstruct_topm(fn, n, m_prime)
             assert got.dtype == np.int64
             assert np.array_equal(got, oracle[:m_prime]), (chunk_size, m_prime)
 
@@ -197,14 +199,15 @@ def test_reconstruct_from_trained_embeddings():
 def test_ring_single_symmetric_decoders_infeasible():
     ring = datasets.load_fixture("ring3")
     for decoder in ("inner", "mlp_hadamard"):
-        cert = analysis.check_expressiveness(ring, "single", decoder)
+        cert = analysis.check_expressiveness(ring, "single", decoder, dim=2, attempts=50)
         assert cert.verdict == "infeasible"
         assert "direction-symmetric" in cert.detail
         assert cert.witness is None
 
 
 def test_ring_single_lr_concat_infeasible_by_telescoping():
-    cert = analysis.check_expressiveness(datasets.load_fixture("ring3"), "single", "lr_concat")
+    cert = analysis.check_expressiveness(datasets.load_fixture("ring3"), "single", "lr_concat",
+                                         dim=2, attempts=50)
     assert cert.verdict == "infeasible"
     assert "cycle" in cert.detail
 
@@ -212,7 +215,8 @@ def test_ring_single_lr_concat_infeasible_by_telescoping():
 def test_ring_dual_lr_concat_infeasible_without_search():
     # logit(u,v) - logit(v,u) = f(u) - f(v) holds for distinct S and T too
     start = time.perf_counter()
-    cert = analysis.check_expressiveness(datasets.load_fixture("ring3"), "dual", "lr_concat")
+    cert = analysis.check_expressiveness(datasets.load_fixture("ring3"), "dual", "lr_concat",
+                                         dim=2, attempts=50)
     assert time.perf_counter() - start < 1.0
     assert cert.verdict == "infeasible"
     assert cert.witness is None and cert.margin is None
@@ -247,7 +251,8 @@ def test_certificate_table():
     got = tuple(
         (name, mode, decoder, cert.verdict, repr(cert.margin))
         for name, mode, decoder, *_ in CERTIFICATES
-        for cert in [analysis.check_expressiveness(datasets.load_fixture(name), mode, decoder)]
+        for cert in [analysis.check_expressiveness(datasets.load_fixture(name), mode, decoder,
+                                                     dim=2, attempts=50)]
     )
     assert got == CERTIFICATES
 
@@ -311,7 +316,7 @@ def test_replay_margin_records_no_tape(monkeypatch):
 
 def test_graph_d_single_lr_concat_feasible():
     cert = analysis.check_expressiveness(
-        datasets.load_fixture("graph_d"), "single", "lr_concat", attempts=10
+        datasets.load_fixture("graph_d"), "single", "lr_concat", dim=2, attempts=10
     )
     assert cert.verdict == "feasible"
     assert cert.margin is not None and cert.margin > 0
@@ -345,7 +350,7 @@ def test_ring_single_nonlinear_concat_finds_witness(monkeypatch):
     # should find a witness that survives an independent replay
     monkeypatch.setattr(analysis, "SEARCH_STEPS", 120)
     ring = datasets.load_fixture("ring3")
-    cert = analysis.check_expressiveness(ring, "single", "mlp_concat", attempts=5)
+    cert = analysis.check_expressiveness(ring, "single", "mlp_concat", dim=2, attempts=5)
     assert cert.verdict == "feasible"
     w = cert.witness
     layers = []
@@ -367,7 +372,7 @@ def test_failed_search_is_undetermined_not_infeasible(monkeypatch):
     monkeypatch.setattr(analysis, "SEARCH_STEPS", 1)
     monkeypatch.setattr(analysis, "SEARCH_LR", 0.0)
     cert = analysis.check_expressiveness(
-        datasets.load_fixture("ring3"), "single", "mlp_concat", attempts=1
+        datasets.load_fixture("ring3"), "single", "mlp_concat", dim=2, attempts=1
     )
     assert cert.verdict == "undetermined"
     assert "restarts" in cert.detail
@@ -377,12 +382,12 @@ def test_failed_search_is_undetermined_not_infeasible(monkeypatch):
 def test_expressiveness_validation():
     ring = datasets.load_fixture("ring3")
     with pytest.raises(ValueError, match="mode"):
-        analysis.check_expressiveness(ring, "triple", "inner")
+        analysis.check_expressiveness(ring, "triple", "inner", dim=2, attempts=50)
     with pytest.raises(ValueError, match="decoder"):
-        analysis.check_expressiveness(ring, "single", "bilinear")
+        analysis.check_expressiveness(ring, "single", "bilinear", dim=2, attempts=50)
     big = planted_graph(n=20, per_node=2, seed=1)
     with pytest.raises(ValueError, match="small"):
-        analysis.check_expressiveness(big, "single", "inner")
+        analysis.check_expressiveness(big, "single", "inner", dim=2, attempts=50)
 
 
 RECON_SCALE_CHILD = """

@@ -234,6 +234,39 @@ def test_train_takes_one_split_seed(tmp_path, capsys):
     assert "got 2; use grid" in capsys.readouterr().err
 
 
+def test_train_takes_its_config_from_a_grid_of_one(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_train_config_text(tmp_path) + "\n[grid]\nk = 3\n")
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    meta, _ = models.load_checkpoint(tmp_path / "run" / "model.npz")
+    assert meta["config"]["k"] == 3
+
+
+def test_train_with_a_grid_of_several_configs_is_a_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_train_config_text(tmp_path) + "\n[grid]\nlr = 0.01, 0.05\nk = 2, 3\n")
+    assert cli.main(["train", "--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "train runs one config, got 4 from [grid]; use grid" in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_and_grid_of_one_run_write_the_same_row(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_train_config_text(tmp_path) + "\n[grid]\nk = 3\n")
+    rows = []
+    for argv in (["train", "--seed", "0"], ["grid", "--seeds", "0"]):
+        out = tmp_path / argv[0]
+        assert cli.main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 0
+        header, row = (out / "runs.tsv").read_text().splitlines()
+        cells = dict(zip(header.split("\t"), row.split("\t")))
+        del cells["seconds"]
+        assert "k=3," in cells["config"] and cells["status"] == "ok"
+        rows.append(cells)
+    assert rows[0] == rows[1]
+
+
 def test_repeated_split_seeds_are_usage_errors(tmp_path, capsys):
     with pytest.raises(cli.UsageError, match=r"split seed\(s\) 0 repeated"):
         cli.ExperimentConfig(dataset="ring3", seeds=(0, 0)).validate()
@@ -385,7 +418,8 @@ def test_failed_run_exits_3(tmp_path, capsys):
     cfg_path.write_text(_train_config_text(tmp_path))
     rc = cli.main(["train", "--config", str(cfg_path), "--lr", "1e155"])
     assert rc == 3
-    assert "run failed" in capsys.readouterr().err
+    # the reason alone: train runs the one config its caller gave
+    assert capsys.readouterr().err == "run failed: aborted at epoch 1: scores contain NaN\n"
 
 
 # ring3's splits hold out no validation pair, so every run on it fails
@@ -420,5 +454,8 @@ def test_grid_with_some_failed_runs_exits_0(tmp_path, capsys):
     assert cli.main(["grid", "--config", str(cfg_path)]) == 0
     captured = capsys.readouterr()
     (line,) = captured.err.splitlines()
-    assert line.startswith("run failed: seed 0 [") and "lr=1e+155" in line
+    failed = training.config_id(training.TrainConfig(hidden=8, emb=8, k=2, max_epochs=15,
+                                                     patience=5, lr=1e155))
+    assert line.startswith(f"run failed: seed 0 [{failed}]: ")
+    assert line.count(failed) == 1
     assert "lr=0.01," in captured.out.splitlines()[-1]

@@ -27,30 +27,31 @@ def small_cfg(**kw):
 def test_training_is_deterministic():
     bundle = small_bundle()
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
-    a = training.train(small_cfg(), bundle, feats)
-    b = training.train(small_cfg(), bundle, feats)
-    assert a.report == b.report
-    assert np.array_equal(a.fitted.loss_history, b.fitted.loss_history)
-    b_params = b.fitted.model.named_parameters()
-    for name, t in a.fitted.model.named_parameters().items():
+    a, a_row = training.train(small_cfg(), bundle, feats)
+    b, b_row = training.train(small_cfg(), bundle, feats)
+    assert a_row.report == b_row.report
+    assert np.array_equal(a.loss_history, b.loss_history)
+    b_params = b.model.named_parameters()
+    for name, t in a.model.named_parameters().items():
         assert np.array_equal(t.data, b_params[name].data)
 
 
 def test_model_seed_changes_the_run():
     bundle = small_bundle()
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
-    a = training.train(small_cfg(seed=0), bundle, feats)
-    b = training.train(small_cfg(seed=1), bundle, feats)
-    assert not np.array_equal(a.fitted.loss_history[: len(b.fitted.loss_history)],
-                              b.fitted.loss_history[: len(a.fitted.loss_history)])
+    a, _ = training.train(small_cfg(seed=0), bundle, feats)
+    b, _ = training.train(small_cfg(seed=1), bundle, feats)
+    assert not np.array_equal(a.loss_history[: len(b.loss_history)],
+                              b.loss_history[: len(a.loss_history)])
 
 
 def test_negative_strategies_diverge():
     bundle = small_bundle()
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
-    a = training.train(small_cfg(max_epochs=12, patience=11), bundle, feats)
-    b = training.train(small_cfg(max_epochs=12, patience=11, neg_strategy="per_epoch"), bundle, feats)
-    assert not np.array_equal(a.fitted.loss_history, b.fitted.loss_history)
+    a, _ = training.train(small_cfg(max_epochs=12, patience=11), bundle, feats)
+    b, _ = training.train(small_cfg(max_epochs=12, patience=11, neg_strategy="per_epoch"), bundle,
+                          feats)
+    assert not np.array_equal(a.loss_history, b.loss_history)
 
 
 def test_run_entropy_separates_configs_and_splits():
