@@ -127,13 +127,23 @@ def _released(g):
     raise RuntimeError("backward already ran through this tensor; rebuild the forward pass")
 
 
-def _accumulate(t, g):
-    """Add g into t.grad.  The first contribution is copied (and broadcast to
-    t's shape), so no gradient ever aliases another node's array."""
+def _accumulate(t, g, owned=False):
+    """Add g into t.grad.  A first contribution that is ``owned``, a new
+    array of t's shape that nothing else holds, becomes t.grad as it is;
+    any other is copied (and broadcast to t's shape).  So no gradient ever
+    aliases another node's array."""
     if t.grad is None:
-        t.grad = np.array(np.broadcast_to(g, t.data.shape))
+        t.grad = g if owned else np.array(np.broadcast_to(g, t.data.shape))
     else:
         t.grad += g
+
+
+def _copied(grad):
+    """Mark a grad map whose result the engine copies before keeping it: one
+    that returns g itself, a view of g or a scalar.  Every other map returns
+    a new array, which the engine keeps as the first contribution."""
+    grad.copied = True
+    return grad
 
 
 def _result(data, op, parents, rule):
@@ -149,12 +159,13 @@ def _result(data, op, parents, rule):
 def _op(data, op, parents, *grads):
     """The output tensor of an op whose backward pass is one grad map per
     input: each of ``grads`` is (input, g -> the input's grad), applied in
-    the order given, to the inputs that require gradients only."""
+    the order given, to the inputs that require gradients only.  A map
+    returns a new array unless it is marked ``_copied``."""
 
     def rule(g):
         for x, grad in grads:
             if x.requires_grad:
-                _accumulate(x, grad(g))
+                _accumulate(x, grad(g), not getattr(grad, "copied", False))
 
     return _result(data, op, parents, rule)
 
@@ -169,7 +180,8 @@ def matmul(a, b):
 def add(a, b):
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    return _op(a.data + b.data, "add", (a, b), (a, lambda g: g), (b, lambda g: g))
+    return _op(a.data + b.data, "add", (a, b),
+               (a, _copied(lambda g: g)), (b, _copied(lambda g: g)))
 
 
 def add_bias(x, b):
@@ -177,7 +189,7 @@ def add_bias(x, b):
     if b.data.shape != (1, x.data.shape[1]):
         raise ValueError(f"bias shape {b.data.shape} incompatible with {x.data.shape}")
     return _op(x.data + b.data, "add_bias", (x, b),
-               (x, lambda g: g), (b, lambda g: g.sum(axis=0, keepdims=True)))
+               (x, _copied(lambda g: g)), (b, lambda g: g.sum(axis=0, keepdims=True)))
 
 
 def hadamard(a, b):
@@ -192,7 +204,7 @@ def concat_cols(a, b):
         raise ValueError(f"concat_cols row mismatch: {a.data.shape} vs {b.data.shape}")
     split = a.data.shape[1]
     return _op(np.hstack([a.data, b.data]), "concat_cols", (a, b),
-               (a, lambda g: g[:, :split]), (b, lambda g: g[:, split:]))
+               (a, _copied(lambda g: g[:, :split])), (b, _copied(lambda g: g[:, split:])))
 
 
 def relu(x):
@@ -262,7 +274,7 @@ def pair_dot(s, t, u, v, block):
 
 
 def sum_all(x):
-    return _op(x.data.sum().reshape(1, 1), "sum_all", (x,), (x, lambda g: g[0, 0]))
+    return _op(x.data.sum().reshape(1, 1), "sum_all", (x,), (x, _copied(lambda g: g[0, 0])))
 
 
 def scale(x, s):
@@ -270,7 +282,7 @@ def scale(x, s):
     if s.data.shape != (1, 1):
         raise ValueError("scale factor must be a 1x1 tensor")
     return _op(x.data * s.data[0, 0], "scale", (x, s),
-               (x, lambda g: g * s.data[0, 0]), (s, lambda g: (g * x.data).sum()))
+               (x, lambda g: g * s.data[0, 0]), (s, _copied(lambda g: (g * x.data).sum())))
 
 
 def spmm_const(m, x):

@@ -10,6 +10,7 @@ values can also be set by a flag, and flags win.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
@@ -242,19 +243,33 @@ def cmd_train(args):
     bundle = split_edges(g, seed=split_seed)
     init, original = _feature_inputs(cfg)
     feats = init_features(init, bundle.train_graph, original)
-    fitted, row = training.train(tcfg, bundle, feats)
+    try:
+        fitted, row = training.train(tcfg, bundle, feats)
+    except TrainingError as exc:
+        fitted, row = None, training.failed_row(tcfg, split_seed, exc)
     os.makedirs(cfg.out, exist_ok=True)
     training.write_runs_tsv(os.path.join(cfg.out, "runs.tsv"), [row], _dataset_label(cfg.dataset))
+    checkpoint = os.path.join(cfg.out, "model.npz")
+    if fitted is None:
+        # an earlier run's checkpoint in --out would pass for this run's
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(checkpoint)
+        _print_failure(row)
+        return 3
     meta = {"config": asdict(tcfg), "split_seed": split_seed,
             **{key: getattr(cfg, key) for key in _META_KEYS}}
     models.save_checkpoint(
-        os.path.join(cfg.out, "model.npz"),
+        checkpoint,
         {n: t.data for n, t in fitted.model.named_parameters().items()},
         meta,
     )
     print(f"seed {split_seed}: epochs={row.epochs_run} best_val_auc={row.best_val:.2f}")
     print(_metrics_line(row.report))
     return 0
+
+
+def _print_failure(row):
+    print(f"run failed: seed {row.split_seed} [{row.config}]: {row.error}", file=sys.stderr)
 
 
 def cmd_grid(args):
@@ -271,7 +286,7 @@ def cmd_grid(args):
     training.write_summary_tsv(os.path.join(cfg.out, "summary.tsv"), result, label)
     for r in result.rows:
         if r.status == "failed":
-            print(f"run failed: seed {r.split_seed} [{r.config}]: {r.error}", file=sys.stderr)
+            _print_failure(r)
     if not result.best_config:
         return 3
     for family in sorted(result.best_by_family):
@@ -473,9 +488,6 @@ def main(argv=None):
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except TrainingError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

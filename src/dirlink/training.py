@@ -112,12 +112,22 @@ class TrainedModel:
     def encode(self):
         return models.encoder_forward(self.enc_params, self.feats)
 
+    def scorer(self, enc):
+        """score_many bound to enc, embeddings of the current parameters,
+        which it scores without encoding them again."""
+
+        def score_many(pair_groups):
+            with ad.no_grad():
+                return [models.ranking_scores(self.dec_params, enc, pairs)
+                        for pairs in pair_groups]
+
+        return score_many
+
     def score_many(self, pair_groups):
         """Ranking scores for several pair arrays with a single encoder pass.
         Forward-only: no tape is built."""
         with ad.no_grad():
-            enc = self.encode()
-            return [models.ranking_scores(self.dec_params, enc, pairs) for pairs in pair_groups]
+            return self.scorer(self.encode())(pair_groups)
 
 
 def build_model(cfg, train_graph, feats, rng):
@@ -138,18 +148,18 @@ class FitResult:
     epochs_run: int
 
 
-def _train_step(model, cfg, params, optimizer, pairs, labels, classes):
-    """One forward, backward and optimizer step; returns the loss value.
+def _train_step(cfg, dec, enc, optimizer, pairs, labels, classes):
+    """Epoch's loss on the embeddings enc, its backward pass and the
+    optimizer step; returns the loss value.
 
-    The epoch's graph lives in this frame only, so it is released on return,
-    before validation and the next forward pass allocate theirs."""
-    enc = model.encode()
-    logits = models.decode(model.dec_params, enc, pairs)
+    The loss's graph lives in this frame only, and the backward pass frees
+    the embeddings' tape, so the caller that drops enc drops the epoch."""
+    logits = models.decode(dec, enc, pairs)
     if cfg.loss == "bce":
         loss = ad.bce_with_logits(logits, labels)
     else:
         loss = ad.ce_pairwise(logits, classes)
-    ad.backward(loss, params)
+    ad.backward(loss, optimizer.params)
     optimizer.step()
     return float(loss.data[0, 0])
 
@@ -157,17 +167,22 @@ def _train_step(model, cfg, params, optimizer, pairs, labels, classes):
 def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
     """Train on the training graph alone, early-stopping on the callback score.
 
-    The callback receives score_many (pairs -> ranking scores) once per epoch
-    after the optimizer step and returns a scalar to maximize.  Returns the
-    model restored to its best-scoring epoch.  Raises TrainingError when the
-    loss diverges, the training negatives cannot be sampled, or no epoch
-    scores above -inf (a NaN score never counts as a best).
+    Each iteration encodes the current parameters once, with the tape on.
+    The callback first scores the previous epoch on those embeddings: it
+    receives score_many (pairs -> ranking scores) and returns a scalar to
+    maximize.  A new best state is copied, or patience stops the run, before
+    the same embeddings form this epoch's loss and the optimizer steps.  A
+    run that reaches max_epochs scores its last epoch on one more,
+    forward-only pass, so a run of E epochs encodes E + 1 times.  Returns
+    the model restored to its best-scoring epoch.  Raises TrainingError when
+    the loss diverges, the training negatives cannot be sampled, or no epoch
+    scores above -inf (a NaN score never counts as a best); an error names
+    the epoch whose loss or score failed.
     """
     root = np.random.SeedSequence(_run_entropy(cfg, split_seed))
     init_ss, neg_ss = root.spawn(2)
     model = build_model(cfg, train_graph, feats, np.random.default_rng(init_ss))
-    params = model.parameters()
-    optimizer = ad.AdamState(params, lr=cfg.lr, weight_decay=cfg.wd)
+    optimizer = ad.AdamState(model.parameters(), lr=cfg.lr, weight_decay=cfg.wd)
 
     pos_pairs = train_graph.edges
     count = len(pos_pairs)
@@ -181,35 +196,47 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
     best_val = -np.inf
     best_epoch = 0
     best_state = None
-    epoch = 0
+    epochs_run = 0
+
+    def stops(enc):
+        """Score epoch epochs_run on its embeddings enc; True when patience runs out."""
+        nonlocal best_val, best_epoch, best_state
+        # a diverged model first shows up here as NaN ranking scores
+        try:
+            val = float(validation_scorer(model.scorer(enc)))
+        except (FloatingPointError, ValueError) as exc:
+            raise TrainingError(f"aborted at epoch {epochs_run}: {exc}") from exc
+        vals.append(val)
+        if val > best_val:
+            best_val = val
+            best_epoch = epochs_run
+            best_state = {name: t.data.copy() for name, t in model.named_parameters().items()}
+            return False
+        return epochs_run - best_epoch >= cfg.patience
+
     try:
         for epoch in range(1, cfg.max_epochs + 1):
+            enc = model.encode()
+            if epochs_run and stops(enc):
+                break
             # the positives followed by negatives drawn once per run or per epoch
             if pairs is None or cfg.neg_strategy == "per_epoch":
                 negs = sample_train_negatives(train_graph, count, neg_seed, cfg.neg_strategy,
                                               epoch)
                 pairs = np.vstack([pos_pairs, negs])
-            loss_value = _train_step(model, cfg, params, optimizer, pairs, labels, classes)
-
-            # a diverged model first shows up here as NaN ranking scores
-            try:
-                val = float(validation_scorer(model.score_many))
-            except (FloatingPointError, ValueError) as exc:
-                raise TrainingError(f"aborted at epoch {epoch}: {exc}") from exc
-            losses.append(loss_value)
-            vals.append(val)
-            if val > best_val:
-                best_val = val
-                best_epoch = epoch
-                best_state = {name: t.data.copy() for name, t in model.named_parameters().items()}
-            elif epoch - best_epoch >= cfg.patience:
-                break
+            losses.append(_train_step(cfg, model.dec_params, enc, optimizer, pairs, labels,
+                                      classes))
+            del enc  # before the next pass allocates its own (n, d) arrays
+            epochs_run = epoch
+        else:
+            with ad.no_grad():
+                stops(model.encode())
     except FloatingPointError as exc:
         raise TrainingError(f"aborted at epoch {epoch}: {exc}") from exc
     except DataError as exc:
         raise TrainingError(str(exc)) from exc
     if best_state is None:
-        raise TrainingError(f"none of {epoch} epochs scored above -inf on validation "
+        raise TrainingError(f"none of {epochs_run} epochs scored above -inf on validation "
                             f"(last score {vals[-1]})")
 
     for name, t in model.named_parameters().items():
@@ -220,7 +247,7 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
         val_history=np.asarray(vals),
         best_epoch=best_epoch,
         best_val=best_val,
-        epochs_run=epoch,
+        epochs_run=epochs_run,
     )
 
 
@@ -233,7 +260,7 @@ def make_validation_scorer(bundle):
     val_neg = np.array(bundle.val_neg, dtype=np.int64)
     if len(val_pos) == 0 or len(val_neg) == 0:
         raise TrainingError(
-            f"empty validation split (seed {bundle.seed}): {len(val_pos)} positive and "
+            f"empty validation split: {len(val_pos)} positive and "
             f"{len(val_neg)} negative pairs; early stopping needs at least one of each"
         )
 
@@ -263,6 +290,16 @@ class GridRow:
     epochs_run: int = 0
     seconds: float = 0.0
     error: str = ""
+
+
+def failed_row(cfg, split_seed, exc):
+    """The flagged record of a run that raised exc.  Its error is a
+    TrainingError's reason, or any other exception's type and message."""
+    if isinstance(exc, TrainingError):
+        error = str(exc)
+    else:
+        error = type(exc).__name__ + (f": {exc}" if str(exc) else "")
+    return GridRow(config_id(cfg), split_seed, "failed", error=error)
 
 
 def train(cfg, bundle, feats):
@@ -302,17 +339,19 @@ def _grid_task(args):
     feats = init_features(feature_init, bundle.train_graph, original)
     try:
         return train(cfg, bundle, feats)[1]
-    except TrainingError as exc:
-        return GridRow(config_id(cfg), bundle.seed, "failed", error=str(exc))
+    except Exception as exc:  # one failed run, even out of memory, is one flagged row
+        return failed_row(cfg, bundle.seed, exc)
 
 
 def grid_run(configs, bundles, feature_init=None, original=None, workers=1):
     """Train every config on every bundle; aggregate mean and sample std.
 
-    Failed runs are kept as flagged rows and excluded from aggregates, never
-    silently averaged.  Output is independent of the worker count: both maps
-    return the rows in task order, config-major, and every run seeds its own
-    RNG streams from the config identity and the split seed.
+    A run that raises any Exception, a TrainingError or a MemoryError say,
+    is kept as a flagged row and excluded from aggregates, never silently
+    averaged; KeyboardInterrupt still stops the grid.  Output is independent
+    of the worker count: both maps return the rows in task order,
+    config-major, and every run seeds its own RNG streams from the config
+    identity and the split seed.
     """
     if not configs or not bundles:
         raise ValueError("grid_run needs at least one config and one bundle")

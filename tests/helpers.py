@@ -211,8 +211,10 @@ def sdgae_encode_composite(p, a_norm, x):
 
 def row_sum(x):
     """Sum each row to a single column, (n, d) -> (n, 1), as a tape op: the
-    last op of ``pair_dot``'s three-op composite oracle."""
-    return ad._op(x.data.sum(axis=1, keepdims=True), "row_sum", (x,), (x, lambda g: g))
+    last op of ``pair_dot``'s three-op composite oracle.  Its grad map returns
+    the (n, 1) g itself, which the engine copies and broadcasts."""
+    return ad._op(x.data.sum(axis=1, keepdims=True), "row_sum", (x,),
+                  (x, ad._copied(lambda g: g)))
 
 
 def digae_encode_bipartite(p, g, x, alpha, beta):

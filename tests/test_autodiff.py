@@ -353,6 +353,52 @@ def test_first_gradient_write_is_a_copy():
     assert np.array_equal(a.grad, np.full((2, 2), 2.0))
 
 
+def _every_op_loss(leaves, a):
+    """A scalar loss through every op of the engine.  A grad map that returns
+    g, a view or a scalar feeds a leaf's first contribution: those of xb, c,
+    q and s, and of v and v2, which one add feeds.  u's grad is first a
+    hadamard's, handed over, and then a concat slice sums into it."""
+    xb, b, u, c, v, v2, w6, s, q, *gammas = leaves
+    idx, idx2 = np.array([0, 2, 2, 4, 1, 3]), np.array([1, 1, 4, 0, 3, 2])
+    h = ad.relu(ad.add_bias(xb, b))
+    s_out, t_out = ad.sdgae_propagate(a, h, ad.spmm_const(a, ad.add(v, v2)), gammas[:2],
+                                      gammas[2:])
+    bce = ad.bce_with_logits(ad.matmul(ad.gather_rows(ad.concat_cols(u, c), idx), w6),
+                             np.array([1, 0, 1, 0, 1, 0]))
+    z = ad.pair_dot(s_out, t_out, idx, idx2, 4)
+    ce = ad.ce_pairwise(ad.concat_cols(z, ad.scale(z, s)), np.array([0, 1, 0, 1, 1, 0]))
+    return ad.add(ad.add(ad.add(bce, ce), ad.sum_all(q)),
+                  ad.sum_all(ad.hadamard(ad.hadamard(u, s_out), t_out)))
+
+
+def test_handed_over_grads_share_no_memory_and_match_copies(monkeypatch):
+    rng = np.random.default_rng(25)
+    a = normalize_sym(DirectedGraph(5, [[0, 1], [1, 2], [3, 4], [4, 0], [2, 3], [0, 3]]))
+    shapes = [(5, 3), (1, 3), (5, 3), (5, 3), (5, 3), (5, 3), (6, 1), (1, 1), (2, 2)]
+    leaves = [_param(rng, *shape) for shape in shapes + [(1, 1)] * 4]
+    real = ad._accumulate
+    calls = []
+
+    def spy(t, g, owned=False):
+        calls.append((t, owned))
+        real(t, g, owned)
+
+    monkeypatch.setattr(ad, "_accumulate", spy)
+    tape = ad.backward(_every_op_loss(leaves, a), leaves)
+    grads = [p.grad for p in leaves]
+    # u's first grad was handed over, and the slice summed into it
+    assert [owned for t, owned in calls if t is leaves[2]] == [True, False]
+    for i, g in enumerate(grads):
+        assert g.shape == leaves[i].data.shape and g.base is None
+        others = [t.data for t in tape] + grads[:i] + grads[i + 1:]
+        assert not any(np.shares_memory(g, d) for d in others)
+    # the same grads, bit for bit, when every first contribution is copied
+    monkeypatch.setattr(ad, "_accumulate", lambda t, g, owned=False: real(t, g))
+    ad.backward(_every_op_loss(leaves, a), leaves)
+    for p, g in zip(leaves, grads):
+        assert np.array_equal(p.grad, g)
+
+
 def test_no_grad_records_nothing():
     rng = np.random.default_rng(24)
     x = _param(rng, 3, 3)

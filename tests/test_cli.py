@@ -10,6 +10,7 @@ import pytest
 import dirlink
 from dirlink import cli, models, training
 from dirlink.graph import DataError
+from dirlink.metrics import MetricsReport
 
 
 def _sample_config(tmp_path):
@@ -418,8 +419,26 @@ def test_failed_run_exits_3(tmp_path, capsys):
     cfg_path.write_text(_train_config_text(tmp_path))
     rc = cli.main(["train", "--config", str(cfg_path), "--lr", "1e155"])
     assert rc == 3
-    # the reason alone: train runs the one config its caller gave
-    assert capsys.readouterr().err == "run failed: aborted at epoch 1: scores contain NaN\n"
+    # the line dirlink grid prints for a failed run, its split seed and config once each
+    config = training.config_id(training.TrainConfig(hidden=8, emb=8, k=2, max_epochs=15,
+                                                     patience=5, lr=1e155))
+    assert capsys.readouterr().err == (f"run failed: seed 0 [{config}]: aborted at epoch 1: "
+                                       "scores contain NaN\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_train_replaces_an_earlier_run_in_its_out(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_train_config_text(tmp_path))
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--lr", "0.01"]) == 0
+    assert (run_dir / "model.npz").exists()
+    assert cli.main(["train", "--config", str(cfg_path), "--lr", "1e155"]) == 3
+    header, row = (run_dir / "runs.tsv").read_text().splitlines()
+    cells = dict(zip(header.split("\t"), row.split("\t")))
+    assert cells["status"] == "failed" and "lr=1e+155," in cells["config"]
+    assert [cells[name] for name in MetricsReport.FIELDS] == [""] * len(MetricsReport.FIELDS)
+    assert not (run_dir / "model.npz").exists()
 
 
 # ring3's splits hold out no validation pair, so every run on it fails
@@ -430,7 +449,7 @@ def test_grid_prints_why_each_run_failed(tmp_path, capsys):
     cli.main([*_RING3_GRID, "--out", str(tmp_path / "g")])
     config = training.config_id(training.TrainConfig())
     assert capsys.readouterr().err.splitlines() == [
-        f"run failed: seed {seed} [{config}]: empty validation split (seed {seed}): "
+        f"run failed: seed {seed} [{config}]: empty validation split: "
         "0 positive and 0 negative pairs; early stopping needs at least one of each"
         for seed in (0, 1)
     ]

@@ -23,9 +23,13 @@ EPOCHS = 40
 SHORT_EPOCHS = 8
 
 
-def _training_digest(encoder, loss, decoder="inner", epochs=EPOCHS):
+def _synthetic200():
     bundle = splits.split_edges(datasets.load_fixture("synthetic200"), seed=0)
-    feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
+    return bundle, splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
+
+
+def _training_digest(encoder, loss, decoder="inner", epochs=EPOCHS):
+    bundle, feats = _synthetic200()
     cfg = training.TrainConfig(encoder=encoder, decoder=decoder, loss=loss,
                                max_epochs=epochs, patience=epochs - 1)
     fitted = training.fit(cfg, bundle.train_graph, feats, training.make_validation_scorer(bundle),
@@ -84,3 +88,78 @@ GOLDEN_SHORT = {
 def test_short_runs_of_the_other_decoders_match_golden_digests(encoder, decoder, loss):
     digest = _training_digest(encoder, loss, decoder, SHORT_EPOCHS)
     assert digest == GOLDEN_SHORT[encoder, decoder, loss]
+
+
+# The loop's order, pinned beyond the runs above, which all reach max_epochs
+# under per_run negatives: negatives drawn per epoch, a patience stop, and a
+# diverged run, whose NaN validation score of epoch 1 is reported before the
+# non-finite loss of epoch 2 that follows it when the score is let through.
+_LOOP_CFG = dict(hidden=16, emb=16, k=2)
+LOOP_CASES = {
+    "per_epoch": dict(neg_strategy="per_epoch", max_epochs=12, patience=11),
+    "patience": dict(lr=0.05, max_epochs=300, patience=5),
+}
+
+
+def _loop_record(encoder, case):
+    bundle, feats = _synthetic200()
+    cfg = training.TrainConfig(encoder=encoder, **_LOOP_CFG, **LOOP_CASES[case])
+    fitted = training.fit(cfg, bundle.train_graph, feats, training.make_validation_scorer(bundle),
+                          bundle.seed)
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(fitted.loss_history).tobytes())
+    h.update(np.ascontiguousarray(fitted.val_history).tobytes())
+    return fitted.epochs_run, fitted.best_epoch, h.hexdigest()
+
+
+GOLDEN_LOOP = {
+    ("sdgae", "per_epoch"): (12, 12, "498f77e0a82a02515668b48a32ba23806614459a3098738c35b793ba8b01b3dd"),
+    ("sdgae", "patience"): (9, 4, "a4a753c789904079efdda45e74d09e9ad861bdeb78a038ccd8294892e34d9f04"),
+    ("digae", "per_epoch"): (12, 10, "a58b1a6a489dad5d71555a572c512edaeca32ff950271cfd04628cd85b45dff5"),
+    ("digae", "patience"): (7, 2, "957b07266b0df91058824e0db63032c85bc4b69f03b37c32b91be280d200e7e4"),
+    ("mlp", "per_epoch"): (12, 11, "a807f33986f860948fdedfae7e51ec32d62147b6ef737deca2f1bce2da23d40a"),
+    ("mlp", "patience"): (9, 4, "4b50b3fd6039e17f2d703e4a5c5002221285a2ce59b1cc46051f99e0ec6c8889"),
+}
+
+
+@pytest.mark.parametrize("encoder", list(models.ENCODERS))
+@pytest.mark.parametrize("case", list(LOOP_CASES))
+def test_loop_histories_and_stopping_match_golden(encoder, case):
+    assert _loop_record(encoder, case) == GOLDEN_LOOP[encoder, case]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("encoder", list(models.ENCODERS))
+def test_a_diverged_run_fails_at_the_epoch_on_record(encoder):
+    bundle, feats = _synthetic200()
+    cfg = training.TrainConfig(encoder=encoder, **_LOOP_CFG, lr=1e155, max_epochs=20,
+                               patience=10)
+    strict = training.make_validation_scorer(bundle)
+    seen = []
+
+    def lenient(score_many):
+        # the strict scorer's ValueError on NaN scores becomes a NaN score
+        try:
+            seen.append(strict(score_many))
+        except ValueError:
+            seen.append(float("nan"))
+        return seen[-1]
+
+    failures = []
+    for scorer in (strict, lenient):
+        with pytest.raises(training.TrainingError) as info:
+            training.fit(cfg, bundle.train_graph, feats, scorer, bundle.seed)
+        failures.append(str(info.value))
+    assert (failures, repr([float(v) for v in seen])) == GOLDEN_DIVERGED[encoder]
+
+
+# ([strict scorer's failure, lenient scorer's failure], the lenient scorer's scores)
+GOLDEN_DIVERGED = {
+    "sdgae": (["aborted at epoch 1: scores contain NaN", "aborted at epoch 2: non-finite loss"],
+              "[nan]"),
+    "digae": (["aborted at epoch 1: scores contain NaN", "aborted at epoch 2: non-finite loss"],
+              "[nan]"),
+    # the MLP's epoch-1 scores stay finite, so its loss fails first
+    "mlp": (["aborted at epoch 2: non-finite loss", "aborted at epoch 2: non-finite loss"],
+            "[50.0]"),
+}

@@ -237,6 +237,42 @@ def test_grid_aggregates_and_flags_failures():
     assert result.best_by_family == {"sdgae": training.config_id(good)}
 
 
+def _failing_fit(monkeypatch, exc, config, split_seed):
+    """Make fit raise exc for one run of the grid.  Grid workers are forked,
+    so they inherit the patch."""
+    real_fit = training.fit
+
+    def fit(cfg, train_graph, feats, scorer, seed):
+        if training.config_id(cfg) == config and seed == split_seed:
+            raise exc
+        return real_fit(cfg, train_graph, feats, scorer, seed)
+
+    monkeypatch.setattr(training, "fit", fit)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_flags_a_run_that_raises_any_exception(monkeypatch, tmp_path, workers):
+    cfgs, bundles = _grid_inputs()
+    doomed = training.config_id(cfgs[1])
+    _failing_fit(monkeypatch, MemoryError("no room for the tape"), doomed, 1)
+    result = training.grid_run(cfgs, bundles, workers=workers)
+    training.write_runs_tsv(tmp_path / "runs.tsv", result.rows, "toy")
+    header, *lines = (tmp_path / "runs.tsv").read_text().splitlines()
+    rows = [dict(zip(header.split("\t"), line.split("\t"))) for line in lines]
+    assert [(r["config"], r["seed"], r["status"]) for r in rows] == [
+        (training.config_id(cfgs[0]), "0", "ok"), (training.config_id(cfgs[0]), "1", "ok"),
+        (doomed, "0", "ok"), (doomed, "1", "failed")]
+    assert result.rows[3].error == "MemoryError: no room for the tape"
+    assert [s.n_failed for s in result.summaries] == [0, 1]
+
+
+def test_keyboard_interrupt_stops_the_grid(monkeypatch):
+    cfgs, bundles = _grid_inputs()
+    _failing_fit(monkeypatch, KeyboardInterrupt(), training.config_id(cfgs[0]), 0)
+    with pytest.raises(KeyboardInterrupt):
+        training.grid_run(cfgs, bundles)
+
+
 def test_grid_run_rejects_empty_inputs():
     with pytest.raises(ValueError):
         training.grid_run([], [small_bundle()])
@@ -321,20 +357,21 @@ def test_empty_validation_split_is_rejected_before_training(monkeypatch):
 
 
 def _fixture_model(cfg):
-    """A model of cfg on synthetic200 split seed 0, and a function that runs
-    one training step on it."""
+    """A model of cfg on synthetic200 split seed 0, and a function that
+    encodes it and runs one training step on the embeddings."""
     bundle = splits.split_edges(datasets.load_fixture("synthetic200"), seed=0)
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
     model = training.build_model(cfg, bundle.train_graph, feats, np.random.default_rng(0))
-    params = model.parameters()
-    optimizer = ad.AdamState(params, lr=cfg.lr)
+    optimizer = ad.AdamState(model.parameters(), lr=cfg.lr)
     pos = bundle.train_graph.edges
     pairs = np.vstack([pos, splits.sample_train_negatives(bundle.train_graph, len(pos), 0)])
     labels = np.repeat([1.0, 0.0], len(pos))
     classes = np.repeat([0, 1], len(pos))
 
     def step():
-        training._train_step(model, cfg, params, optimizer, pairs, labels, classes)
+        # the encode and the step, as one iteration of fit runs them
+        training._train_step(cfg, model.dec_params, model.encode(), optimizer, pairs, labels,
+                             classes)
 
     return model, step, pairs
 
