@@ -33,7 +33,7 @@ from .graph import (
 from .metrics import MetricsReport
 from .splits import (DEFAULT_SEEDS, FEATURE_MODES, FeatureInit, init_features, save_split,
                      split_edges)
-from .training import TrainConfig, TrainingError
+from .training import TrainConfig
 
 
 class UsageError(Exception):
@@ -243,10 +243,7 @@ def cmd_train(args):
     bundle = split_edges(g, seed=split_seed)
     init, original = _feature_inputs(cfg)
     feats = init_features(init, bundle.train_graph, original)
-    try:
-        fitted, row = training.train(tcfg, bundle, feats)
-    except TrainingError as exc:
-        fitted, row = None, training.failed_row(tcfg, split_seed, exc)
+    fitted, row = training.train(tcfg, bundle, feats)
     os.makedirs(cfg.out, exist_ok=True)
     training.write_runs_tsv(os.path.join(cfg.out, "runs.tsv"), [row], _dataset_label(cfg.dataset))
     checkpoint = os.path.join(cfg.out, "model.npz")
@@ -337,12 +334,8 @@ def cmd_reconstruct(args):
     model, _, g = _restore_model(args.checkpoint, args.dataset)
     m_prime = args.m_prime if args.m_prime is not None else g.edge_count
     with ad.no_grad():
-        enc = model.encode()
-
-    def score_fn(pairs):
-        return models.ranking_scores(model.dec_params, enc, pairs)
-
-    recon = analysis.reconstruct_topm(score_fn, g.n, m_prime)
+        score = model.scorer(model.encode())
+    recon = analysis.reconstruct_topm(score, g.n, m_prime)
     os.makedirs(args.out, exist_ok=True)
     save_edge_list(os.path.join(args.out, "reconstructed.txt"), recon)
     true_hist = analysis.degree_histograms(g.edges, g.n)

@@ -28,6 +28,7 @@ from .graph import (
 DEFAULT_RATIOS = (0.80, 0.05, 0.15)
 DEFAULT_SEEDS = tuple(range(10))
 FEATURE_MODES = ("original", "degrees", "random")
+_DISCONNECTED = "split requires a weakly connected graph; run preprocess first"
 
 
 @dataclass
@@ -67,6 +68,9 @@ def split_edges(g, seed=0):
     """
     _, r_val, r_test = DEFAULT_RATIOS
     m = g.edge_count
+    # n nodes need n - 1 edges to connect: say so before any array of length n
+    if g.n > m + 1:
+        raise DataError(_DISCONNECTED)
     # the epsilon keeps exact products like 0.15*500 from flooring to 74
     n_val = int(np.floor(r_val * m + 1e-9))
     n_test = int(np.floor(r_test * m + 1e-9))
@@ -78,7 +82,7 @@ def split_edges(g, seed=0):
 
     tree = np.flatnonzero(spanning_forest(g.n, shuffled[:, 0], shuffled[:, 1])[0])
     if len(tree) != g.n - 1:
-        raise DataError("split requires a weakly connected graph; run preprocess first")
+        raise DataError(_DISCONNECTED)
     # one directed edge per undirected spanning connection stays in train;
     # with both directions present the lexicographic smaller wins, which is
     # the reverse exactly when its source is the smaller node

@@ -8,6 +8,8 @@ training loop itself.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -113,21 +115,9 @@ class TrainedModel:
         return models.encoder_forward(self.enc_params, self.feats)
 
     def scorer(self, enc):
-        """score_many bound to enc, embeddings of the current parameters,
-        which it scores without encoding them again."""
-
-        def score_many(pair_groups):
-            with ad.no_grad():
-                return [models.ranking_scores(self.dec_params, enc, pairs)
-                        for pairs in pair_groups]
-
-        return score_many
-
-    def score_many(self, pair_groups):
-        """Ranking scores for several pair arrays with a single encoder pass.
-        Forward-only: no tape is built."""
-        with ad.no_grad():
-            return self.scorer(self.encode())(pair_groups)
+        """pairs -> ranking scores of the decoder on enc, embeddings of the
+        current parameters, which it scores without encoding them again."""
+        return functools.partial(models.ranking_scores, self.dec_params, enc)
 
 
 def build_model(cfg, train_graph, feats, rng):
@@ -167,15 +157,15 @@ def _train_step(cfg, dec, enc, optimizer, pairs, labels, classes):
 def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
     """Train on the training graph alone, early-stopping on the callback score.
 
-    Each iteration encodes the current parameters once, with the tape on.
-    The callback first scores the previous epoch on those embeddings: it
-    receives score_many (pairs -> ranking scores) and returns a scalar to
-    maximize.  A new best state is copied, or patience stops the run, before
-    the same embeddings form this epoch's loss and the optimizer steps.  A
-    run that reaches max_epochs scores its last epoch on one more,
-    forward-only pass, so a run of E epochs encodes E + 1 times.  Returns
-    the model restored to its best-scoring epoch.  Raises TrainingError when
-    the loss diverges, the training negatives cannot be sampled, or no epoch
+    Iteration e encodes the parameters after e epochs once.  For e >= 1 the
+    callback scores epoch e on those embeddings: it receives a scorer (pairs
+    -> ranking scores) and returns a scalar to maximize.  A new best state
+    is copied, or patience stops the run; otherwise the same embeddings,
+    encoded with the tape on, form epoch e + 1's loss and the optimizer
+    steps.  At e = max_epochs the encode is forward-only and serves the last
+    score alone, so a run of E epochs encodes E + 1 times.  Returns the
+    model restored to its best-scoring epoch.  Raises TrainingError when the
+    loss diverges, the training negatives cannot be sampled, or no epoch
     scores above -inf (a NaN score never counts as a best); an error names
     the epoch whose loss or score failed.
     """
@@ -196,29 +186,28 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
     best_val = -np.inf
     best_epoch = 0
     best_state = None
-    epochs_run = 0
 
-    def stops(enc):
-        """Score epoch epochs_run on its embeddings enc; True when patience runs out."""
-        nonlocal best_val, best_epoch, best_state
-        # a diverged model first shows up here as NaN ranking scores
-        try:
-            val = float(validation_scorer(model.scorer(enc)))
-        except (FloatingPointError, ValueError) as exc:
-            raise TrainingError(f"aborted at epoch {epochs_run}: {exc}") from exc
-        vals.append(val)
-        if val > best_val:
-            best_val = val
-            best_epoch = epochs_run
-            best_state = {name: t.data.copy() for name, t in model.named_parameters().items()}
-            return False
-        return epochs_run - best_epoch >= cfg.patience
-
-    try:
-        for epoch in range(1, cfg.max_epochs + 1):
+    for epochs_run in range(cfg.max_epochs + 1):
+        last = epochs_run == cfg.max_epochs
+        with ad.no_grad() if last else contextlib.nullcontext():
             enc = model.encode()
-            if epochs_run and stops(enc):
+        if epochs_run:
+            # a diverged model first shows up here as NaN ranking scores
+            try:
+                val = float(validation_scorer(model.scorer(enc)))
+            except (FloatingPointError, ValueError) as exc:
+                raise TrainingError(f"aborted at epoch {epochs_run}: {exc}") from exc
+            vals.append(val)
+            if val > best_val:
+                best_val = val
+                best_epoch = epochs_run
+                best_state = {name: t.data.copy() for name, t in model.named_parameters().items()}
+            elif epochs_run - best_epoch >= cfg.patience:
                 break
+        if last:
+            break
+        epoch = epochs_run + 1
+        try:
             # the positives followed by negatives drawn once per run or per epoch
             if pairs is None or cfg.neg_strategy == "per_epoch":
                 negs = sample_train_negatives(train_graph, count, neg_seed, cfg.neg_strategy,
@@ -226,15 +215,11 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
                 pairs = np.vstack([pos_pairs, negs])
             losses.append(_train_step(cfg, model.dec_params, enc, optimizer, pairs, labels,
                                       classes))
-            del enc  # before the next pass allocates its own (n, d) arrays
-            epochs_run = epoch
-        else:
-            with ad.no_grad():
-                stops(model.encode())
-    except FloatingPointError as exc:
-        raise TrainingError(f"aborted at epoch {epoch}: {exc}") from exc
-    except DataError as exc:
-        raise TrainingError(str(exc)) from exc
+        except FloatingPointError as exc:
+            raise TrainingError(f"aborted at epoch {epoch}: {exc}") from exc
+        except DataError as exc:
+            raise TrainingError(str(exc)) from exc
+        del enc  # before the next pass allocates its own (n, d) arrays
     if best_state is None:
         raise TrainingError(f"none of {epochs_run} epochs scored above -inf on validation "
                             f"(last score {vals[-1]})")
@@ -264,17 +249,18 @@ def make_validation_scorer(bundle):
             f"{len(val_neg)} negative pairs; early stopping needs at least one of each"
         )
 
-    def scorer(score_many):
-        pos_scores, neg_scores = score_many([val_pos, val_neg])
-        return auc(pos_scores, neg_scores)
+    def scorer(score):
+        return auc(score(val_pos), score(val_neg))
 
     return scorer
 
 
 def evaluate(model, bundle):
-    """Score the held-out test pairs and compute all seven metrics."""
-    pos_scores, neg_scores = model.score_many([bundle.test_pos, bundle.test_neg])
-    return MetricsReport.from_scores(pos_scores, neg_scores)
+    """Score the held-out test pairs on one forward-only encode and compute
+    all seven metrics."""
+    with ad.no_grad():
+        score = model.scorer(model.encode())
+    return MetricsReport.from_scores(score(bundle.test_pos), score(bundle.test_neg))
 
 
 @dataclass
@@ -292,24 +278,25 @@ class GridRow:
     error: str = ""
 
 
-def failed_row(cfg, split_seed, exc):
-    """The flagged record of a run that raised exc.  Its error is a
-    TrainingError's reason, or any other exception's type and message."""
-    if isinstance(exc, TrainingError):
-        error = str(exc)
-    else:
-        error = type(exc).__name__ + (f": {exc}" if str(exc) else "")
-    return GridRow(config_id(cfg), split_seed, "failed", error=error)
-
-
 def train(cfg, bundle, feats):
     """Full protocol on one split: fit with early stopping, then test.
 
     Returns the FitResult, whose model is the one at its best epoch, and the
-    run's GridRow, whose seconds cover the fit and the test evaluation."""
+    run's GridRow, whose seconds cover the fit and the test evaluation.  A
+    run that raises any Exception, a TrainingError or a MemoryError say,
+    returns None and a flagged row instead; its error is a TrainingError's
+    reason, or any other exception's type and message.  KeyboardInterrupt
+    propagates.
+    """
     start = time.perf_counter()
-    fitted = fit(cfg, bundle.train_graph, feats, make_validation_scorer(bundle), bundle.seed)
-    report = evaluate(fitted.model, bundle)
+    try:
+        fitted = fit(cfg, bundle.train_graph, feats, make_validation_scorer(bundle), bundle.seed)
+        report = evaluate(fitted.model, bundle)
+    except Exception as exc:  # one failed run, even out of memory, is one flagged row
+        error = str(exc)
+        if not isinstance(exc, TrainingError):
+            error = type(exc).__name__ + (f": {error}" if error else "")
+        return None, GridRow(config_id(cfg), bundle.seed, "failed", error=error)
     row = GridRow(config_id(cfg), bundle.seed, "ok", report, fitted.best_val, fitted.epochs_run,
                   time.perf_counter() - start)
     return fitted, row
@@ -336,27 +323,24 @@ class GridResult:
 
 def _grid_task(args):
     cfg, bundle, feature_init, original = args
-    feats = init_features(feature_init, bundle.train_graph, original)
-    try:
-        return train(cfg, bundle, feats)[1]
-    except Exception as exc:  # one failed run, even out of memory, is one flagged row
-        return failed_row(cfg, bundle.seed, exc)
+    return train(cfg, bundle, init_features(feature_init, bundle.train_graph, original))[1]
 
 
 def grid_run(configs, bundles, feature_init=None, original=None, workers=1):
     """Train every config on every bundle; aggregate mean and sample std.
 
-    A run that raises any Exception, a TrainingError or a MemoryError say,
-    is kept as a flagged row and excluded from aggregates, never silently
-    averaged; KeyboardInterrupt still stops the grid.  Output is independent
-    of the worker count: both maps return the rows in task order,
-    config-major, and every run seeds its own RNG streams from the config
-    identity and the split seed.
+    A failed run is train's flagged row, excluded from aggregates, never
+    silently averaged; KeyboardInterrupt still stops the grid.  A pool
+    starts at most one worker per task, and none for one task.  Output is
+    independent of the worker count: both maps return the rows in task
+    order, config-major, and every run seeds its own RNG streams from the
+    config identity and the split seed.
     """
     if not configs or not bundles:
         raise ValueError("grid_run needs at least one config and one bundle")
     feature_init = feature_init or FeatureInit(mode="degrees")
     tasks = [(cfg, bundle, feature_init, original) for cfg in configs for bundle in bundles]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_grid_task, tasks))

@@ -441,6 +441,35 @@ def test_failed_train_replaces_an_earlier_run_in_its_out(tmp_path, capsys):
     assert not (run_dir / "model.npz").exists()
 
 
+def test_train_that_runs_out_of_memory_writes_the_grid_row_and_drops_the_old_run(
+        tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_train_config_text(tmp_path))
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    assert (run_dir / "model.npz").exists()
+    capsys.readouterr()
+
+    def fit(*args):
+        raise MemoryError("no room for the tape")
+
+    monkeypatch.setattr(training, "fit", fit)
+    assert cli.main(["train", "--config", str(cfg_path)]) == 3
+    config = training.config_id(training.TrainConfig(hidden=8, emb=8, k=2, max_epochs=15,
+                                                     patience=5))
+    assert capsys.readouterr().err == (f"run failed: seed 0 [{config}]: "
+                                       "MemoryError: no room for the tape\n")
+    assert not (run_dir / "model.npz").exists()
+    assert cli.main(["grid", "--config", str(cfg_path), "--out", str(tmp_path / "grid")]) == 3
+    rows = []
+    for out in (run_dir, tmp_path / "grid"):
+        header, row = (out / "runs.tsv").read_text().splitlines()
+        cells = dict(zip(header.split("\t"), row.split("\t")))
+        del cells["seconds"]
+        rows.append(cells)
+    assert rows[0] == rows[1] and rows[0]["status"] == "failed"
+
+
 # ring3's splits hold out no validation pair, so every run on it fails
 _RING3_GRID = ["grid", "--dataset", "ring3", "--seeds", "0,1"]
 

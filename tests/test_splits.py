@@ -14,7 +14,8 @@ from dirlink.splits import (
     save_split,
     split_edges,
 )
-from helpers import kruskal_pins, sample_non_edges_loop, weakly_connected_random_graph
+from helpers import (kruskal_pins, run_under_memory_bound, sample_non_edges_loop,
+                     weakly_connected_random_graph)
 
 
 def _keys(pairs, n):
@@ -158,6 +159,26 @@ def test_split_requires_connected_input():
     g = DirectedGraph(4, [[0, 1], [2, 3]])
     with pytest.raises(DataError, match="weakly connected"):
         split_edges(g, seed=0)
+
+
+SPARSE_IDS_CHILD = """
+import resource
+# an int64 array of one entry per id (16 GB) fails to allocate under this cap,
+# before its fill could outrun the watchdog's RSS bound
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from dirlink import cli
+rc = cli.main(["split", "--dataset", {path!r}, "--out", {out!r}, "--seeds", "0"])
+print(f"rc={{rc}}", flush=True)
+"""
+
+
+def test_split_of_too_few_edges_for_its_node_count_fails_before_allocating_by_id(tmp_path):
+    # 3 edges cannot connect 2e9 + 1 nodes; arrays of length n would need 16 GB each
+    path = tmp_path / "raw.txt"
+    path.write_text("0 1\n1 2\n2 2000000000\n")
+    code = SPARSE_IDS_CHILD.format(path=str(path), out=str(tmp_path / "splits"))
+    assert run_under_memory_bound(code, bound_mb=200)["rc"] == "2"
+    assert not (tmp_path / "splits" / "seed0").exists()
 
 
 def test_eval_negatives_avoid_full_edge_set_only():

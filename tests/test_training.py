@@ -146,7 +146,8 @@ def test_fit_restores_the_best_epoch():
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
     scorer = training.make_validation_scorer(bundle)
     fitted = training.fit(small_cfg(), bundle.train_graph, feats, scorer, bundle.seed)
-    assert scorer(fitted.model.score_many) == fitted.best_val
+    with ad.no_grad():
+        assert scorer(fitted.model.scorer(fitted.model.encode())) == fitted.best_val
     assert fitted.best_val == max(fitted.val_history)
 
 
@@ -186,12 +187,14 @@ def test_test_pairs_read_only_after_validation_finishes(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergent_run_raises_training_error():
+def test_divergent_run_is_a_flagged_row():
     bundle = small_bundle()
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
     cfg = small_cfg(lr=1e155, max_epochs=20, patience=10)
-    with pytest.raises(training.TrainingError, match="aborted at epoch"):
-        training.train(cfg, bundle, feats)
+    fitted, row = training.train(cfg, bundle, feats)
+    assert fitted is None
+    assert (row.config, row.split_seed, row.status) == (training.config_id(cfg), 0, "failed")
+    assert row.error.startswith("aborted at epoch") and row.report is None
 
 
 def _grid_inputs():
@@ -273,6 +276,31 @@ def test_keyboard_interrupt_stops_the_grid(monkeypatch):
         training.grid_run(cfgs, bundles)
 
 
+def test_grid_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    # with fork, every worker starts at the first submit, needed or not
+    pools = []
+
+    class InlinePool:
+        """Records the pool size and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", InlinePool)
+    cfgs = [small_cfg(max_epochs=3, patience=2), small_cfg(max_epochs=3, patience=2, lr=0.1)]
+    result = training.grid_run(cfgs, [small_bundle()], workers=64)
+    assert pools == [2]
+    assert [r.status for r in result.rows] == ["ok", "ok"]
+
+
 def test_grid_run_rejects_empty_inputs():
     with pytest.raises(ValueError):
         training.grid_run([], [small_bundle()])
@@ -307,10 +335,11 @@ def test_tsv_writers(tmp_path):
         assert len(ln.split("\t")) == len(header)
 
 
-def test_score_many_builds_no_tape(monkeypatch):
+def test_last_score_and_evaluate_record_no_tape(monkeypatch):
+    # a run that reaches max_epochs: 3 recorded passes that the steps consume,
+    # then one forward-only pass for the last score; evaluate encodes once more
     bundle = small_bundle()
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
-    model = training.build_model(small_cfg(), bundle.train_graph, feats, np.random.default_rng(0))
     encoded = []
     real_forward = models.encoder_forward
 
@@ -319,10 +348,11 @@ def test_score_many_builds_no_tape(monkeypatch):
         return encoded[-1]
 
     monkeypatch.setattr(models, "encoder_forward", spy)
-    (scores,) = model.score_many([bundle.val_pos])
-    assert scores.shape == (len(bundle.val_pos),)
-    (enc,) = encoded
-    assert not enc.S.requires_grad and enc.S.parents == () and enc.T.parents == ()
+    fitted, row = training.train(small_cfg(max_epochs=3, patience=2), bundle, feats)
+    assert fitted.epochs_run == 3 and row.status == "ok"
+    assert [enc.S.requires_grad for enc in encoded] == [True, True, True, False, False]
+    for enc in encoded[3:]:
+        assert enc.S.parents == () and enc.T.parents == () and not enc.T.requires_grad
 
 
 def _dense_bundle():
@@ -335,8 +365,8 @@ def _dense_bundle():
 def test_infeasible_train_negatives_are_a_flagged_row():
     bundle = _dense_bundle()
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
-    with pytest.raises(training.TrainingError, match="68 negatives but only 64"):
-        training.train(small_cfg(), bundle, feats)
+    fitted, row = training.train(small_cfg(), bundle, feats)
+    assert fitted is None and "68 negatives but only 64" in row.error
     result = training.grid_run([small_cfg(max_epochs=15, patience=5)],
                                [_dense_bundle(), small_bundle()])
     assert [r.status for r in result.rows] == ["failed", "ok"]
@@ -350,8 +380,8 @@ def test_empty_validation_split_is_rejected_before_training(monkeypatch):
     assert len(bundle.val_pos) == 0
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
     monkeypatch.setattr(training, "build_model", None)  # no model may be built
-    with pytest.raises(training.TrainingError, match="empty validation split"):
-        training.train(small_cfg(), bundle, feats)
+    fitted, row = training.train(small_cfg(), bundle, feats)
+    assert fitted is None and row.error.startswith("empty validation split")
     row = training.grid_run([small_cfg()], [bundle]).rows[0]
     assert row.status == "failed" and "empty validation split" in row.error
 
@@ -465,7 +495,7 @@ g = DirectedGraph(n, edges[edges[:, 0] != edges[:, 1]])
 feats = init_features(FeatureInit(mode="degrees"), g)
 pos, neg = g.edges[:1000], rng.integers(0, n, size=(1000, 2))
 cfg = training.TrainConfig(max_epochs=2, patience=1)
-fitted = training.fit(cfg, g, feats, lambda score_many: auc(*score_many([pos, neg])))
+fitted = training.fit(cfg, g, feats, lambda score: auc(score(pos), score(neg)))
 print(f"m={g.edge_count} epochs={fitted.epochs_run}", flush=True)
 """
 
