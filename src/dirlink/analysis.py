@@ -179,16 +179,11 @@ def _search_once(g, mode, decoder, dim, rng):
     params = [s_emb] + ([t_emb] if mode == "dual" else []) + list(dec.named_parameters().values())
     optimizer = ad.AdamState(params, lr=SEARCH_LR)
     pos_pairs, rev_pairs = _constraint_pairs(g)
-    minus_one = ad.Tensor(np.array([[-1.0]]))
-    margin_pos = ad.Tensor(np.full((len(pos_pairs), 1), SEARCH_MARGIN))
-    margin_rev = ad.Tensor(np.full((len(rev_pairs), 1), SEARCH_MARGIN))
     for step in range(SEARCH_STEPS):
         enc = models.EncoderOutput(s_emb, t_emb)
         pos_logits = models.decode(dec, enc, pos_pairs)
-        hinge = ad.sum_all(ad.relu(ad.add(margin_pos, ad.scale(pos_logits, minus_one))))
-        if len(rev_pairs):
-            rev_logits = models.decode(dec, enc, rev_pairs)
-            hinge = ad.add(hinge, ad.sum_all(ad.relu(ad.add(margin_rev, rev_logits))))
+        rev_logits = models.decode(dec, enc, rev_pairs) if len(rev_pairs) else None
+        hinge = ad.hinge(pos_logits, rev_logits, SEARCH_MARGIN)
         if float(hinge.data[0, 0]) == 0.0:
             break
         ad.backward(hinge, params)

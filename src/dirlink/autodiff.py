@@ -177,13 +177,6 @@ def matmul(a, b):
                (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
-def add(a, b):
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    return _op(a.data + b.data, "add", (a, b),
-               (a, _copied(lambda g: g)), (b, _copied(lambda g: g)))
-
-
 def add_bias(x, b):
     """Add a (1, d) bias row to every row of x."""
     if b.data.shape != (1, x.data.shape[1]):
@@ -271,18 +264,6 @@ def pair_dot(s, t, u, v, block):
     return _op(out, "pair_dot", (s, t),
                (t, lambda g: _scatter(v, u, g[:, 0], (n_t, n_s)) @ s.data),
                (s, lambda g: _scatter(u, v, g[:, 0], (n_s, n_t)) @ t.data))
-
-
-def sum_all(x):
-    return _op(x.data.sum().reshape(1, 1), "sum_all", (x,), (x, _copied(lambda g: g[0, 0])))
-
-
-def scale(x, s):
-    """Multiply a matrix by a scalar held in a (1, 1) tensor."""
-    if s.data.shape != (1, 1):
-        raise ValueError("scale factor must be a 1x1 tensor")
-    return _op(x.data * s.data[0, 0], "scale", (x, s),
-               (x, lambda g: g * s.data[0, 0]), (s, _copied(lambda g: (g * x.data).sum())))
 
 
 def spmm_const(m, x):
@@ -413,6 +394,19 @@ def sdgae_propagate(m, s0, t0, gamma_s, gamma_t, workspace=None):
     out_t = Tensor(t, True, "sdgae_propagate", (out_s,))
     out_t._backward = companion.append
     return out_s, out_t
+
+
+def hinge(pos, rev, margin):
+    """Sum of relu(margin - pos) over (n, 1) logits, plus that of relu(margin
+    + rev) unless rev is None: each part is summed, then the sums are added."""
+    parts = [(pos, -1.0)] + ([] if rev is None else [(rev, 1.0)])
+    if any(x.data.shape[1] != 1 for x, _ in parts):
+        raise ValueError("hinge expects (n, 1) logits")
+    pre = [margin + sign * x.data for x, sign in parts]
+    sums = [np.maximum(p, 0.0).sum() for p in pre]
+    return _op(np.array([[sum(sums[1:], sums[0])]]), "hinge", tuple(x for x, _ in parts),
+               *((x, lambda g, active=p > 0.0, sign=sign: g[0, 0] * active * sign)
+                 for (x, sign), p in zip(parts, pre)))
 
 
 def bce_with_logits(logits, labels):

@@ -78,10 +78,15 @@ class ExperimentConfig:
             raise UsageError(f"unknown feature mode {self.features!r}")
         if not self.seeds:
             raise UsageError("seed list must be nonempty")
+        if min(self.seeds) < 0:
+            raise UsageError(f"seeds must be >= 0, got {min(self.seeds)}")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise UsageError(f"split seed(s) {', '.join(map(str, repeated))} repeated in seeds; "
                              f"each split runs once")
+        for key, values in self.grid.items():
+            if len(set(values)) < len(values):
+                raise UsageError(f"[grid] {key} repeats a value; each config runs once")
         for key in ("workers", "feature_dim"):
             if getattr(self, key) < 1:
                 raise UsageError(f"{key} must be >= 1")
@@ -157,8 +162,8 @@ def expand_grid(cfg):
 
 
 def _resolve(args, seeds=DEFAULT_SEEDS):
-    """Merge config file and flags; flags win.  ``seeds`` are the split seeds
-    when neither sets any."""
+    """Merge config file and flags; flags win, also over a [grid] sweep of
+    their key.  ``seeds`` are the split seeds when neither sets any."""
     cfg = load_config(args.config, seeds) if args.config else ExperimentConfig(seeds=seeds)
     for key in _SHARED_FLAGS:
         value = getattr(args, key, None)
@@ -168,6 +173,7 @@ def _resolve(args, seeds=DEFAULT_SEEDS):
             setattr(cfg, key, value)
         else:
             cfg.model[key] = value
+            cfg.grid.pop(key, None)
     cfg.validate()
     return cfg
 

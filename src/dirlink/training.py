@@ -75,6 +75,8 @@ class TrainConfig:
         for name in ("hidden", "emb", "dec_hidden", "mlp_layers", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.patience < self.max_epochs:
             raise ValueError("patience must be smaller than max_epochs")
         if not 1 <= self.k <= 8:

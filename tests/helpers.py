@@ -1,7 +1,9 @@
 """Shared test utilities: random graph builders, the generator of the
 synthetic200 fixture, loop-based reference implementations of the data path,
-dense and explicit-form oracles of the encoders and of ``pair_dot``,
-finite-difference checks and a memory-bounded subprocess runner."""
+dense and explicit-form oracles of the encoders, of ``pair_dot`` and of
+``hinge``, the tape ops that only tests build graphs with (``row_sum``,
+``add``, ``scale``, ``sum_all``), finite-difference checks and a
+memory-bounded subprocess runner."""
 
 import os
 import subprocess
@@ -203,8 +205,8 @@ def sdgae_encode_composite(p, a_norm, x):
     s = p.mlp_s(xt)
     t = p.mlp_t(xt)
     for step in range(len(p.gamma_s)):
-        s_next = ad.add(ad.scale(ad.spmm_const(a_norm, t), p.gamma_s[step]), s)
-        t_next = ad.add(ad.scale(ad.spmm_const(a_t, s), p.gamma_t[step]), t)
+        s_next = add(scale(ad.spmm_const(a_norm, t), p.gamma_s[step]), s)
+        t_next = add(scale(ad.spmm_const(a_t, s), p.gamma_t[step]), t)
         s, t = s_next, t_next
     return EncoderOutput(s, t)
 
@@ -215,6 +217,43 @@ def row_sum(x):
     the (n, 1) g itself, which the engine copies and broadcasts."""
     return ad._op(x.data.sum(axis=1, keepdims=True), "row_sum", (x,),
                   (x, ad._copied(lambda g: g)))
+
+
+def add(a, b):
+    """Elementwise a + b as a tape op; both grad maps return g itself."""
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
+    return ad._op(a.data + b.data, "add", (a, b),
+                  (a, ad._copied(lambda g: g)), (b, ad._copied(lambda g: g)))
+
+
+def scale(x, s):
+    """Multiply a matrix by a scalar held in a (1, 1) tensor, as a tape op."""
+    if s.data.shape != (1, 1):
+        raise ValueError("scale factor must be a 1x1 tensor")
+    return ad._op(x.data * s.data[0, 0], "scale", (x, s),
+                  (x, lambda g: g * s.data[0, 0]),
+                  (s, ad._copied(lambda g: (g * x.data).sum())))
+
+
+def sum_all(x):
+    """The sum of every entry, (n, d) -> (1, 1), as a tape op: the scalar
+    loss of most gradient tests.  Its grad map returns a scalar, which the
+    engine broadcasts."""
+    return ad._op(x.data.sum().reshape(1, 1), "sum_all", (x,),
+                  (x, ad._copied(lambda g: g[0, 0])))
+
+
+def hinge_composite(pos, rev, margin):
+    """``autodiff.hinge`` as the composite of add, scale, relu and sum_all
+    over constant margin columns: its oracle for values and grads, bit for
+    bit."""
+    margin_pos = ad.Tensor(np.full(pos.data.shape, margin))
+    loss = sum_all(ad.relu(add(margin_pos, scale(pos, ad.Tensor(-1.0)))))
+    if rev is None:
+        return loss
+    margin_rev = ad.Tensor(np.full(rev.data.shape, margin))
+    return add(loss, sum_all(ad.relu(add(margin_rev, rev))))
 
 
 def digae_encode_bipartite(p, g, x, alpha, beta):

@@ -171,18 +171,11 @@ def test_reconstruct_from_trained_embeddings():
     pos_pairs = g.edges
 
     optimizer = ad.AdamState([s, t], lr=0.05)
-    one_pos = ad.Tensor(np.full((len(pos_pairs), 1), 1.0))
-    one_neg = ad.Tensor(np.full((len(neg_pairs), 1), 1.0))
-    minus = ad.Tensor(np.array([[-1.0]]))
     for _ in range(150):
         enc = models.EncoderOutput(s, t)
         pos = models.decode(dec, enc, pos_pairs)
         neg = models.decode(dec, enc, neg_pairs)
-        loss = ad.add(
-            ad.sum_all(ad.relu(ad.add(one_pos, ad.scale(pos, minus)))),
-            ad.sum_all(ad.relu(ad.add(one_neg, neg))),
-        )
-        ad.backward(loss, [s, t])
+        ad.backward(ad.hinge(pos, neg, 1.0), [s, t])
         optimizer.step()
 
     enc = models.EncoderOutput(ad.Tensor(s.data), ad.Tensor(t.data))

@@ -1,4 +1,6 @@
+import ast
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 import dirlink.autodiff as ad
 from dirlink.graph import DirectedGraph, adjacency, normalize_sym
-from helpers import check_gradients, row_sum
+from helpers import add, check_gradients, hinge_composite, row_sum, scale, sum_all
 
 
 def _param(rng, *shape):
@@ -20,7 +22,11 @@ def test_tensor_wraps_scalars_and_rejects_higher_rank():
         ad.Tensor(np.zeros((2, 2, 2)))
 
 
-def test_every_op_gradient_matches_finite_differences():
+def _gradient_cases():
+    """name -> (scalar loss builder, the parameters it reads, coordinates
+    checked per parameter): a finite-difference case through each tape op,
+    the engine's and the tests' own.  Each builder rebuilds its graph from
+    the parameters' current data."""
     rng = np.random.default_rng(10)
     g = DirectedGraph(5, [[0, 1], [1, 2], [3, 4], [4, 0], [2, 3], [0, 3]])
     a = normalize_sym(g)
@@ -29,28 +35,67 @@ def test_every_op_gradient_matches_finite_differences():
     x = _param(rng, 5, 4)
     s = _param(rng, 1, 1)
     gammas = [_param(rng, 1, 1) for _ in range(4)]
+    c = _param(rng, 4, 1)
     idx = np.array([0, 2, 2, 4, 1])
+    # the hinge cases' rows sit well away from the kink, on both sides of it
+    pre = np.vstack([0.5 - x.data @ c.data, 0.5 + (x.data * x.data) @ c.data])
+    assert np.abs(pre).min() > 0.1 and (pre > 0).any() and (pre < 0).any()
 
+    shared = [x, w, b, s, *gammas, c]
     builders = {
-        "matmul": lambda: ad.sum_all(ad.matmul(x, w)),
-        "add": lambda: ad.sum_all(ad.add(x, x)),
-        "add_bias": lambda: ad.sum_all(ad.add_bias(ad.matmul(x, w), b)),
-        "hadamard": lambda: ad.sum_all(ad.hadamard(x, x)),
-        "concat": lambda: ad.sum_all(ad.matmul(ad.concat_cols(x, x), _ones(8, 1))),
-        "relu": lambda: ad.sum_all(ad.relu(ad.matmul(x, w))),
-        "gather": lambda: ad.sum_all(ad.gather_rows(x, idx)),
+        "matmul": lambda: sum_all(ad.matmul(x, w)),
+        "add": lambda: sum_all(add(x, x)),
+        "add_bias": lambda: sum_all(ad.add_bias(ad.matmul(x, w), b)),
+        "hadamard": lambda: sum_all(ad.hadamard(x, x)),
+        "concat": lambda: sum_all(ad.matmul(ad.concat_cols(x, x), _ones(8, 1))),
+        "relu": lambda: sum_all(ad.relu(ad.matmul(x, w))),
+        "gather": lambda: sum_all(ad.gather_rows(x, idx)),
         "pair_dot": lambda: _squared_sum(ad.pair_dot(x, ad.relu(x), idx, idx[::-1], 2)),
-        "row_sum": lambda: ad.sum_all(ad.hadamard(row_sum(x), row_sum(x))),
-        "scale": lambda: ad.sum_all(ad.scale(ad.matmul(x, w), s)),
-        "spmm": lambda: ad.sum_all(ad.relu(ad.spmm_const(a, x))),
-        "spmm_t": lambda: ad.sum_all(ad.relu(ad.spmm_const(a.T, x))),
-        "sdgae_propagate": lambda: ad.sum_all(ad.hadamard(*ad.sdgae_propagate(
+        "row_sum": lambda: sum_all(ad.hadamard(row_sum(x), row_sum(x))),
+        "scale": lambda: sum_all(scale(ad.matmul(x, w), s)),
+        "spmm": lambda: sum_all(ad.relu(ad.spmm_const(a, x))),
+        "spmm_t": lambda: sum_all(ad.relu(ad.spmm_const(a.T, x))),
+        "sdgae_propagate": lambda: sum_all(ad.hadamard(*ad.sdgae_propagate(
             a, ad.matmul(x, w), ad.hadamard(ad.matmul(x, w), ad.matmul(x, w)),
             gammas[:2], gammas[2:]))),
+        "hinge": lambda: ad.hinge(ad.matmul(x, c), None, 0.5),
+        "hinge_rev": lambda: ad.hinge(ad.matmul(x, c), ad.matmul(ad.hadamard(x, x), c), 0.5),
     }
-    for name, build in builders.items():
-        worst = check_gradients(build, [x, w, b, s, *gammas], rng, coords_per_tensor=4)
+    cases = {name: (build, shared, 4) for name, build in builders.items()}
+
+    lrng = np.random.default_rng(11)
+    w1 = _param(lrng, 3, 1)
+    w2 = _param(lrng, 3, 2)
+    z = ad.Tensor(lrng.standard_normal((7, 3)))
+    y = lrng.integers(0, 2, size=7)
+    cases["bce_with_logits"] = (lambda: ad.bce_with_logits(ad.matmul(z, w1), y), [w1], 3)
+    cases["ce_pairwise"] = (lambda: ad.ce_pairwise(ad.matmul(z, w2), y), [w2], 6)
+    return cases
+
+
+def test_every_op_gradient_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    for name, (build, params, coords) in _gradient_cases().items():
+        worst = check_gradients(build, params, rng, coords_per_tensor=coords)
         assert worst < 1e-4, name
+
+
+def _public_ops():
+    """The tape ops autodiff offers: its public functions that make their
+    output through ``_op`` or ``_result``."""
+    tree = ast.parse(inspect.getsource(ad))
+    return {f.name for f in tree.body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+            and any(isinstance(n, ast.Name) and n.id in ("_op", "_result") for n in ast.walk(f))}
+
+
+def test_every_public_op_has_a_gradient_check():
+    public = _public_ops()
+    assert {"matmul", "pair_dot", "sdgae_propagate", "hinge", "ce_pairwise"} <= public
+    checked = set()
+    for build, params, _ in _gradient_cases().values():
+        checked.update(t.op for t in ad.backward(build(), params))
+    assert public - checked == set()
 
 
 def _ones(r, c):
@@ -58,13 +103,13 @@ def _ones(r, c):
 
 
 def _squared_sum(z):
-    return ad.sum_all(ad.hadamard(z, z))
+    return sum_all(ad.hadamard(z, z))
 
 
 def test_gather_rows_accumulates_duplicate_indices():
     x = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     out = ad.gather_rows(x, np.array([1, 1, 0]))
-    loss = ad.sum_all(out)
+    loss = sum_all(out)
     ad.backward(loss)
     assert np.array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
 
@@ -75,7 +120,7 @@ def test_gather_rows_scatter_matches_add_at_bitwise():
     x = _param(rng, 50, 7)
     idx = rng.integers(0, 50, size=1000)
     g = rng.standard_normal((1000, 7))
-    ad.backward(ad.sum_all(ad.hadamard(ad.gather_rows(x, idx), ad.Tensor(g))))
+    ad.backward(sum_all(ad.hadamard(ad.gather_rows(x, idx), ad.Tensor(g))))
     ref = np.zeros_like(x.data)
     np.add.at(ref, idx, g)
     assert np.array_equal(x.grad, ref)
@@ -121,7 +166,7 @@ def test_pair_dot_matches_gather_composite_bitwise(case):
         else:
             s, t = x, y
         z = op(s, t, u, v)
-        ad.backward(ad.sum_all(ad.hadamard(z, ad.Tensor(g))), params=[x, y, w])
+        ad.backward(sum_all(ad.hadamard(z, ad.Tensor(g))), params=[x, y, w])
         return z.data, x.grad, y.grad, w.grad
 
     fused = run(lambda s, t, u, v: ad.pair_dot(s, t, u, v, 7))
@@ -146,15 +191,36 @@ def test_pair_dot_checks_its_inputs():
         ad.pair_dot(x, ad.Tensor(np.zeros((4, 3))), np.array([0]), np.array([0]), 512)
 
 
-def test_losses_match_finite_differences():
-    rng = np.random.default_rng(11)
-    w = _param(rng, 3, 1)
-    w2 = _param(rng, 3, 2)
-    x = ad.Tensor(rng.standard_normal((7, 3)))
-    y = rng.integers(0, 2, size=7)
+@pytest.mark.parametrize("with_rev", [False, True])
+@pytest.mark.parametrize("logits", ["leaf", "pair_dot"])
+def test_hinge_matches_its_composite_bitwise(logits, with_rev):
+    """The same value and leaf grads, bit for bit, as the add, scale, relu
+    and sum_all graph it replaces, signed zeros included: rows exactly at
+    the margin are inactive, and an inactive pos row's grad is -0.0."""
+    rng = np.random.default_rng(27)
+    margin = 0.1
+    n, d, p_pos, p_rev = 12, 3, 40, 30
+    x0, y0 = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    pos0, rev0 = rng.standard_normal((p_pos, 1)), rng.standard_normal((p_rev, 1))
+    pos0[:4], rev0[:4] = margin, -margin
+    u, v = rng.integers(0, n, size=(2, p_pos + p_rev))
 
-    check_gradients(lambda: ad.bce_with_logits(ad.matmul(x, w), y), [w], rng, 3)
-    check_gradients(lambda: ad.ce_pairwise(ad.matmul(x, w2), y), [w2], rng, 6)
+    def run(loss_fn):
+        x, y, pos, rev = (ad.Tensor(a.copy(), requires_grad=True) for a in (x0, y0, pos0, rev0))
+        if logits == "pair_dot":
+            pos = ad.pair_dot(x, y, u[:p_pos], v[:p_pos], 16)
+            rev = ad.pair_dot(x, y, u[p_pos:], v[p_pos:], 16)
+        leaves = [x, y] if logits == "pair_dot" else [pos, rev]
+        loss = loss_fn(pos, rev if with_rev else None, margin)
+        ad.backward(loss, leaves)
+        return [loss.data] + [t.grad for t in leaves]
+
+    fused, composite = run(ad.hinge), run(hinge_composite)
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(fused, composite))
+    if logits == "leaf":
+        assert np.all(fused[1][:4] == 0.0) and np.all(np.signbit(fused[1][:4]))
+        assert np.all(fused[2][:4] == 0.0) and not np.any(np.signbit(fused[2][:4]))
+        assert fused[0][0, 0] > 0.0 and np.any(fused[1] != 0.0)
 
 
 def test_bce_stable_at_extreme_logits():
@@ -198,7 +264,7 @@ def test_tape_orders_parents_before_children():
     x = _param(rng, 3, 3)
     w = _param(rng, 3, 3)
     h = ad.relu(ad.matmul(x, w))
-    out = ad.sum_all(ad.add(ad.matmul(h, w), h))  # diamond: h used twice
+    out = sum_all(add(ad.matmul(h, w), h))  # diamond: h used twice
     tape = ad.backward(out)
     pos = {id(t): i for i, t in enumerate(tape)}
     for t in tape:
@@ -211,7 +277,7 @@ def test_tape_orders_parents_before_children():
 
 def test_backward_twice_raises():
     x = _param(np.random.default_rng(14), 2, 2)
-    loss = ad.sum_all(x)
+    loss = sum_all(x)
     ad.backward(loss)
     with pytest.raises(RuntimeError, match="rebuild"):
         ad.backward(loss)
@@ -222,14 +288,14 @@ def test_backward_requires_scalar():
     with pytest.raises(ValueError, match="scalar"):
         ad.backward(ad.relu(x))
     with pytest.raises(ValueError):
-        ad.backward(ad.sum_all(ad.Tensor(np.ones((2, 2)))))
+        ad.backward(sum_all(ad.Tensor(np.ones((2, 2)))))
 
 
 def test_unreachable_params_get_zero_grads():
     rng = np.random.default_rng(16)
     used = _param(rng, 2, 2)
     unused = _param(rng, 3, 3)
-    ad.backward(ad.sum_all(used), params=[used, unused])
+    ad.backward(sum_all(used), params=[used, unused])
     assert np.array_equal(unused.grad, np.zeros((3, 3)))
     assert np.array_equal(used.grad, np.ones((2, 2)))
 
@@ -239,9 +305,9 @@ def test_stale_gradients_cleared_between_passes():
     rng = np.random.default_rng(17)
     a = _param(rng, 2, 2)
     b = _param(rng, 2, 2)
-    ad.backward(ad.sum_all(ad.hadamard(a, b)), params=[a, b])
+    ad.backward(sum_all(ad.hadamard(a, b)), params=[a, b])
     assert not np.array_equal(a.grad, np.zeros((2, 2)))
-    ad.backward(ad.sum_all(ad.hadamard(b, b)), params=[a, b])
+    ad.backward(sum_all(ad.hadamard(b, b)), params=[a, b])
     assert np.array_equal(a.grad, np.zeros((2, 2)))
 
 
@@ -249,7 +315,7 @@ def test_shape_mismatches_rejected():
     x = ad.Tensor(np.ones((2, 3)))
     y = ad.Tensor(np.ones((3, 2)))
     with pytest.raises(ValueError):
-        ad.add(x, y)
+        add(x, y)
     with pytest.raises(ValueError):
         ad.hadamard(x, y)
     with pytest.raises(ValueError):
@@ -257,7 +323,11 @@ def test_shape_mismatches_rejected():
     with pytest.raises(ValueError):
         ad.add_bias(x, ad.Tensor(np.ones((1, 2))))
     with pytest.raises(ValueError):
-        ad.scale(x, ad.Tensor(np.ones((2, 1))))
+        scale(x, ad.Tensor(np.ones((2, 1))))
+    with pytest.raises(ValueError, match="hinge"):
+        ad.hinge(x, None, 0.1)
+    with pytest.raises(ValueError, match="hinge"):
+        ad.hinge(ad.Tensor(np.ones((2, 1))), x, 0.1)
 
 
 def test_spmm_const_matches_dense_with_gradients():
@@ -267,7 +337,7 @@ def test_spmm_const_matches_dense_with_gradients():
     x = _param(rng, 4, 3)
     out = ad.spmm_const(m, x)
     assert np.allclose(out.data, m.toarray() @ x.data)
-    ad.backward(ad.sum_all(out))
+    ad.backward(sum_all(out))
     assert np.allclose(x.grad, m.toarray().T @ np.ones((4, 3)))
     out_t = ad.spmm_const(m.T, ad.Tensor(x.data))
     assert np.allclose(out_t.data, m.toarray().T @ x.data)
@@ -285,8 +355,8 @@ def test_adam_matches_reference_implementation():
     m = np.zeros_like(ref)
     v = np.zeros_like(ref)
     for step in range(1, 6):
-        diff = ad.add(p, ad.Tensor(-target))
-        loss = ad.sum_all(ad.hadamard(diff, diff))
+        diff = add(p, ad.Tensor(-target))
+        loss = sum_all(ad.hadamard(diff, diff))
         ad.backward(loss, [p])
         opt.step()
 
@@ -313,7 +383,7 @@ def test_backward_releases_the_graph():
     gc.disable()
     try:
         h = ad.relu(ad.matmul(x, w))
-        loss = ad.sum_all(h)
+        loss = sum_all(h)
         ref = weakref.ref(h)
         ad.backward(loss, [x, w])
         assert h.grad is None and h.parents  # non-leaf grad freed, parents kept
@@ -336,45 +406,46 @@ def test_backward_through_a_replayed_node_raises():
     rng = np.random.default_rng(22)
     x = _param(rng, 2, 2)
     h = ad.relu(x)
-    ad.backward(ad.sum_all(h))
+    ad.backward(sum_all(h))
     with pytest.raises(RuntimeError, match="rebuild"):
-        ad.backward(ad.sum_all(h))
+        ad.backward(sum_all(h))
 
 
 def test_first_gradient_write_is_a_copy():
     rng = np.random.default_rng(23)
     a = _param(rng, 2, 2)
     b = _param(rng, 2, 2)
-    ad.backward(ad.sum_all(ad.add(a, b)))
+    ad.backward(sum_all(add(a, b)))
     assert not np.shares_memory(a.grad, b.grad)
     a.grad += 1.0
     assert np.array_equal(b.grad, np.ones((2, 2)))
-    ad.backward(ad.sum_all(ad.add(a, a)))
+    ad.backward(sum_all(add(a, a)))
     assert np.array_equal(a.grad, np.full((2, 2), 2.0))
 
 
 def _every_op_loss(leaves, a):
-    """A scalar loss through every op of the engine.  A grad map that returns
-    g, a view or a scalar feeds a leaf's first contribution: those of xb, c,
-    q and s, and of v and v2, which one add feeds.  u's grad is first a
-    hadamard's, handed over, and then a concat slice sums into it."""
-    xb, b, u, c, v, v2, w6, s, q, *gammas = leaves
+    """A scalar loss through every op, the engine's and the tests' own.  A
+    grad map that returns g, a view or a scalar feeds a leaf's first
+    contribution: those of xb, c, q and s, and of v and v2, which one add
+    feeds.  u's grad is first a hadamard's, handed over, and then a concat
+    slice sums into it; r's only grad is the hinge's, handed over."""
+    xb, b, u, c, v, v2, w6, s, q, r, *gammas = leaves
     idx, idx2 = np.array([0, 2, 2, 4, 1, 3]), np.array([1, 1, 4, 0, 3, 2])
     h = ad.relu(ad.add_bias(xb, b))
-    s_out, t_out = ad.sdgae_propagate(a, h, ad.spmm_const(a, ad.add(v, v2)), gammas[:2],
+    s_out, t_out = ad.sdgae_propagate(a, h, ad.spmm_const(a, add(v, v2)), gammas[:2],
                                       gammas[2:])
     bce = ad.bce_with_logits(ad.matmul(ad.gather_rows(ad.concat_cols(u, c), idx), w6),
                              np.array([1, 0, 1, 0, 1, 0]))
     z = ad.pair_dot(s_out, t_out, idx, idx2, 4)
-    ce = ad.ce_pairwise(ad.concat_cols(z, ad.scale(z, s)), np.array([0, 1, 0, 1, 1, 0]))
-    return ad.add(ad.add(ad.add(bce, ce), ad.sum_all(q)),
-                  ad.sum_all(ad.hadamard(ad.hadamard(u, s_out), t_out)))
+    ce = ad.ce_pairwise(ad.concat_cols(z, scale(z, s)), np.array([0, 1, 0, 1, 1, 0]))
+    return add(add(add(add(bce, ce), sum_all(q)), ad.hinge(z, r, 0.1)),
+               sum_all(ad.hadamard(ad.hadamard(u, s_out), t_out)))
 
 
 def test_handed_over_grads_share_no_memory_and_match_copies(monkeypatch):
     rng = np.random.default_rng(25)
     a = normalize_sym(DirectedGraph(5, [[0, 1], [1, 2], [3, 4], [4, 0], [2, 3], [0, 3]]))
-    shapes = [(5, 3), (1, 3), (5, 3), (5, 3), (5, 3), (5, 3), (6, 1), (1, 1), (2, 2)]
+    shapes = [(5, 3), (1, 3), (5, 3), (5, 3), (5, 3), (5, 3), (6, 1), (1, 1), (2, 2), (6, 1)]
     leaves = [_param(rng, *shape) for shape in shapes + [(1, 1)] * 4]
     real = ad._accumulate
     calls = []
@@ -388,6 +459,8 @@ def test_handed_over_grads_share_no_memory_and_match_copies(monkeypatch):
     grads = [p.grad for p in leaves]
     # u's first grad was handed over, and the slice summed into it
     assert [owned for t, owned in calls if t is leaves[2]] == [True, False]
+    assert [owned for t, owned in calls if t is leaves[9]] == [True]
+    assert "hinge" in {t.op for t in tape}
     for i, g in enumerate(grads):
         assert g.shape == leaves[i].data.shape and g.base is None
         others = [t.data for t in tape] + grads[:i] + grads[i + 1:]

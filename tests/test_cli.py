@@ -282,6 +282,48 @@ def test_repeated_split_seeds_are_usage_errors(tmp_path, capsys):
     assert "split seed(s) 0 repeated" in capsys.readouterr().err
 
 
+def test_a_flag_wins_over_a_grid_sweep_of_its_key(tmp_path, capsys):
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text(_train_config_text(tmp_path) + "\n[grid]\nk = 2, 5\nlr = 0.01\n")
+    out = tmp_path / "grid"
+    assert cli.main(["grid", "--config", str(cfg_path), "--k", "3", "--out", str(out)]) == 0
+    header, *rows = (out / "runs.tsv").read_text().splitlines()
+    configs = [dict(zip(header.split("\t"), row.split("\t")))["config"] for row in rows]
+    assert len(configs) == 1 and "k=3," in configs[0] and "lr=0.01," in configs[0]
+    out = tmp_path / "train"
+    assert cli.main(["train", "--config", str(cfg_path), "--k", "3", "--out", str(out)]) == 0
+    meta, _ = models.load_checkpoint(out / "model.npz")
+    assert meta["config"]["k"] == 3
+
+
+def test_negative_seeds_are_usage_errors(tmp_path, capsys):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        training.TrainConfig(seed=-1)
+    with pytest.raises(cli.UsageError, match=r"seeds must be >= 0, got -2"):
+        cli.ExperimentConfig(dataset="ring3", seeds=(0, -2)).validate()
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_train_config_text(tmp_path) + "seed = -1\n")
+    for command in ("train", "grid"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+    out = tmp_path / "split"
+    assert cli.main(["split", "--dataset", "ring3", "--seeds", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: seeds must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_repeated_grid_values_are_usage_errors(tmp_path, capsys):
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text(_train_config_text(tmp_path) + "\n[grid]\nlr = 0.01, 0.05\nk = 2, 3, 2\n")
+    out = tmp_path / "g"
+    assert cli.main(["grid", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: [grid] k repeats a value; each config runs once\n"
+    assert not out.exists()
+
+
 def test_check_command_verdicts(capsys):
     assert cli.main(["check", "--dataset", "ring3", "--mode", "single",
                      "--decoder", "inner"]) == 0

@@ -28,7 +28,8 @@ from dirlink.graph import (
     weakly_connected_components,
 )
 from dirlink.training import TrainConfig
-from helpers import UnionFind, bipartite_block, kruskal_pins, planted_graph, random_graph
+from helpers import (UnionFind, bipartite_block, kruskal_pins, planted_graph, random_graph,
+                     sum_all)
 
 
 def test_union_find_merges_and_reports():
@@ -76,7 +77,7 @@ def test_operators_are_canonical_and_transpose_views_match_copies_bitwise(operat
             out = ad.spmm_const(m.T, x)
             assert np.array_equal(out.data, m_t @ x.data)
             out = ad.spmm_const(m, x)
-            ad.backward(ad.sum_all(ad.hadamard(out, ad.Tensor(up))))
+            ad.backward(sum_all(ad.hadamard(out, ad.Tensor(up))))
             assert np.array_equal(out.data, m @ x.data)
             assert np.array_equal(x.grad, m_t @ up)
 
@@ -96,7 +97,7 @@ def test_operator_dies_by_refcount_after_transpose_product():
         t = op.T
         assert np.allclose(spmm(op.T, x), op.toarray().T @ x)
         enc = models.encoder_forward(p, x)
-        loss = ad.sum_all(ad.hadamard(enc.S, enc.T))
+        loss = sum_all(ad.hadamard(enc.S, enc.T))
         ad.backward(loss)
         unreplayed = models.encoder_forward(p, x)
         refs = [weakref.ref(o) for o in (op, op.data, op.indices, t, enc.S, enc.T, loss,

@@ -8,7 +8,7 @@ from dirlink import models, training
 from dirlink.graph import normalize_sym
 from dirlink.training import TrainConfig
 from helpers import (digae_encode_bipartite, expand_coefficients, random_graph,
-                     sdgae_encode_composite, sdgae_encode_explicit)
+                     sdgae_encode_composite, sdgae_encode_explicit, sum_all)
 
 
 def _sdgae(rng, g, in_dim=4, k=3, **kw):
@@ -91,10 +91,10 @@ def _sdgae_case(k, seed=44, n=30):
 def _sdgae_loss(enc, read):
     """A scalar that reads S, T or both, with a grad that is not constant."""
     if read == "S":
-        return ad.sum_all(ad.hadamard(enc.S, enc.S))
+        return sum_all(ad.hadamard(enc.S, enc.S))
     if read == "T":
-        return ad.sum_all(ad.relu(enc.T))
-    return ad.sum_all(ad.hadamard(enc.S, enc.T))
+        return sum_all(ad.relu(enc.T))
+    return sum_all(ad.hadamard(enc.S, enc.T))
 
 
 def _sdgae_backward(p, enc, read):

@@ -9,7 +9,7 @@ import pytest
 import dirlink.autodiff as ad
 from dirlink import datasets, models, splits, training
 from dirlink.graph import DirectedGraph
-from helpers import run_under_memory_bound, weakly_connected_random_graph
+from helpers import run_under_memory_bound, sum_all, weakly_connected_random_graph
 
 
 def small_bundle(seed=0, n=30):
@@ -452,7 +452,7 @@ def test_workspace_never_backs_returned_embeddings():
     model, step, _ = _fixture_model(cfg)
     step()
     replayed = model.encode()
-    ad.backward(ad.sum_all(ad.hadamard(replayed.S, replayed.T)))
+    ad.backward(sum_all(ad.hadamard(replayed.S, replayed.T)))
     held = [replayed, model.encode()]
     with ad.no_grad():
         held.append(model.encode())
