@@ -127,23 +127,14 @@ def _released(g):
     raise RuntimeError("backward already ran through this tensor; rebuild the forward pass")
 
 
-def _accumulate(t, g, owned=False):
-    """Add g into t.grad.  A first contribution that is ``owned``, a new
-    array of t's shape that nothing else holds, becomes t.grad as it is;
-    any other is copied (and broadcast to t's shape).  So no gradient ever
-    aliases another node's array."""
+def _accumulate(t, g):
+    """Add g into t.grad.  g is a new array of t's shape that nothing else
+    holds, so a first contribution becomes t.grad as it is and no gradient
+    ever aliases another node's array."""
     if t.grad is None:
-        t.grad = g if owned else np.array(np.broadcast_to(g, t.data.shape))
+        t.grad = g
     else:
         t.grad += g
-
-
-def _copied(grad):
-    """Mark a grad map whose result the engine copies before keeping it: one
-    that returns g itself, a view of g or a scalar.  Every other map returns
-    a new array, which the engine keeps as the first contribution."""
-    grad.copied = True
-    return grad
 
 
 def _result(data, op, parents, rule):
@@ -160,12 +151,12 @@ def _op(data, op, parents, *grads):
     """The output tensor of an op whose backward pass is one grad map per
     input: each of ``grads`` is (input, g -> the input's grad), applied in
     the order given, to the inputs that require gradients only.  A map
-    returns a new array unless it is marked ``_copied``."""
+    returns a new array of its input's shape."""
 
     def rule(g):
         for x, grad in grads:
             if x.requires_grad:
-                _accumulate(x, grad(g), not getattr(grad, "copied", False))
+                _accumulate(x, grad(g))
 
     return _result(data, op, parents, rule)
 
@@ -182,7 +173,7 @@ def add_bias(x, b):
     if b.data.shape != (1, x.data.shape[1]):
         raise ValueError(f"bias shape {b.data.shape} incompatible with {x.data.shape}")
     return _op(x.data + b.data, "add_bias", (x, b),
-               (x, _copied(lambda g: g)), (b, lambda g: g.sum(axis=0, keepdims=True)))
+               (x, lambda g: g.copy()), (b, lambda g: g.sum(axis=0, keepdims=True)))
 
 
 def hadamard(a, b):
@@ -197,7 +188,7 @@ def concat_cols(a, b):
         raise ValueError(f"concat_cols row mismatch: {a.data.shape} vs {b.data.shape}")
     split = a.data.shape[1]
     return _op(np.hstack([a.data, b.data]), "concat_cols", (a, b),
-               (a, _copied(lambda g: g[:, :split])), (b, _copied(lambda g: g[:, split:])))
+               (a, lambda g: g[:, :split].copy()), (b, lambda g: g[:, split:].copy()))
 
 
 def relu(x):
@@ -374,9 +365,9 @@ def sdgae_propagate(m, s0, t0, gamma_s, gamma_t, workspace=None):
         g_t = companion.pop() if companion else None
         for j in reversed(range(k)):
             if g_s is not None and gamma_s[j].requires_grad:
-                _accumulate(gamma_s[j], np.multiply(g_s, prod_s[j], out=tmp).sum())
+                _accumulate(gamma_s[j], np.multiply(g_s, prod_s[j], out=tmp).sum(keepdims=True))
             if g_t is not None and gamma_t[j].requires_grad:
-                _accumulate(gamma_t[j], np.multiply(g_t, prod_t[j], out=tmp).sum())
+                _accumulate(gamma_t[j], np.multiply(g_t, prod_t[j], out=tmp).sum(keepdims=True))
             h_s = h_t = None
             if g_t is not None:
                 h_s = _spmm(m, np.multiply(g_t, gamma_t[j].data[0, 0], out=tmp), out=into_s)
@@ -384,9 +375,9 @@ def sdgae_propagate(m, s0, t0, gamma_s, gamma_t, workspace=None):
                 h_t = _spmm(m_t, np.multiply(g_s, gamma_s[j].data[0, 0], out=tmp), out=into_t)
             g_s, g_t = plus(g_s, h_s, buf_s), plus(g_t, h_t, buf_t)
         if g_s is not None and s0.requires_grad:
-            _accumulate(s0, g_s)
+            _accumulate(s0, g_s.copy())
         if g_t is not None and t0.requires_grad:
-            _accumulate(t0, g_t)
+            _accumulate(t0, g_t.copy())
 
     out_s = _result(s, "sdgae_propagate", (s0, t0, *gamma_s, *gamma_t), rule)
     if not out_s.requires_grad:

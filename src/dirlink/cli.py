@@ -50,8 +50,8 @@ MODEL_KEY_TYPES = {
 class ExperimentConfig:
     """One experiment: data, feature mode, model settings, seeds, output dir.
 
-    ``model`` holds scalar overrides of the training defaults; ``grid`` maps
-    keys to candidate tuples whose cartesian product expand_grid expands:
+    ``grid`` maps model keys to candidate tuples, a [model] value or a flag
+    to a one-value tuple; expand_grid expands their cartesian product:
     cmd_grid trains every combination, cmd_train the only one.
     """
 
@@ -62,7 +62,6 @@ class ExperimentConfig:
     out: str = "runs"
     seeds: tuple = DEFAULT_SEEDS
     workers: int = 1
-    model: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
 
     def validate(self):
@@ -92,14 +91,11 @@ class ExperimentConfig:
                 raise UsageError(f"{key} must be >= 1")
         if self.features == "original" and not self.features_path:
             raise UsageError("feature mode 'original' needs features_path")
-        for key in list(self.model) + list(self.grid):
-            if key not in MODEL_KEY_TYPES:
-                raise UsageError(f"unknown model key {key!r}")
 
 
 # [experiment] keys, typed by their defaults, in field order
 EXPERIMENT_KEY_TYPES = {
-    f.name: type(f.default) for f in fields(ExperimentConfig) if f.name not in ("model", "grid")
+    f.name: type(f.default) for f in fields(ExperimentConfig) if f.name != "grid"
 }
 
 
@@ -136,8 +132,9 @@ def config_from_text(text, seeds=DEFAULT_SEEDS):
             if key not in types:
                 raise DataError(f"unknown {section} key {key!r}")
             parsed[section][key] = _parse_value(section, key, types[key], raw)
-    return ExperimentConfig(**{"seeds": seeds, **parsed["experiment"]},
-                            model=parsed["model"], grid=parsed["grid"])
+    # a [grid] key replaces the one-value candidate list of its [model] value
+    grid = {**{key: (value,) for key, value in parsed["model"].items()}, **parsed["grid"]}
+    return ExperimentConfig(**{"seeds": seeds, **parsed["experiment"]}, grid=grid)
 
 
 def load_config(path, seeds=DEFAULT_SEEDS):
@@ -149,11 +146,10 @@ def load_config(path, seeds=DEFAULT_SEEDS):
 
 
 def expand_grid(cfg):
-    """One TrainConfig per combination of [grid] values over the [model]
-    values; one with no grid.  A bad value is a usage error."""
+    """One TrainConfig per combination of [grid] values over the training
+    defaults; one with no grid.  A bad value is a usage error."""
     keys = sorted(cfg.grid)
-    combos = [{**cfg.model, **dict(zip(keys, combo))}
-              for combo in itertools.product(*(cfg.grid[k] for k in keys))]
+    combos = [dict(zip(keys, combo)) for combo in itertools.product(*(cfg.grid[k] for k in keys))]
     try:
         return [TrainConfig(**{("encoder" if key == "model" else key): v for key, v in c.items()})
                 for c in combos]
@@ -162,8 +158,8 @@ def expand_grid(cfg):
 
 
 def _resolve(args, seeds=DEFAULT_SEEDS):
-    """Merge config file and flags; flags win, also over a [grid] sweep of
-    their key.  ``seeds`` are the split seeds when neither sets any."""
+    """Merge config file and flags; a flag replaces its key's [grid]
+    candidates.  ``seeds`` are the split seeds when neither sets any."""
     cfg = load_config(args.config, seeds) if args.config else ExperimentConfig(seeds=seeds)
     for key in _SHARED_FLAGS:
         value = getattr(args, key, None)
@@ -172,8 +168,7 @@ def _resolve(args, seeds=DEFAULT_SEEDS):
         if key in EXPERIMENT_KEY_TYPES:
             setattr(cfg, key, value)
         else:
-            cfg.model[key] = value
-            cfg.grid.pop(key, None)
+            cfg.grid[key] = (value,)
     cfg.validate()
     return cfg
 
@@ -337,6 +332,8 @@ def cmd_eval(args):
 
 
 def cmd_reconstruct(args):
+    if args.m_prime is not None and args.m_prime < 0:
+        raise UsageError(f"--m-prime must be >= 0, got {args.m_prime}")
     model, _, g = _restore_model(args.checkpoint, args.dataset)
     m_prime = args.m_prime if args.m_prime is not None else g.edge_count
     with ad.no_grad():

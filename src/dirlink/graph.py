@@ -115,17 +115,10 @@ class DirectedGraph:
         return self.edges[:, 0] * np.int64(self.n) + self.edges[:, 1]
 
 
-def degrees(g, add_self_loops=False):
-    """Out- and in-degree vectors of g.
-
-    With ``add_self_loops`` both are incremented by one, matching the
-    degrees of the self-looped adjacency used by normalized operators.
-    """
+def degrees(g):
+    """Out- and in-degree vectors of g."""
     out_deg = np.bincount(g.edges[:, 0], minlength=g.n)
     in_deg = np.bincount(g.edges[:, 1], minlength=g.n)
-    if add_self_loops:
-        out_deg = out_deg + 1
-        in_deg = in_deg + 1
     return out_deg.astype(np.int64), in_deg.astype(np.int64)
 
 
@@ -144,12 +137,13 @@ def normalize_adj(g, alpha, beta):
     """Degree-normalized self-looped adjacency, a scipy CSR matrix.
 
     Entry (u, v) equals ``d_out(u)^-beta * d_in(v)^-alpha`` for every edge of
-    the self-looped adjacency, where degrees include the self-loops (so they
-    are strictly positive and the powers are always defined).
+    the self-looped adjacency, with degrees read off its own CSR arrays (so
+    they count the self-loops, and the powers are always defined).
     """
-    out_deg, in_deg = degrees(g, add_self_loops=True)
     a_hat = adjacency(g) + _sp.identity(g.n, format="csr")
-    rr = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(a_hat.indptr))
+    out_deg = np.diff(a_hat.indptr)
+    in_deg = np.bincount(a_hat.indices, minlength=g.n)
+    rr = np.repeat(np.arange(g.n, dtype=np.int64), out_deg)
     a_hat.data *= np.power(out_deg[rr], -beta) * np.power(in_deg[a_hat.indices], -alpha)
     return a_hat
 

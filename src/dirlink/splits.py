@@ -212,7 +212,7 @@ def init_features(init, train_graph, original=None):
             raise DataError(f"feature rows ({feats.shape[0]}) != node count ({train_graph.n})")
         return feats
     if init.mode == "degrees":
-        out_deg, in_deg = degrees(train_graph, add_self_loops=False)
+        out_deg, in_deg = degrees(train_graph)
         return np.stack([out_deg, in_deg], axis=1).astype(np.float64)
     return np.random.default_rng(0).standard_normal((train_graph.n, init.dim))
 

@@ -259,7 +259,11 @@ def make_validation_scorer(bundle):
 
 def evaluate(model, bundle):
     """Score the held-out test pairs on one forward-only encode and compute
-    all seven metrics."""
+    all seven metrics.  Raises DataError when either test set is empty, as
+    the floor rule leaves it on very small graphs."""
+    if len(bundle.test_pos) == 0 or len(bundle.test_neg) == 0:
+        raise DataError(f"empty test split: {len(bundle.test_pos)} positive and "
+                        f"{len(bundle.test_neg)} negative pairs; metrics need at least one of each")
     with ad.no_grad():
         score = model.scorer(model.encode())
     return MetricsReport.from_scores(score(bundle.test_pos), score(bundle.test_neg))
@@ -365,18 +369,16 @@ def grid_run(configs, bundles, feature_init=None, original=None, workers=1):
                 summary.std[name] = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
             summary.mean_val = float(np.mean([r.best_val for r in ok]))
         summaries.append(summary)
-    scored = [s for s in summaries if s.n_failed < s.n_runs]
-    best = max(scored, key=lambda s: s.mean_val).config if scored else ""
+    # highest mean validation AUC first, and the first listed on ties
+    ranked = sorted((s for s in summaries if s.n_failed < s.n_runs), key=lambda s: -s.mean_val)
     best_by_family = {}
-    for s in scored:
-        incumbent = best_by_family.get(s.family)
-        if incumbent is None or s.mean_val > incumbent.mean_val:
-            best_by_family[s.family] = s
+    for s in ranked:
+        best_by_family.setdefault(s.family, s.config)
     return GridResult(
         rows=rows,
         summaries=summaries,
-        best_config=best,
-        best_by_family={fam: s.config for fam, s in best_by_family.items()},
+        best_config=ranked[0].config if ranked else "",
+        best_by_family=best_by_family,
     )
 
 

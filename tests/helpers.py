@@ -14,8 +14,7 @@ import scipy.sparse as sp
 
 import dirlink
 import dirlink.autodiff as ad
-from dirlink.graph import (DirectedGraph, adjacency, degrees, spmm,
-                           weakly_connected_components)
+from dirlink.graph import DirectedGraph, adjacency, spmm, weakly_connected_components
 from dirlink.models import EncoderOutput
 
 
@@ -213,18 +212,18 @@ def sdgae_encode_composite(p, a_norm, x):
 
 def row_sum(x):
     """Sum each row to a single column, (n, d) -> (n, 1), as a tape op: the
-    last op of ``pair_dot``'s three-op composite oracle.  Its grad map returns
-    the (n, 1) g itself, which the engine copies and broadcasts."""
+    last op of ``pair_dot``'s three-op composite oracle.  Its grad map
+    broadcasts the (n, 1) g to x's shape."""
     return ad._op(x.data.sum(axis=1, keepdims=True), "row_sum", (x,),
-                  (x, ad._copied(lambda g: g)))
+                  (x, lambda g: np.broadcast_to(g, x.data.shape).copy()))
 
 
 def add(a, b):
-    """Elementwise a + b as a tape op; both grad maps return g itself."""
+    """Elementwise a + b as a tape op; both grad maps return a copy of g."""
     if a.data.shape != b.data.shape:
         raise ValueError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
     return ad._op(a.data + b.data, "add", (a, b),
-                  (a, ad._copied(lambda g: g)), (b, ad._copied(lambda g: g)))
+                  (a, lambda g: g.copy()), (b, lambda g: g.copy()))
 
 
 def scale(x, s):
@@ -233,15 +232,14 @@ def scale(x, s):
         raise ValueError("scale factor must be a 1x1 tensor")
     return ad._op(x.data * s.data[0, 0], "scale", (x, s),
                   (x, lambda g: g * s.data[0, 0]),
-                  (s, ad._copied(lambda g: (g * x.data).sum())))
+                  (s, lambda g: (g * x.data).sum(keepdims=True)))
 
 
 def sum_all(x):
     """The sum of every entry, (n, d) -> (1, 1), as a tape op: the scalar
-    loss of most gradient tests.  Its grad map returns a scalar, which the
-    engine broadcasts."""
+    loss of most gradient tests.  Its grad map fills x's shape with g."""
     return ad._op(x.data.sum().reshape(1, 1), "sum_all", (x,),
-                  (x, ad._copied(lambda g: g[0, 0])))
+                  (x, lambda g: np.full(x.data.shape, g[0, 0])))
 
 
 def hinge_composite(pos, rev, margin):
@@ -269,10 +267,8 @@ def digae_encode_bipartite(p, g, x, alpha, beta):
     block = np.zeros((2 * n, 2 * n))
     block[:n, n:] = a_hat
     block[n:, :n] = a_hat.T
-    out_deg, in_deg = degrees(g, add_self_loops=True)
-    dvec = np.concatenate(
-        [np.power(out_deg.astype(np.float64), -beta), np.power(in_deg.astype(np.float64), -alpha)]
-    )
+    dvec = np.concatenate([np.power(a_hat.sum(axis=1), -beta),
+                           np.power(a_hat.sum(axis=0), -alpha)])
     norm_block = dvec[:, None] * block * dvec[None, :]
     s = t = x
     last = len(p.w_s) - 1

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import dirlink
-from dirlink import cli, models, training
+from dirlink import cli, datasets, models, training
 from dirlink.graph import DataError
 from dirlink.metrics import MetricsReport
+from dirlink.splits import FeatureInit, init_features, split_edges
 
 
 def _sample_config(tmp_path):
@@ -21,8 +22,7 @@ def _sample_config(tmp_path):
         out=str(tmp_path / "run"),
         seeds=(0, 4),
         workers=2,
-        model={"model": "mlp", "lr": 0.05, "k": 3},
-        grid={"lr": (0.1, 0.01), "k": (1, 2)},
+        grid={"model": ("mlp",), "lr": (0.1, 0.01), "k": (1, 2)},
     )
 
 
@@ -106,16 +106,17 @@ def test_flags_override_config(tmp_path):
     cfg = cli._resolve(args)
     assert cfg.dataset == "ring3"
     assert cfg.seeds == (3,)
-    assert cfg.model["lr"] == 0.5
-    assert cfg.model["k"] == 3
+    assert cfg.grid["lr"] == (0.5,)
+    assert cfg.grid["k"] == (1, 2)
     assert cfg.features == "degrees"
     # each flag takes its config key's type, and --seeds the config's list rule
     args = parser.parse_args(["grid", "--config", str(path), "--workers", "3", "--k", "2",
                               "--lr", "1", "--wd", "0", "--seeds", "1,2"])
     cfg = cli._resolve(args)
-    assert type(cfg.workers) is int and type(cfg.model["k"]) is int
-    assert type(cfg.model["lr"]) is float and type(cfg.model["wd"]) is float
-    assert (cfg.workers, cfg.model["k"], cfg.model["lr"], cfg.model["wd"]) == (3, 2, 1.0, 0.0)
+    ((k,), (lr,), (wd,)) = cfg.grid["k"], cfg.grid["lr"], cfg.grid["wd"]
+    assert type(cfg.workers) is int and type(k) is int
+    assert type(lr) is float and type(wd) is float
+    assert (cfg.workers, k, lr, wd) == (3, 2, 1.0, 0.0)
     assert cfg.seeds == (1, 2)
 
 
@@ -124,9 +125,24 @@ def test_expand_grid_orders_and_types(tmp_path):
     configs = cli.expand_grid(cfg)
     assert [(c.k, c.lr) for c in configs] == [(1, 0.1), (1, 0.01), (2, 0.1), (2, 0.01)]
     assert all(c.encoder == "mlp" for c in configs)
-    cfg.grid = {}
+    cfg.grid = {"model": ("mlp",), "lr": (0.05,), "k": (3,)}
     solo = cli.expand_grid(cfg)
-    assert len(solo) == 1 and solo[0].lr == 0.05 and solo[0].k == 3
+    assert len(solo) == 1 and solo[0].lr == 0.05 and solo[0].k == 3 and solo[0].encoder == "mlp"
+    cfg.grid = {}
+    assert cli.expand_grid(cfg) == [training.TrainConfig()]
+
+
+def test_grid_beats_model_for_a_shared_key_and_a_flag_beats_both(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("[experiment]\ndataset = ring3\n\n[model]\nk = 3\nlr = 0.05\n\n"
+                    "[grid]\nk = 1, 2\n")
+    cfg = cli.load_config(path)
+    assert [(c.k, c.lr) for c in cli.expand_grid(cfg)] == [(1, 0.05), (2, 0.05)]
+    parser = cli.build_parser()
+    for flags in (["--k", "4"], ["--k", "4", "--lr", "0.5"]):
+        cfg = cli._resolve(parser.parse_args(["grid", "--config", str(path), *flags]))
+        (single,) = cli.expand_grid(cfg)
+        assert single.k == 4 and single.lr == (0.5 if "--lr" in flags else 0.05)
 
 
 def test_preprocess_is_idempotent(tmp_path, capsys):
@@ -214,9 +230,12 @@ def test_train_eval_reconstruct_round_trip(tmp_path, capsys):
     for name in ("out_degree_true.tsv", "in_degree_true.tsv", "in_degree_recon.tsv"):
         assert (recon_dir / name).exists()
 
-    assert cli.main(["reconstruct", "--checkpoint", str(ckpt), "--m-prime", "-1",
-                     "--out", str(tmp_path / "negative")]) == 2
-    assert "m_prime -1 is negative" in capsys.readouterr().err
+
+def test_a_negative_m_prime_is_a_usage_error_before_anything_is_read(tmp_path, capsys):
+    # the checkpoint does not exist: the flag is rejected before it is opened
+    assert cli.main(["reconstruct", "--checkpoint", str(tmp_path / "missing.npz"),
+                     "--m-prime", "-1", "--out", str(tmp_path / "negative")]) == 1
+    assert capsys.readouterr().err == "usage error: --m-prime must be >= 0, got -1\n"
     assert not (tmp_path / "negative").exists()
 
 
@@ -442,6 +461,19 @@ def test_restore_of_bad_parameter_arrays_exits_2(tmp_path, capsys, arrays, why):
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: ") and why in err, err
     assert not (tmp_path / "r").exists()
+
+
+def test_eval_on_a_split_with_no_test_pairs_is_a_data_error(tmp_path, capsys):
+    # ring3's three edges leave floor(0.15 * 3) = 0 test pairs
+    bundle = split_edges(datasets.load_fixture("ring3"), seed=0)
+    feats = init_features(FeatureInit(mode="degrees"), bundle.train_graph)
+    model = training.build_model(training.TrainConfig(encoder="mlp"), bundle.train_graph, feats,
+                                 np.random.default_rng(0))
+    path = tmp_path / "model.npz"
+    models.save_checkpoint(path, {n: t.data for n, t in model.named_parameters().items()}, _META)
+    assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+    assert capsys.readouterr().err == ("data error: empty test split: 0 positive and 0 negative "
+                                       "pairs; metrics need at least one of each\n")
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

@@ -198,14 +198,28 @@ def test_node_counts_whose_edge_keys_overflow_int64_are_rejected(tmp_path):
     assert peak < 1 << 20  # no array sized by the node count
 
 
-def test_degrees_and_self_loop_offset():
+def test_degrees_are_out_and_in_counts():
     g = DirectedGraph(3, [[0, 1], [0, 2], [1, 2]])
     out_deg, in_deg = degrees(g)
     assert np.array_equal(out_deg, [2, 1, 0])
     assert np.array_equal(in_deg, [0, 1, 2])
-    out_sl, in_sl = degrees(g, add_self_loops=True)
-    assert np.array_equal(out_sl, [3, 2, 1])
-    assert np.array_equal(in_sl, [1, 2, 3])
+
+
+def test_normalize_adj_reads_self_looped_degrees_off_its_operator():
+    # bit for bit the former formula: degrees(g) plus one for the self-loop
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        g = random_graph(rng, int(rng.integers(2, 40)), p=float(rng.uniform(0.01, 0.4)))
+        out_deg, in_deg = (d + 1 for d in degrees(g))
+        for alpha in (0.0, 0.4, 0.5, 0.8, 1.0):
+            for beta in (0.0, 0.4, 0.5, 0.8, 1.0):
+                want = adjacency(g) + sp.identity(g.n, format="csr")
+                rr = np.repeat(np.arange(g.n), np.diff(want.indptr))
+                want.data *= np.power(out_deg[rr], -beta) * np.power(in_deg[want.indices], -alpha)
+                got = normalize_adj(g, alpha, beta)
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_normalize_adj_matches_dense_formula():

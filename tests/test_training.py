@@ -9,6 +9,7 @@ import pytest
 import dirlink.autodiff as ad
 from dirlink import datasets, models, splits, training
 from dirlink.graph import DirectedGraph
+from dirlink.metrics import MetricsReport
 from helpers import run_under_memory_bound, sum_all, weakly_connected_random_graph
 
 
@@ -238,6 +239,25 @@ def test_grid_aggregates_and_flags_failures():
     assert bad_sum.n_failed == 2 and bad_sum.mean == {}
     assert result.best_config == training.config_id(good)
     assert result.best_by_family == {"sdgae": training.config_id(good)}
+
+
+def test_grid_selects_the_first_listed_config_on_tied_validation_means(monkeypatch):
+    # mean validation AUCs 0.8, 0.9, 0.9, 0.9 over two families: ties go to
+    # the config listed first, overall and within each family
+    configs = [small_cfg(lr=0.01), small_cfg(encoder="mlp", lr=0.02),
+               small_cfg(lr=0.03), small_cfg(encoder="mlp", lr=0.04)]
+    best_val = dict(zip(map(training.config_id, configs), (0.8, 0.9, 0.9, 0.9)))
+    report = MetricsReport.from_scores(np.array([1.0]), np.array([0.0]))
+
+    def train(cfg, bundle, feats):
+        config = training.config_id(cfg)
+        return None, training.GridRow(config, bundle.seed, "ok", report, best_val[config])
+
+    monkeypatch.setattr(training, "train", train)
+    result = training.grid_run(configs, [small_bundle(seed=0), small_bundle(seed=1)])
+    ids = [training.config_id(c) for c in configs]
+    assert result.best_config == ids[1]
+    assert result.best_by_family == {"sdgae": ids[2], "mlp": ids[1]}
 
 
 def _failing_fit(monkeypatch, exc, config, split_seed):
