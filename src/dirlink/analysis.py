@@ -128,10 +128,10 @@ class FeasibilityCertificate:
 
 def _constraint_pairs(g):
     """(edges to score positive, reverse pairs to score negative): the
-    reversed edges whose key is no edge key, sorted by key."""
-    keys = np.sort(g.edges[:, 1] * np.int64(g.n) + g.edges[:, 0])
-    keys = keys[~np.isin(keys, g.edge_keys())]
-    return g.edges, np.stack([keys // g.n, keys % g.n], axis=1)
+    reversed edges that are no edge, sorted lexicographically."""
+    rev = g.edges[:, ::-1]
+    rev = rev[~g.has_edges(rev)]
+    return g.edges, rev[np.lexsort((rev[:, 1], rev[:, 0]))]
 
 
 def _unreciprocated_cycle(g):
@@ -162,12 +162,9 @@ def replay_margin(g, dec, s_emb, t_emb):
     constraints, positive iff every edge is oriented correctly."""
     enc = models.EncoderOutput(ad.Tensor(s_emb), ad.Tensor(t_emb))
     pos_pairs, rev_pairs = _constraint_pairs(g)
-    with ad.no_grad():
-        pos = models.decode(dec, enc, pos_pairs).data[:, 0]
-        margin = float(pos.min())
-        if len(rev_pairs):
-            rev = models.decode(dec, enc, rev_pairs).data[:, 0]
-            margin = min(margin, float(-rev.max()))
+    margin = float(models.ranking_scores(dec, enc, pos_pairs).min())
+    if len(rev_pairs):
+        margin = min(margin, float(-models.ranking_scores(dec, enc, rev_pairs).max()))
     return margin
 
 

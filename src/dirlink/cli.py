@@ -20,7 +20,6 @@ import configparser
 import numpy as np
 
 from . import analysis, datasets, models, training
-from . import autodiff as ad
 from .graph import (
     DataError,
     graph_stats,
@@ -185,11 +184,13 @@ def _dataset_label(name_or_path):
     return base[:-4] if base.endswith(".txt") else base
 
 
-def _feature_inputs(cfg):
-    """The FeatureInit of a run and the original feature matrix it reads,
-    which is loaded only for the 'original' mode."""
+def _runs(cfg):
+    """The inputs of cfg's runs: the graph, its split on each seed, and the
+    FeatureInit, whose feature matrix is read only in the 'original' mode."""
+    g = _load_graph(cfg.dataset)
+    bundles = [split_edges(g, seed=s) for s in cfg.seeds]
     original = load_features(cfg.features_path) if cfg.features == "original" else None
-    return FeatureInit(mode=cfg.features, dim=cfg.feature_dim), original
+    return g, bundles, FeatureInit(mode=cfg.features, dim=cfg.feature_dim, original=original)
 
 
 def _metrics_line(report):
@@ -239,13 +240,10 @@ def cmd_train(args):
         raise UsageError(f"train runs one config, got {len(configs)} from [grid]; "
                          f"use grid to train on several")
     (tcfg,) = configs
-    g = _load_graph(cfg.dataset)
-    (split_seed,) = cfg.seeds
-    bundle = split_edges(g, seed=split_seed)
-    init, original = _feature_inputs(cfg)
-    feats = init_features(init, bundle.train_graph, original)
-    fitted, row = training.train(tcfg, bundle, feats)
+    _, (bundle,), init = _runs(cfg)
+    feats = init_features(init, bundle.train_graph)
     os.makedirs(cfg.out, exist_ok=True)
+    fitted, row = training.train(tcfg, bundle, feats)
     training.write_runs_tsv(os.path.join(cfg.out, "runs.tsv"), [row], _dataset_label(cfg.dataset))
     checkpoint = os.path.join(cfg.out, "model.npz")
     if fitted is None:
@@ -254,14 +252,14 @@ def cmd_train(args):
             os.remove(checkpoint)
         _print_failure(row)
         return 3
-    meta = {"config": asdict(tcfg), "split_seed": split_seed,
+    meta = {"config": asdict(tcfg), "split_seed": bundle.seed,
             **{key: getattr(cfg, key) for key in _META_KEYS}}
     models.save_checkpoint(
         checkpoint,
         {n: t.data for n, t in fitted.model.named_parameters().items()},
         meta,
     )
-    print(f"seed {split_seed}: epochs={row.epochs_run} best_val_auc={row.best_val:.2f}")
+    print(f"seed {bundle.seed}: epochs={row.epochs_run} best_val_auc={row.best_val:.2f}")
     print(_metrics_line(row.report))
     return 0
 
@@ -273,12 +271,9 @@ def _print_failure(row):
 def cmd_grid(args):
     cfg = _resolve(args)
     configs = expand_grid(cfg)
-    g = _load_graph(cfg.dataset)
-    init, original = _feature_inputs(cfg)
-    bundles = [split_edges(g, seed=s) for s in cfg.seeds]
-    result = training.grid_run(configs, bundles, feature_init=init, original=original,
-                               workers=cfg.workers)
+    _, bundles, init = _runs(cfg)
     os.makedirs(cfg.out, exist_ok=True)
+    result = training.grid_run(configs, bundles, feature_init=init, workers=cfg.workers)
     label = _dataset_label(cfg.dataset)
     training.write_runs_tsv(os.path.join(cfg.out, "runs.tsv"), result.rows, label)
     training.write_summary_tsv(os.path.join(cfg.out, "summary.tsv"), result, label)
@@ -312,10 +307,8 @@ def _restore_model(checkpoint, dataset_override=None):
         tcfg = TrainConfig(**config)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{checkpoint}: bad checkpoint config: {exc}") from None
-    g = _load_graph(cfg.dataset)
-    bundle = split_edges(g, seed=cfg.seeds[0])
-    init, original = _feature_inputs(cfg)
-    feats = init_features(init, bundle.train_graph, original)
+    g, (bundle,), init = _runs(cfg)
+    feats = init_features(init, bundle.train_graph)
     model = training.build_model(tcfg, bundle.train_graph, feats, np.random.default_rng(0))
     try:
         models.load_state(model, arrays)
@@ -336,17 +329,15 @@ def cmd_reconstruct(args):
         raise UsageError(f"--m-prime must be >= 0, got {args.m_prime}")
     model, _, g = _restore_model(args.checkpoint, args.dataset)
     m_prime = args.m_prime if args.m_prime is not None else g.edge_count
-    with ad.no_grad():
-        score = model.scorer(model.encode())
-    recon = analysis.reconstruct_topm(score, g.n, m_prime)
     os.makedirs(args.out, exist_ok=True)
+    recon = analysis.reconstruct_topm(model.scorer(), g.n, m_prime)
     save_edge_list(os.path.join(args.out, "reconstructed.txt"), recon)
     true_hist = analysis.degree_histograms(g.edges, g.n)
     recon_hist = analysis.degree_histograms(recon, g.n)
     for tag, hist in (("true", true_hist), ("recon", recon_hist)):
         analysis.write_degree_tsv(os.path.join(args.out, f"out_degree_{tag}.tsv"), hist.out_hist)
         analysis.write_degree_tsv(os.path.join(args.out, f"in_degree_{tag}.tsv"), hist.in_hist)
-    hit = int(np.isin(recon[:, 0] * np.int64(g.n) + recon[:, 1], g.edge_keys()).sum())
+    hit = int(g.has_edges(recon).sum())
     print(f"reconstructed {m_prime} pairs; {hit} of {g.edge_count} true edges recovered")
     return 0
 

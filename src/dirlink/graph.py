@@ -32,6 +32,14 @@ def run_starts(sorted_keys):
     return first
 
 
+def member(keys, sorted_keys):
+    """Mask of the keys present in a sorted key array."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] == keys
+
+
 def spmm(m, x, out=None):
     """Sparse-dense product ``m @ x`` by scipy's CSR or CSC multi-vector
     kernel, the one ``m @ x`` runs; a test pins the bits to those of ``m @ x``.
@@ -113,6 +121,11 @@ class DirectedGraph:
 
         The edges are stored in lexicographic order, so their keys are sorted."""
         return self.edges[:, 0] * np.int64(self.n) + self.edges[:, 1]
+
+    def has_edges(self, pairs):
+        """Mask of the (u, v) pairs, each node in [0, n), that are edges."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        return member(pairs[:, 0] * np.int64(self.n) + pairs[:, 1], self.edge_keys())
 
 
 def degrees(g):
@@ -211,11 +224,8 @@ def weakly_connected_components(g):
     first appearance by node index.
     """
     _, comp = spanning_forest(g.n, g.edges[:, 0], g.edges[:, 1])
-    nodes = np.arange(g.n, dtype=np.int64)
-    first = np.full(g.n, g.n, dtype=np.int64)
-    np.minimum.at(first, comp, nodes)
-    first = first[comp]
-    return (np.cumsum(first == nodes) - 1)[first]
+    _, first, label = np.unique(comp, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[label]
 
 
 def preprocess(g, feats=None):
@@ -255,9 +265,7 @@ def preprocess(g, feats=None):
 def graph_stats(g):
     """Summary statistics: n, m, average total degree 2m/n, and the percentage
     of edges whose reverse direction is absent."""
-    keys = g.edge_keys()
-    rev = g.edges[:, 1] * np.int64(g.n) + g.edges[:, 0]
-    reciprocated = np.isin(rev, keys).sum()
+    reciprocated = g.has_edges(g.edges[:, ::-1]).sum()
     pct = 100.0 * (g.edge_count - reciprocated) / g.edge_count if g.edge_count else 0.0
     return {
         "n": g.n,
@@ -412,8 +420,7 @@ def _scan_features(path, d):
 
 
 def save_features(path, feats):
+    """Write feats in load_features' format, to 17 digits, which read back exactly."""
     feats = np.asarray(feats, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{feats.shape[0]} {feats.shape[1]}\n")
-        for row in feats:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+    np.savetxt(path, feats, fmt="%.17g", header=f"{feats.shape[0]} {feats.shape[1]}",
+               comments="", encoding="utf-8")

@@ -10,7 +10,7 @@ positives stay eligible (excluding them would leak test labels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from .graph import (
     DataError,
     DirectedGraph,
     degrees,
+    member,
     read_pairs,
     run_starts,
     save_edge_list,
@@ -47,11 +48,13 @@ class SplitBundle:
 
 @dataclass
 class FeatureInit:
-    """Feature input choice: the dataset's own features, train-graph degrees,
-    or standard-normal noise of width dim drawn with seed 0."""
+    """Feature input choice: the dataset's own features (the matrix
+    ``original``), train-graph degrees, or standard-normal noise of width dim
+    drawn with seed 0."""
 
     mode: str = "degrees"
     dim: int = 64
+    original: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in FEATURE_MODES:
@@ -123,14 +126,6 @@ def split_edges(g, seed=0):
     )
 
 
-def _member(keys, sorted_keys):
-    """Mask of the keys present in a sorted key array."""
-    if not len(sorted_keys):
-        return np.zeros(len(keys), dtype=bool)
-    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[at] == keys
-
-
 def _sample_non_edges(n, count, excluded_keys, rng):
     """count distinct ordered pairs (u, v), u != v, whose key u*n+v is not in
     the sorted array excluded_keys.
@@ -162,7 +157,7 @@ def _sample_non_edges(n, count, excluded_keys, rng):
         # each distinct key once, sorted, which keeps the searches cache-friendly
         distinct = keys[order[starts]]
         first_draw = np.minimum.reduceat(order, starts)
-        fresh = ~(_member(distinct, excluded_keys) | _member(distinct, taken))
+        fresh = ~(member(distinct, excluded_keys) | member(distinct, taken))
         first = np.sort(first_draw[fresh])[:need]
         picked.append(cand[first])
         taken = np.sort(np.concatenate([taken, keys[first]]))
@@ -197,17 +192,17 @@ def sample_train_negatives(train_graph, count, seed, strategy="per_run", epoch=0
     return _sample_non_edges(train_graph.n, count, train_graph.edge_keys(), rng)
 
 
-def init_features(init, train_graph, original=None):
+def init_features(init, train_graph):
     """Materialize the feature matrix for one split.
 
     degrees mode returns exactly the two columns [out_deg, in_deg] of the
     training graph (no self-loops, no held-out information); random mode is
-    standard normal drawn with seed 0; original passes the dataset features through.
+    standard normal drawn with seed 0; original passes init.original through.
     """
     if init.mode == "original":
-        if original is None:
+        if init.original is None:
             raise DataError("feature mode 'original' requires a feature matrix")
-        feats = np.asarray(original, dtype=np.float64)
+        feats = np.asarray(init.original, dtype=np.float64)
         if feats.shape[0] != train_graph.n:
             raise DataError(f"feature rows ({feats.shape[0]}) != node count ({train_graph.n})")
         return feats

@@ -75,6 +75,11 @@ class TrainConfig:
         for name in ("hidden", "emb", "dec_hidden", "mlp_layers", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
+        for name in ("lr", "wd"):
+            if not 0.0 <= getattr(self, name) < np.inf:  # NaN fails both
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.patience < self.max_epochs:
@@ -116,9 +121,13 @@ class TrainedModel:
     def encode(self):
         return models.encoder_forward(self.enc_params, self.feats)
 
-    def scorer(self, enc):
+    def scorer(self, enc=None):
         """pairs -> ranking scores of the decoder on enc, embeddings of the
-        current parameters, which it scores without encoding them again."""
+        current parameters, which it scores without encoding them again; on
+        a forward-only encode of them when enc is None."""
+        if enc is None:
+            with ad.no_grad():
+                enc = self.encode()
         return functools.partial(models.ranking_scores, self.dec_params, enc)
 
 
@@ -264,8 +273,7 @@ def evaluate(model, bundle):
     if len(bundle.test_pos) == 0 or len(bundle.test_neg) == 0:
         raise DataError(f"empty test split: {len(bundle.test_pos)} positive and "
                         f"{len(bundle.test_neg)} negative pairs; metrics need at least one of each")
-    with ad.no_grad():
-        score = model.scorer(model.encode())
+    score = model.scorer()
     return MetricsReport.from_scores(score(bundle.test_pos), score(bundle.test_neg))
 
 
@@ -328,11 +336,11 @@ class GridResult:
 
 
 def _grid_task(args):
-    cfg, bundle, feature_init, original = args
-    return train(cfg, bundle, init_features(feature_init, bundle.train_graph, original))[1]
+    cfg, bundle, feature_init = args
+    return train(cfg, bundle, init_features(feature_init, bundle.train_graph))[1]
 
 
-def grid_run(configs, bundles, feature_init=None, original=None, workers=1):
+def grid_run(configs, bundles, feature_init=None, workers=1):
     """Train every config on every bundle; aggregate mean and sample std.
 
     A failed run is train's flagged row, excluded from aggregates, never
@@ -345,7 +353,7 @@ def grid_run(configs, bundles, feature_init=None, original=None, workers=1):
     if not configs or not bundles:
         raise ValueError("grid_run needs at least one config and one bundle")
     feature_init = feature_init or FeatureInit(mode="degrees")
-    tasks = [(cfg, bundle, feature_init, original) for cfg in configs for bundle in bundles]
+    tasks = [(cfg, bundle, feature_init) for cfg in configs for bundle in bundles]
     workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

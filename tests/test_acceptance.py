@@ -300,7 +300,7 @@ def test_criterion_9_cora_ml_hits100():
     sdgae = TrainConfig(mlp_layers=1)
     mlp = TrainConfig(encoder="mlp")
     result = grid_run([sdgae, mlp], bundles,
-                      feature_init=FeatureInit(mode="original"), original=feats)
+                      feature_init=FeatureInit(mode="original", original=feats))
     by_config = {s.config: s for s in result.summaries}
     s_hits = by_config[training.config_id(sdgae)].mean["hits100"]
     m_hits = by_config[training.config_id(mlp)].mean["hits100"]

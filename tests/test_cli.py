@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dirlink
-from dirlink import cli, datasets, models, training
+from dirlink import analysis, cli, datasets, models, training
 from dirlink.graph import DataError
 from dirlink.metrics import MetricsReport
 from dirlink.splits import FeatureInit, init_features, split_edges
@@ -389,6 +389,59 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert capsys.readouterr().err == f"usage error: {flag[2:]} must be >= 1, got {value}\n"
 
 
+@pytest.mark.parametrize("command", ["train", "grid"])
+@pytest.mark.parametrize("line, why", [
+    ("lr = -0.01", "lr must be finite and >= 0, got -0.01"),
+    ("lr = nan", "lr must be finite and >= 0, got nan"),
+    ("lr = inf", "lr must be finite and >= 0, got inf"),
+    ("wd = -1", "wd must be finite and >= 0, got -1.0"),
+    ("patience = -5", "patience must be >= 0, got -5"),
+])
+def test_bad_training_settings_are_usage_errors_before_anything_is_read(
+        tmp_path, capsys, command, line, why):
+    # the dataset does not exist: the setting is rejected before it is read
+    missing = tmp_path / "missing.txt"
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"[experiment]\ndataset = {missing}\n[model]\n{line}\n")
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: {why}\n"
+    key, _, value = line.partition(" = ")
+    if key != "patience":
+        assert cli.main([command, "--dataset", str(missing), f"--{key}", value,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: {why}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grid", "reconstruct"])
+def test_an_out_that_is_a_file_fails_before_any_run(tmp_path, capsys, monkeypatch, command):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_train_config_text(tmp_path))
+    if command == "reconstruct":
+        assert cli.main(["train", "--config", str(cfg_path), "--model", "mlp"]) == 0
+        argv = ["reconstruct", "--checkpoint", str(tmp_path / "run" / "model.npz")]
+        owner, runner = analysis, "reconstruct_topm"
+    else:
+        argv = [command, "--config", str(cfg_path)]
+        owner, runner = training, "train" if command == "train" else "grid_run"
+    capsys.readouterr()
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError(f"{runner} ran before --out was made")
+
+    monkeypatch.setattr(owner, runner, refuse)
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "File exists" in err, err
+    assert calls == []
+    assert out.read_text() == "a file\n"
+
+
 def test_grid_rejects_a_bad_model_value_before_any_run(tmp_path, capsys, monkeypatch):
     fits = []
     monkeypatch.setattr(training, "fit", lambda *a, **kw: fits.append(a))
@@ -430,6 +483,9 @@ _META = {"config": {"encoder": "mlp"}, "split_seed": 0, "features": "degrees",
     ({"config": {"emb": 8.0}}, "bad checkpoint config: emb must be int, got 8.0"),
     ({"config": {"hidden": True}}, "bad checkpoint config: hidden must be int, got True"),
     ({"config": {"lr": "0.1"}}, "bad checkpoint config: lr must be float, got '0.1'"),
+    ({"config": {"lr": -0.01}}, "bad checkpoint config: lr must be finite and >= 0, got -0.01"),
+    ({"config": {"wd": float("inf")}}, "bad checkpoint config: wd must be finite and >= 0"),
+    ({"config": {"patience": -5}}, "bad checkpoint config: patience must be >= 0, got -5"),
     ({"split_seed": "x"}, "bad checkpoint meta: experiment key seeds must be a tuple of ints"),
     ({"split_seed": 1.5}, "bad checkpoint meta: experiment key seeds must be a tuple of ints"),
     ({"feature_dim": "64"}, "bad checkpoint meta: experiment key feature_dim must be int"),

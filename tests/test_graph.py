@@ -18,6 +18,7 @@ from dirlink.graph import (
     graph_stats,
     load_edge_list,
     load_features,
+    member,
     normalize_adj,
     normalize_sym,
     preprocess,
@@ -326,6 +327,44 @@ def test_graph_stats_counts_unreciprocated_edges():
     assert stats["m"] == 3
     assert stats["avg_degree"] == pytest.approx(2.0)
     assert stats["pct_directed"] == pytest.approx(100.0 / 3.0)
+
+
+def test_member_and_has_edges_match_isin():
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        n = int(rng.integers(1, 25))
+        mask = (rng.random((n, n)) < rng.uniform(0.0, 0.5)) & ~np.eye(n, dtype=bool)
+        g = DirectedGraph(n, np.argwhere(mask))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 60)), 2))
+        keys = pairs[:, 0] * n + pairs[:, 1]
+        oracle = np.isin(keys, g.edge_keys())
+        assert np.array_equal(member(keys, g.edge_keys()), oracle)
+        assert np.array_equal(g.has_edges(pairs), oracle)
+        assert g.has_edges(g.edges).all()
+    empty = np.empty(0, dtype=np.int64)
+    assert member(np.array([0, 3, 7]), empty).tolist() == [False, False, False]
+    assert member(empty, np.array([1, 4])).shape == (0,)
+    assert DirectedGraph(3, []).has_edges([[0, 1], [2, 1]]).tolist() == [False, False]
+
+
+def _save_features_by_line(path, feats):
+    # reference writer: one formatted line per row
+    feats = np.asarray(feats, dtype=np.float64)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{feats.shape[0]} {feats.shape[1]}\n")
+        for row in feats:
+            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def test_save_features_writes_the_bytes_of_the_line_writer(tmp_path):
+    rng = np.random.default_rng(72)
+    cases = [rng.standard_normal((7, 4)), rng.standard_normal((1, 1)) * 1e12,
+             np.array([[-0.0, 5e-324, 1e300], [0.1, -1e-300, 2.0**60]]),
+             np.zeros((3, 0)), np.zeros((0, 4))]
+    for feats in cases:
+        save_features(tmp_path / "new.txt", feats)
+        _save_features_by_line(tmp_path / "old.txt", feats)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
 
 def test_edge_list_round_trip(tmp_path):

@@ -269,11 +269,11 @@ def test_init_features_modes():
     assert np.array_equal(r1, r2)
 
     orig = np.eye(4)
-    assert np.array_equal(init_features(FeatureInit(mode="original"), g, orig), orig)
+    assert np.array_equal(init_features(FeatureInit(mode="original", original=orig), g), orig)
     with pytest.raises(DataError):
         init_features(FeatureInit(mode="original"), g)
     with pytest.raises(DataError):
-        init_features(FeatureInit(mode="original"), g, np.eye(3))
+        init_features(FeatureInit(mode="original", original=np.eye(3)), g)
     with pytest.raises(ValueError):
         FeatureInit(mode="onehot")
 

@@ -88,6 +88,14 @@ def test_config_validation():
                 training.TrainConfig(**{name: bad})
     with pytest.raises(ValueError, match="max_epochs must be >= 1, got 0"):
         training.TrainConfig(max_epochs=0, patience=-1)
+    with pytest.raises(ValueError, match="patience must be >= 0, got -5"):
+        training.TrainConfig(patience=-5)
+    assert training.TrainConfig(patience=0).patience == 0
+    for name in ("lr", "wd"):
+        for bad in (-0.01, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {bad}"):
+                training.TrainConfig(**{name: bad})
+        assert getattr(training.TrainConfig(**{name: 0.0}), name) == 0.0
     # the model ranges are checked here, before any run builds a model
     for bad in (0, 9):
         with pytest.raises(ValueError, match=f"k must be in 1..8, got {bad}"):
@@ -147,9 +155,32 @@ def test_fit_restores_the_best_epoch():
     feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
     scorer = training.make_validation_scorer(bundle)
     fitted = training.fit(small_cfg(), bundle.train_graph, feats, scorer, bundle.seed)
-    with ad.no_grad():
-        assert scorer(fitted.model.scorer(fitted.model.encode())) == fitted.best_val
+    assert scorer(fitted.model.scorer()) == fitted.best_val
     assert fitted.best_val == max(fitted.val_history)
+
+
+@pytest.mark.parametrize("encoder", models.ENCODERS)
+def test_scorer_without_embeddings_encodes_forward_only(monkeypatch, encoder):
+    bundle = small_bundle()
+    feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
+    model = training.build_model(small_cfg(encoder=encoder), bundle.train_graph, feats,
+                                 np.random.default_rng(3))
+    pairs = np.vstack([bundle.test_pos, bundle.test_neg])
+    with ad.no_grad():
+        expected = model.scorer(model.encode())(pairs)
+    encodings = []
+    forward = models.encoder_forward
+
+    def recording_forward(*args):
+        encodings.append(forward(*args))
+        return encodings[-1]
+
+    monkeypatch.setattr(models, "encoder_forward", recording_forward)
+    scores = model.scorer()(pairs)
+    assert len(encodings) == 1
+    assert all(t.parents == () and not t.requires_grad
+               for t in (encodings[0].S, encodings[0].T))
+    assert scores.tobytes() == expected.tobytes()
 
 
 class _RecordingBundle:
@@ -216,6 +247,20 @@ def test_grid_run_is_worker_count_invariant():
     parallel = training.grid_run(cfgs, bundles, workers=2)
     assert [_row_key(r) for r in serial.rows] == [_row_key(r) for r in parallel.rows]
     assert serial.best_config == parallel.best_config
+
+
+def test_grid_in_original_feature_mode_is_worker_count_invariant():
+    cfgs, bundles = _grid_inputs()
+    feats = np.random.default_rng(73).standard_normal((bundles[0].train_graph.n, 3))
+    init = splits.FeatureInit(mode="original", original=feats)
+    # the matrix is data, not a setting: it takes no part in comparison or repr
+    assert init == splits.FeatureInit(mode="original") and "original=" not in repr(init)
+    serial = training.grid_run(cfgs, bundles, feature_init=init, workers=1)
+    parallel = training.grid_run(cfgs, bundles, feature_init=init, workers=2)
+    assert all(r.status == "ok" for r in serial.rows)
+    assert [_row_key(r) for r in serial.rows] == [_row_key(r) for r in parallel.rows]
+    degree_rows = training.grid_run(cfgs, bundles, workers=1).rows
+    assert [_row_key(r) for r in serial.rows] != [_row_key(r) for r in degree_rows]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,7 +1,7 @@
 """The package keeps only what its commands and the benchmark run: every public
-function, class and method of ``src/dirlink`` and ``perfbench`` is named
-somewhere in those two trees.  Code that only tests call belongs in
-``tests/``."""
+function, class and method of ``src/dirlink`` and ``perfbench``, and every
+private module-level function and class, is named somewhere in those two
+trees.  Code that only tests call belongs in ``tests/``."""
 
 import ast
 from pathlib import Path
@@ -16,16 +16,20 @@ ALLOWED = {
 }
 
 
-def _unused_names():
+def _unused_names(private=False):
+    """Defined names that nothing in the two trees names: the public functions,
+    classes and methods, or with ``private`` the module-level functions and
+    classes whose names start with an underscore."""
     files = [*sorted((ROOT / "src" / "dirlink").glob("*.py")),
              *sorted((ROOT / "perfbench").glob("*.py"))]
     defined, used = {}, set()
     for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") == private):
                 defined[node.name] = path.name
-            if isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef) and not private:
                 defined.update((item.name, f"{path.name}: {node.name}") for item in node.body
                                if isinstance(item, ast.FunctionDef)
                                and not item.name.startswith("_"))
@@ -47,3 +51,7 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
     unused = _unused_names()
     assert set(ALLOWED) <= set(unused), "an allowed name is used now; drop it from ALLOWED"
     assert {k: v for k, v in unused.items() if k not in ALLOWED} == {}
+
+
+def test_every_private_module_function_and_class_is_referenced():
+    assert _unused_names(private=True) == {}
