@@ -188,8 +188,11 @@ def _runs(cfg):
     """The inputs of cfg's runs: the graph, its split on each seed, and the
     FeatureInit, whose feature matrix is read only in the 'original' mode."""
     g = _load_graph(cfg.dataset)
-    bundles = [split_edges(g, seed=s) for s in cfg.seeds]
     original = load_features(cfg.features_path) if cfg.features == "original" else None
+    # before --out is made: a grid would otherwise fail in its first run
+    if original is not None and len(original) != g.n:
+        raise DataError(f"feature rows ({len(original)}) != node count ({g.n})")
+    bundles = [split_edges(g, seed=s) for s in cfg.seeds]
     return g, bundles, FeatureInit(mode=cfg.features, dim=cfg.feature_dim, original=original)
 
 

@@ -123,8 +123,11 @@ class DirectedGraph:
         return self.edges[:, 0] * np.int64(self.n) + self.edges[:, 1]
 
     def has_edges(self, pairs):
-        """Mask of the (u, v) pairs, each node in [0, n), that are edges."""
+        """Mask of the (u, v) pairs that are edges; ValueError on a node
+        outside [0, n), whose key would stand for another pair."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if len(pairs) and (pairs.min() < 0 or pairs.max() >= self.n):
+            raise ValueError("pair endpoint out of range")
         return member(pairs[:, 0] * np.int64(self.n) + pairs[:, 1], self.edge_keys())
 
 
@@ -217,24 +220,14 @@ def spanning_forest(n, u, v):
         comp = hook[comp]
 
 
-def weakly_connected_components(g):
-    """Component labels ignoring edge direction.
-
-    Returns an int array of length n with labels numbered 0..c-1 in order of
-    first appearance by node index.
-    """
-    _, comp = spanning_forest(g.n, g.edges[:, 0], g.edges[:, 1])
-    _, first, label = np.unique(comp, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[label]
-
-
 def preprocess(g, feats=None):
     """Canonicalize a graph for benchmarking.
 
     Keeps only the largest weakly connected component (ties broken by edge
     count, then by smallest node index), drops isolated nodes, and reindexes
     the survivors densely in increasing order of their old index.  Feature
-    rows are permuted consistently.
+    rows are permuted consistently.  Works in the ids that edges use, so its
+    memory follows the edge count and not the largest id.
 
     Returns
     -------
@@ -246,20 +239,21 @@ def preprocess(g, feats=None):
             raise DataError(f"feature rows ({feats.shape[0]}) != node count ({g.n})")
     if g.edge_count == 0:
         raise DataError("graph has no edges after preprocessing")
-    labels = weakly_connected_components(g)
-    node_counts = np.bincount(labels)
-    edge_counts = np.bincount(labels[g.edges[:, 0]], minlength=len(node_counts))
-    # isolated nodes form singleton zero-edge components, so they never win;
-    # lexsort is stable and labels are ordered by first-seen node, so a tie in
-    # nodes and edges goes to the component with the smallest node id
-    best = np.lexsort((-edge_counts, -node_counts))[0]
-    keep = np.flatnonzero(labels == best)
-    remap = np.full(g.n, -1, dtype=np.int64)
-    remap[keep] = np.arange(len(keep), dtype=np.int64)
-    # both endpoints of an edge share a weak component, so one check suffices
-    kept_edges = g.edges[labels[g.edges[:, 0]] == best]
-    out = DirectedGraph(len(keep), remap[kept_edges])
-    return out, (feats[keep] if feats is not None else None)
+    # ravel: the inverse keeps one shape across numpy versions
+    ids, ends = np.unique(g.edges.ravel(), return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    _, comp = spanning_forest(len(ids), ends[:, 0], ends[:, 1])
+    _, first, label = np.unique(comp, return_index=True, return_inverse=True)
+    # both endpoints of an edge share a weak component, so its source's will do
+    edge_label = label[ends[:, 0]]
+    node_counts = np.bincount(label)
+    edge_counts = np.bincount(edge_label, minlength=len(first))
+    # most nodes, then most edges, then the smallest node id; an id without
+    # edges is a zero-edge singleton that never wins, so leaving it out is safe
+    best = np.lexsort((first, -edge_counts, -node_counts))[0]
+    keep = label == best
+    out = DirectedGraph(np.count_nonzero(keep), (np.cumsum(keep) - 1)[ends[edge_label == best]])
+    return out, (feats[ids[keep]] if feats is not None else None)
 
 
 def graph_stats(g):

@@ -9,7 +9,7 @@ import pytest
 
 import dirlink
 from dirlink import analysis, cli, datasets, models, training
-from dirlink.graph import DataError
+from dirlink.graph import DataError, save_features
 from dirlink.metrics import MetricsReport
 from dirlink.splits import FeatureInit, init_features, split_edges
 
@@ -541,6 +541,20 @@ def test_data_errors_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_a_feature_file_of_the_wrong_row_count_fails_before_out_is_made(tmp_path, capsys,
+                                                                       command):
+    feats = tmp_path / "feats.txt"
+    save_features(feats, np.ones((208, 3)))
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("[experiment]\ndataset = synthetic200\nfeatures = original\n"
+                        f"features_path = {feats}\nseeds = 0\n")
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: feature rows (208) != node count (200)\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

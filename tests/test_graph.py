@@ -26,11 +26,10 @@ from dirlink.graph import (
     save_features,
     spanning_forest,
     spmm,
-    weakly_connected_components,
 )
 from dirlink.training import TrainConfig
 from helpers import (UnionFind, bipartite_block, kruskal_pins, planted_graph, random_graph,
-                     sum_all)
+                     run_under_memory_bound, sum_all)
 
 
 def test_union_find_merges_and_reports():
@@ -238,28 +237,6 @@ def test_normalize_adj_matches_dense_formula():
     )
 
 
-def test_weak_components_match_scipy():
-    rng = np.random.default_rng(3)
-    graphs = [random_graph(rng, int(rng.integers(2, 30)), p=0.08) for _ in range(20)]
-    # thousands of nodes: many small components and isolated nodes
-    big = rng.integers(0, 3000, size=(2500, 2))
-    graphs.append(DirectedGraph(3000, big[big[:, 0] != big[:, 1]]))
-    for g in graphs:
-        ours = weakly_connected_components(g)
-        # first-appearance order: each node's label is at most one above all before it
-        seen_max = np.concatenate([[-1], np.maximum.accumulate(ours)[:-1]])
-        assert np.all(ours <= seen_max + 1)
-        a = sp.coo_matrix(
-            (np.ones(g.edge_count), (g.edges[:, 0], g.edges[:, 1])), shape=(g.n, g.n)
-        )
-        n_ref, ref = connected_components(a, directed=True, connection="weak")
-        assert ours.max() + 1 == n_ref
-        # same partition, possibly different label names
-        for c in range(n_ref):
-            members = np.flatnonzero(ref == c)
-            assert len(set(ours[members])) == 1
-
-
 def _forest_inputs():
     """Shuffled edge lists with reciprocal pairs, parallel edges, several
     components and isolated nodes, up to n = 5000."""
@@ -284,12 +261,6 @@ def test_spanning_forest_matches_union_find_oracle():
         # same partition: each representative names exactly one oracle set
         pairs = np.unique(np.stack([comp, roots], axis=1), axis=0)
         assert len(pairs) == len(np.unique(comp)) == len(np.unique(roots))
-
-
-def test_weak_component_labels_first_appearance_order():
-    g = DirectedGraph(5, [[3, 4], [0, 1]])
-    labels = weakly_connected_components(g)
-    assert np.array_equal(labels, [0, 0, 1, 2, 2])
 
 
 def test_preprocess_keeps_largest_component_and_reindexes():
@@ -320,6 +291,69 @@ def test_preprocess_rejects_edgeless_result():
         preprocess(DirectedGraph(3, np.empty((0, 2), dtype=np.int64)))
 
 
+def _scattered_graphs(rng):
+    """Edge sets of a few small components on ids scattered up to about 10^6,
+    with isolated ids between and after them.  Components of 2 or 3 nodes
+    with a spare edge or not tie often in node count and in edge count."""
+    for _ in range(40):
+        n = int(rng.choice([20, 300, 1_000_000]))
+        sizes = rng.integers(2, 4, size=int(rng.integers(1, 5)))
+        nodes = rng.choice(n - 1, size=int(sizes.sum()), replace=False)
+        edges = []
+        for part in np.split(nodes, np.cumsum(sizes)[:-1]):
+            edges += zip(part[:-1], part[1:])  # a path connects the component
+            if rng.random() < 0.5:
+                edges.append(tuple(rng.choice(part, size=2, replace=False)))
+        yield DirectedGraph(n, edges)
+    for _ in range(20):
+        yield random_graph(rng, int(rng.integers(2, 40)), p=0.06)
+
+
+def test_preprocess_matches_a_scipy_components_oracle():
+    rng = np.random.default_rng(21)
+    for g in _scattered_graphs(rng):
+        feats = rng.standard_normal((g.n, 2))
+        kept, kept_feats = preprocess(g, feats)
+        a = sp.coo_matrix((np.ones(g.edge_count), (g.edges[:, 0], g.edges[:, 1])),
+                          shape=(g.n, g.n))
+        _, labels = connected_components(a, directed=True, connection="weak")
+        src_labels = labels[g.edges[:, 0]]
+
+        def rank(c):
+            members = np.flatnonzero(labels == c)
+            # most nodes, then most edges, then the smallest node id
+            return len(members), int((src_labels == c).sum()), -int(members[0])
+
+        best = max(np.unique(src_labels), key=rank)
+        keep = np.flatnonzero(labels == best)
+        new_id = {int(old): new for new, old in enumerate(keep)}
+        want = sorted((new_id[int(u)], new_id[int(v)]) for u, v in g.edges[src_labels == best])
+        assert kept.n == len(keep)
+        assert kept.edges.tolist() == [list(e) for e in want]
+        assert np.array_equal(kept_feats, feats[keep])
+
+
+PREPROCESS_CHILD = """
+import resource
+# an array of one entry per id (16 GB) fails to allocate under this cap,
+# before its fill could outrun the watchdog's RSS bound
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from dirlink import cli
+rc = cli.main(["preprocess", "--dataset", {path!r}, "--out", {out!r}])
+print(f"rc={{rc}}", flush=True)
+"""
+
+
+def test_preprocess_memory_follows_the_edges_not_the_largest_id(tmp_path):
+    path = tmp_path / "raw.txt"
+    path.write_text("0 1\n1 2\n2 2000000000\n")
+    out = tmp_path / "prep"
+    stats = run_under_memory_bound(PREPROCESS_CHILD.format(path=str(path), out=str(out)),
+                                   bound_mb=200)
+    assert (stats["rc"], stats["n"], stats["m"]) == ("0", "4", "3")
+    assert (out / "edges.txt").read_text() == "0 1\n1 2\n2 3\n"
+
+
 def test_graph_stats_counts_unreciprocated_edges():
     g = DirectedGraph(3, [[0, 1], [1, 0], [1, 2]])
     stats = graph_stats(g)
@@ -345,6 +379,15 @@ def test_member_and_has_edges_match_isin():
     assert member(np.array([0, 3, 7]), empty).tolist() == [False, False, False]
     assert member(empty, np.array([1, 4])).shape == (0,)
     assert DirectedGraph(3, []).has_edges([[0, 1], [2, 1]]).tolist() == [False, False]
+
+
+def test_has_edges_rejects_pairs_outside_the_node_range():
+    g = DirectedGraph(3, [[1, 0]])
+    # the key of (0, 3) would be 0 * 3 + 3, the key of the edge (1, 0)
+    for pair in ([0, 3], [3, 0], [-1, 2], [2, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            g.has_edges([[0, 1], pair])
+    assert g.has_edges(np.empty((0, 2), dtype=np.int64)).shape == (0,)
 
 
 def _save_features_by_line(path, feats):
