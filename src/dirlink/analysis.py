@@ -176,10 +176,12 @@ def _search_once(g, mode, decoder, dim, rng):
     params = [s_emb] + ([t_emb] if mode == "dual" else []) + list(dec.named_parameters().values())
     optimizer = ad.AdamState(params, lr=SEARCH_LR)
     pos_pairs, rev_pairs = _constraint_pairs(g)
+    # the indexes keep the plans of the restart's backward passes
+    pos_index, rev_index = ad.PairIndex(pos_pairs, n, n), ad.PairIndex(rev_pairs, n, n)
     for step in range(SEARCH_STEPS):
         enc = models.EncoderOutput(s_emb, t_emb)
-        pos_logits = models.decode(dec, enc, pos_pairs)
-        rev_logits = models.decode(dec, enc, rev_pairs) if len(rev_pairs) else None
+        pos_logits = models.decode(dec, enc, pos_pairs, pos_index)
+        rev_logits = models.decode(dec, enc, rev_pairs, rev_index) if len(rev_pairs) else None
         hinge = ad.hinge(pos_logits, rev_logits, SEARCH_MARGIN)
         if float(hinge.data[0, 0]) == 0.0:
             break

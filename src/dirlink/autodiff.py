@@ -19,7 +19,7 @@ import contextlib
 import threading
 
 import numpy as np
-import scipy.sparse as _sp
+from scipy.sparse import _sparsetools
 
 from .graph import spmm as _spmm
 
@@ -204,34 +204,83 @@ def _sigmoid(z):
     return out
 
 
-def _row_index(idx, n, op):
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError(f"{op} takes a 1-D index array")
-    if len(idx) and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"{op} index out of range")
-    return idx
+class PairIndex:
+    """P pairs of rows (u[i], v[i]) of an (n_u, d) matrix S and an (n_v, d)
+    matrix T, checked once, and the backward plans of the ops that read them.
+
+    The backward pass of ``gather_rows`` and of ``pair_dot`` sums P rows
+    onto the rows of one side of the pairs, in index order, like np.add.at:
+    it is a product with the CSR whose row r lists the positions i with that
+    side's index r in ascending i.  The structure of that CSR (the stable
+    order of the side, its row pointer and its column indices) is the plan.
+    The first backward pass that needs a plan builds it and the index keeps
+    it, so a later pass only fills in the values and runs scipy's CSR
+    kernel, the one ``csr_matrix(...) @ x`` reaches, without building a
+    matrix.  Forward passes build no plan.  Row pointers and column indices
+    are int32 where a scipy CSR of the same shape would downcast them to it.
+    """
+
+    __slots__ = ("sides", "n", "_plans")
+
+    def __init__(self, pairs, n_u, n_v):
+        pairs = np.asarray(pairs, dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"a PairIndex takes a (P, 2) pair array, got shape {pairs.shape}")
+        self.n = (int(n_u), int(n_v))
+        self.sides = (pairs[:, 0], pairs[:, 1])
+        if len(pairs) and any(r.min() < 0 or r.max() >= n for r, n in zip(self.sides, self.n)):
+            raise IndexError("PairIndex row index out of range")
+        self._plans = {}
+
+    def rows(self, x, side, op):
+        """Side 0 (u) or 1 (v) of the pairs, the rows they read of x."""
+        if x.data.shape[0] != self.n[side]:
+            raise ValueError(f"{op}: the pairs index {self.n[side]} rows, "
+                             f"the matrix has {x.data.shape[0]}")
+        return self.sides[side]
+
+    def scatter(self, side, x, values=None):
+        """Sum rows of x onto the rows of one side of the pairs, in index
+        order: x[i] onto row sides[side][i], the grad of gather_rows; or,
+        given the P values, values[i] * x[j] with j the pair's other side,
+        the grad of pair_dot.  A new (n of the side, d) array."""
+        pair = values is not None
+        plan = self._plans.get((side, pair))
+        if plan is None:
+            plan = self._plans[side, pair] = self._plan(side, pair)
+        order, indptr, indices = plan
+        data = np.take(values, order) if pair else np.ones(len(indices))
+        n_rows, n_cols = len(indptr) - 1, (self.n[1 - side] if pair else len(indices))
+        out = np.zeros((n_rows, x.shape[1]))
+        _sparsetools.csr_matvecs(n_rows, n_cols, x.shape[1], indptr, indices, data,
+                                 np.ascontiguousarray(x).ravel(), out.ravel())
+        return out
+
+    def _plan(self, side, pair):
+        """(order, indptr, indices) of one side: its stable order, which a
+        pair plan keeps to put the values in it, the row pointer, and as
+        column indices the other side in that order, or the positions."""
+        rows = self.sides[side]
+        n, p = self.n[side], len(rows)
+        n_cols = self.n[1 - side] if pair else p
+        dtype = np.int32 if max(n, n_cols, p) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(n + 1, dtype=dtype)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        order = np.argsort(rows, kind="stable")
+        if not pair:
+            return None, indptr, order.astype(dtype, copy=False)
+        return order, indptr, self.sides[1 - side][order].astype(dtype, copy=False)
 
 
-def _scatter(rows, cols, vals, shape):
-    """CSR whose row r lists the positions i with rows[i] == r in ascending
-    i, so a product with it sums each row in index order, like np.add.at."""
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    order = np.argsort(rows, kind="stable")
-    return _sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
+def gather_rows(x, index, side):
+    """Rows of x at side 0 (u) or 1 (v) of the PairIndex ``index``."""
+    idx = index.rows(x, side, "gather_rows")
+    return _op(x.data[idx], "gather_rows", (x,), (x, lambda g: index.scatter(side, g)))
 
 
-def gather_rows(x, idx):
-    n = x.data.shape[0]
-    idx = _row_index(idx, n, "gather_rows")
-    p = len(idx)
-    return _op(x.data[idx], "gather_rows", (x,),
-               (x, lambda g: _scatter(idx, np.arange(p), np.ones(p), (n, p)) @ g))
-
-
-def pair_dot(s, t, u, v, block):
-    """Row-wise inner products of S[u] and T[v]: a (P, 1) column.
+def pair_dot(s, t, index, block):
+    """Row-wise inner products of S[u] and T[v] over the PairIndex
+    ``index``: a (P, 1) column.
 
     The numbers of gathering S[u] and T[v], multiplying them elementwise
     and summing each row, without the (P, d) arrays.  The forward pass is a
@@ -241,11 +290,7 @@ def pair_dot(s, t, u, v, block):
     in which the three-op graph replays them, so a T that aliases S sums
     its grad the same way.
     """
-    n_s, n_t = s.data.shape[0], t.data.shape[0]
-    u = _row_index(u, n_s, "pair_dot")
-    v = _row_index(v, n_t, "pair_dot")
-    if len(u) != len(v):
-        raise ValueError(f"pair_dot index length mismatch: {len(u)} vs {len(v)}")
+    u, v = index.rows(s, 0, "pair_dot"), index.rows(t, 1, "pair_dot")
     if s.data.shape[1] != t.data.shape[1]:
         raise ValueError(f"pair_dot width mismatch: {s.data.shape} vs {t.data.shape}")
     out = np.empty((len(u), 1))
@@ -253,8 +298,8 @@ def pair_dot(s, t, u, v, block):
         b = slice(b0, b0 + block)
         out[b, 0] = (s.data[u[b]] * t.data[v[b]]).sum(axis=1)
     return _op(out, "pair_dot", (s, t),
-               (t, lambda g: _scatter(v, u, g[:, 0], (n_t, n_s)) @ s.data),
-               (s, lambda g: _scatter(u, v, g[:, 0], (n_s, n_t)) @ t.data))
+               (t, lambda g: index.scatter(1, s.data, g[:, 0])),
+               (s, lambda g: index.scatter(0, t.data, g[:, 0])))
 
 
 def spmm_const(m, x):

@@ -107,9 +107,13 @@ class DirectedGraph:
                 raise ValueError("edge endpoint out of range")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise ValueError("self-loops are not allowed; filter them before construction")
-            keys = np.sort(edges[:, 0] * np.int64(self.n) + edges[:, 1])
-            keys = keys[run_starts(keys)]
-            edges = np.stack([keys // self.n, keys % self.n], axis=1)
+            keys = edges[:, 0] * np.int64(self.n) + edges[:, 1]
+            if np.all(keys[1:] > keys[:-1]):  # already sorted and unique, as preprocess emits
+                edges = edges.copy()
+            else:
+                keys = np.sort(keys)
+                keys = keys[run_starts(keys)]
+                edges = np.stack([keys // self.n, keys % self.n], axis=1)
         self.edges = edges
 
     @property

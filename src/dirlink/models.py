@@ -232,22 +232,26 @@ class DecoderKind:
         return Mlp(self.layers).named_parameters("dec")
 
 
-def decode(dec, enc, pairs):
+def decode(dec, enc, pairs, index=None):
     """Logits for ordered pairs: row u of S with row v of T.
 
     inner: dot product, one fused op that allocates no (pairs, d) array in
     either pass.  mlp_hadamard / mlp_concat: relu MLP over the elementwise
     product / the concatenation.  lr_concat: affine map over the
     concatenation.  Output shape (len(pairs), out_dim), pre-sigmoid.
+    ``index`` is an ``autodiff.PairIndex`` of these pairs, which keeps the
+    backward plans from one call to the next; a fresh one when None.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if index is None:
+        index = ad.PairIndex(pairs, enc.S.shape[0], enc.T.shape[0])
     if dec.kind == "inner":
-        z = ad.pair_dot(enc.S, enc.T, pairs[:, 0], pairs[:, 1], score_block_pairs(dec, enc))
+        z = ad.pair_dot(enc.S, enc.T, index, score_block_pairs(dec, enc))
         if dec.out_dim == 2:
             z = ad.concat_cols(z, ad.Tensor(np.zeros((z.shape[0], 1))))
         return z
-    su = ad.gather_rows(enc.S, pairs[:, 0])
-    tv = ad.gather_rows(enc.T, pairs[:, 1])
+    su = ad.gather_rows(enc.S, index, 0)
+    tv = ad.gather_rows(enc.T, index, 1)
     h = ad.hadamard(su, tv) if dec.kind == "mlp_hadamard" else ad.concat_cols(su, tv)
     return Mlp(dec.layers)(h)
 

@@ -149,13 +149,14 @@ class FitResult:
     epochs_run: int
 
 
-def _train_step(cfg, dec, enc, optimizer, pairs, labels, classes):
+def _train_step(cfg, dec, enc, optimizer, pairs, index, labels, classes):
     """Epoch's loss on the embeddings enc, its backward pass and the
-    optimizer step; returns the loss value.
+    optimizer step; returns the loss value.  ``index`` is the
+    ``autodiff.PairIndex`` of the pairs.
 
     The loss's graph lives in this frame only, and the backward pass frees
     the embeddings' tape, so the caller that drops enc drops the epoch."""
-    logits = models.decode(dec, enc, pairs)
+    logits = models.decode(dec, enc, pairs, index)
     if cfg.loss == "bce":
         loss = ad.bce_with_logits(logits, labels)
     else:
@@ -219,13 +220,15 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
             break
         epoch = epochs_run + 1
         try:
-            # the positives followed by negatives drawn once per run or per epoch
+            # the positives followed by negatives drawn once per run or per epoch,
+            # with the index that keeps the draw's backward plans
             if pairs is None or cfg.neg_strategy == "per_epoch":
                 negs = sample_train_negatives(train_graph, count, neg_seed, cfg.neg_strategy,
                                               epoch)
                 pairs = np.vstack([pos_pairs, negs])
-            losses.append(_train_step(cfg, model.dec_params, enc, optimizer, pairs, labels,
-                                      classes))
+                index = ad.PairIndex(pairs, train_graph.n, train_graph.n)
+            losses.append(_train_step(cfg, model.dec_params, enc, optimizer, pairs, index,
+                                      labels, classes))
         except FloatingPointError as exc:
             raise TrainingError(f"aborted at epoch {epoch}: {exc}") from exc
         except DataError as exc:

@@ -1,7 +1,7 @@
 """Shared test utilities: random graph builders, the generator of the
 synthetic200 fixture, loop-based reference implementations of the data path,
-dense and explicit-form oracles of the encoders, of ``pair_dot`` and of
-``hinge``, the tape ops that only tests build graphs with (``row_sum``,
+dense and explicit-form oracles of the encoders, of ``pair_dot``, of the
+backward scatter of ``pair_dot`` and ``gather_rows`` and of ``hinge``, the tape ops that only tests build graphs with (``row_sum``,
 ``add``, ``scale``, ``sum_all``), finite-difference checks and a
 memory-bounded subprocess runner."""
 
@@ -209,6 +209,18 @@ def sdgae_encode_composite(p, a_norm, x):
         t_next = add(scale(ad.spmm_const(a_t, s), p.gamma_t[step]), t)
         s, t = s_next, t_next
     return EncoderOutput(s, t)
+
+
+def scatter(rows, cols, vals, shape):
+    """CSR whose row r lists the positions i with rows[i] == r in ascending
+    i, so a product with it sums each row in index order, like np.add.at:
+    the oracle of ``PairIndex.scatter``, which is ``scatter(u, v, g, (n_u,
+    n_v)) @ x`` for ``pair_dot`` and ``scatter(u, arange(P), ones(P), (n_u,
+    P)) @ x`` for ``gather_rows``, side 0; side 1 swaps u and v."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    order = np.argsort(rows, kind="stable")
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
 
 
 def row_sum(x):

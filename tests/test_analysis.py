@@ -372,6 +372,35 @@ def test_failed_search_is_undetermined_not_infeasible(monkeypatch):
     assert cert.witness is None and cert.margin is None
 
 
+def test_witness_search_builds_each_pair_set_plans_once_per_restart(monkeypatch):
+    """Each restart indexes its two constraint pair sets once, and each
+    index builds a side's plan on the restart's first backward pass, which
+    the later passes reuse."""
+    builds, real_plan, real_backward = [], ad.PairIndex._plan, ad.backward
+    passes = []
+
+    def plan(self, side, pair):
+        builds.append((self, side))  # holds the index, so no later one takes its id
+        return real_plan(self, side, pair)
+
+    def backward(loss, params=()):
+        passes.append(len(builds))
+        return real_backward(loss, params)
+
+    monkeypatch.setattr(ad.PairIndex, "_plan", plan)
+    monkeypatch.setattr(ad, "backward", backward)
+    monkeypatch.setattr(analysis, "SEARCH_STEPS", 4)
+    monkeypatch.setattr(analysis, "SEARCH_LR", 0.0)
+    cert = analysis.check_expressiveness(
+        datasets.load_fixture("ring3"), "single", "mlp_concat", dim=2, attempts=3
+    )
+    assert cert.verdict == "undetermined"
+    assert len({(id(index), side) for index, side in builds}) == len(builds) == 3 * 2 * 2
+    assert len({id(index) for index, _ in builds}) == 3 * 2
+    # the first pass of a restart builds its 4 plans, and the other 3 build none
+    assert passes == [4 * r + 4 * (step > 0) for r in range(3) for step in range(4)]
+
+
 def test_expressiveness_validation():
     ring = datasets.load_fixture("ring3")
     with pytest.raises(ValueError, match="mode"):

@@ -8,7 +8,7 @@ import pytest
 
 import dirlink.autodiff as ad
 from dirlink.graph import DirectedGraph, adjacency, normalize_sym
-from helpers import add, check_gradients, hinge_composite, row_sum, scale, sum_all
+from helpers import add, check_gradients, hinge_composite, row_sum, scale, scatter, sum_all
 
 
 def _param(rng, *shape):
@@ -37,6 +37,8 @@ def _gradient_cases():
     gammas = [_param(rng, 1, 1) for _ in range(4)]
     c = _param(rng, 4, 1)
     idx = np.array([0, 2, 2, 4, 1])
+    # one index for every evaluation: its plans are built on the first backward pass
+    index = ad.PairIndex(np.stack([idx, idx[::-1]], axis=1), 5, 5)
     # the hinge cases' rows sit well away from the kink, on both sides of it
     pre = np.vstack([0.5 - x.data @ c.data, 0.5 + (x.data * x.data) @ c.data])
     assert np.abs(pre).min() > 0.1 and (pre > 0).any() and (pre < 0).any()
@@ -49,8 +51,9 @@ def _gradient_cases():
         "hadamard": lambda: sum_all(ad.hadamard(x, x)),
         "concat": lambda: sum_all(ad.matmul(ad.concat_cols(x, x), _ones(8, 1))),
         "relu": lambda: sum_all(ad.relu(ad.matmul(x, w))),
-        "gather": lambda: sum_all(ad.gather_rows(x, idx)),
-        "pair_dot": lambda: _squared_sum(ad.pair_dot(x, ad.relu(x), idx, idx[::-1], 2)),
+        "gather": lambda: sum_all(ad.gather_rows(x, index, 0)),
+        "gather_v": lambda: sum_all(ad.gather_rows(x, index, 1)),
+        "pair_dot": lambda: _squared_sum(ad.pair_dot(x, ad.relu(x), index, 2)),
         "row_sum": lambda: sum_all(ad.hadamard(row_sum(x), row_sum(x))),
         "scale": lambda: sum_all(scale(ad.matmul(x, w), s)),
         "spmm": lambda: sum_all(ad.relu(ad.spmm_const(a, x))),
@@ -108,7 +111,7 @@ def _squared_sum(z):
 
 def test_gather_rows_accumulates_duplicate_indices():
     x = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    out = ad.gather_rows(x, np.array([1, 1, 0]))
+    out = ad.gather_rows(x, _index([1, 1, 0], [0, 0, 0], 3, 3), 0)
     loss = sum_all(out)
     ad.backward(loss)
     assert np.array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
@@ -120,7 +123,8 @@ def test_gather_rows_scatter_matches_add_at_bitwise():
     x = _param(rng, 50, 7)
     idx = rng.integers(0, 50, size=1000)
     g = rng.standard_normal((1000, 7))
-    ad.backward(sum_all(ad.hadamard(ad.gather_rows(x, idx), ad.Tensor(g))))
+    ad.backward(sum_all(ad.hadamard(ad.gather_rows(x, _index(idx, idx, 50, 50), 0),
+                                    ad.Tensor(g))))
     ref = np.zeros_like(x.data)
     np.add.at(ref, idx, g)
     assert np.array_equal(x.grad, ref)
@@ -129,11 +133,18 @@ def test_gather_rows_scatter_matches_add_at_bitwise():
 def test_gather_rows_bounds_check():
     x = ad.Tensor(np.zeros((2, 2)))
     with pytest.raises(IndexError):
-        ad.gather_rows(x, np.array([2]))
+        ad.PairIndex([[2, 0]], 2, 2)
+    with pytest.raises(ValueError, match="rows"):
+        ad.gather_rows(x, _index([0], [0], 3, 2), 0)
+    assert ad.gather_rows(x, _index([0], [1], 3, 2), 1).shape == (1, 2)
 
 
-def _pair_dot_composite(s, t, u, v):
-    return row_sum(ad.hadamard(ad.gather_rows(s, u), ad.gather_rows(t, v)))
+def _index(u, v, n_u, n_v):
+    return ad.PairIndex(np.stack([u, v], axis=1), n_u, n_v)
+
+
+def _pair_dot_composite(s, t, index):
+    return row_sum(ad.hadamard(ad.gather_rows(s, index, 0), ad.gather_rows(t, index, 1)))
 
 
 @pytest.mark.parametrize("case", ["distinct", "duplicates", "empty", "aliased_leaf", "aliased_mlp"])
@@ -165,11 +176,11 @@ def test_pair_dot_matches_gather_composite_bitwise(case):
             s = t = ad.relu(ad.matmul(x, w))
         else:
             s, t = x, y
-        z = op(s, t, u, v)
+        z = op(s, t, _index(u, v, n, n))
         ad.backward(sum_all(ad.hadamard(z, ad.Tensor(g))), params=[x, y, w])
         return z.data, x.grad, y.grad, w.grad
 
-    fused = run(lambda s, t, u, v: ad.pair_dot(s, t, u, v, 7))
+    fused = run(lambda s, t, index: ad.pair_dot(s, t, index, 7))
     composite = run(_pair_dot_composite)
     assert fused[0].shape == (p, 1)
     for a, b in zip(fused, composite):
@@ -181,14 +192,56 @@ def test_pair_dot_checks_its_inputs():
     y = ad.Tensor(np.zeros((4, 2)))
     for u, v in (([3], [0]), ([0], [4]), ([-1], [0]), ([0], [-1])):
         with pytest.raises(IndexError):
-            ad.pair_dot(x, y, np.array(u), np.array(v), 512)
-    assert ad.pair_dot(x, y, np.array([2]), np.array([3]), 512).shape == (1, 1)
-    with pytest.raises(ValueError, match="1-D"):
-        ad.pair_dot(x, y, np.zeros((1, 1)), np.zeros((1, 1)), 512)
-    with pytest.raises(ValueError, match="length"):
-        ad.pair_dot(x, y, np.array([0, 1]), np.array([0]), 512)
+            _index(u, v, 3, 4)
+    assert ad.pair_dot(x, y, _index([2], [3], 3, 4), 512).shape == (1, 1)
+    with pytest.raises(ValueError, match=r"\(P, 2\)"):
+        ad.PairIndex(np.zeros((1, 3)), 3, 4)
+    with pytest.raises(ValueError, match="rows"):
+        ad.pair_dot(x, y, _index([0], [0], 3, 3), 512)
     with pytest.raises(ValueError, match="width"):
-        ad.pair_dot(x, ad.Tensor(np.zeros((4, 3))), np.array([0]), np.array([0]), 512)
+        ad.pair_dot(x, ad.Tensor(np.zeros((4, 3))), _index([0], [0], 3, 4), 512)
+
+
+@pytest.mark.parametrize("case", ["repeated", "aliased", "empty", "one_column"])
+def test_pair_index_grads_match_the_scatter_oracle_bitwise(case):
+    """The grads of pair_dot and of gather_rows through one PairIndex equal
+    the products with the oracle CSR, bit for bit, on the pass that builds
+    the plans and on a second pass that reuses them: 800 pairs on at most
+    600 distinct ones repeat pairs and rows, and an aliased T sums its dT
+    and dS into S's grad."""
+    rng = np.random.default_rng(31)
+    aliased = case == "aliased"
+    n_u, n_v = (30, 30) if aliased else (30, 20)
+    d = 1 if case == "one_column" else 6
+    p = 0 if case == "empty" else 800
+    u, v = rng.integers(0, n_u, size=p), rng.integers(0, n_v, size=p)
+    index = _index(u, v, n_u, n_v)
+    for _ in range(2):
+        s0, t0 = rng.standard_normal((n_u, d)), rng.standard_normal((n_v, d))
+        g, h = rng.standard_normal((p, 1)), rng.standard_normal((2, p, d))
+        s = ad.Tensor(s0, requires_grad=True)
+        t = s if aliased else ad.Tensor(t0, requires_grad=True)
+        ad.backward(sum_all(ad.hadamard(ad.pair_dot(s, t, index, 7), ad.Tensor(g))))
+        ds = scatter(u, v, g[:, 0], (n_u, n_v)) @ t.data
+        dt = scatter(v, u, g[:, 0], (n_v, n_u)) @ s.data
+        if aliased:
+            assert np.array_equal(s.grad, dt + ds)
+        else:
+            assert np.array_equal(s.grad, ds) and np.array_equal(t.grad, dt)
+        gathered = [ad.gather_rows(x, index, side) for side, x in enumerate((s, t))]
+        if aliased:
+            loss = sum_all(ad.hadamard(ad.concat_cols(*gathered), ad.Tensor(np.hstack(h))))
+        else:
+            loss = add(*(sum_all(ad.hadamard(a, ad.Tensor(b))) for a, b in zip(gathered, h)))
+        ad.backward(loss)
+        positions, ones = np.arange(p), np.ones(p)
+        gu = scatter(u, positions, ones, (n_u, p)) @ h[0]
+        gv = scatter(v, positions, ones, (n_v, p)) @ h[1]
+        if aliased:
+            assert np.array_equal(s.grad, gu + gv)
+        else:
+            assert np.array_equal(s.grad, gu) and np.array_equal(t.grad, gv)
+    assert sorted(index._plans) == [(0, False), (0, True), (1, False), (1, True)]
 
 
 @pytest.mark.parametrize("with_rev", [False, True])
@@ -208,8 +261,8 @@ def test_hinge_matches_its_composite_bitwise(logits, with_rev):
     def run(loss_fn):
         x, y, pos, rev = (ad.Tensor(a.copy(), requires_grad=True) for a in (x0, y0, pos0, rev0))
         if logits == "pair_dot":
-            pos = ad.pair_dot(x, y, u[:p_pos], v[:p_pos], 16)
-            rev = ad.pair_dot(x, y, u[p_pos:], v[p_pos:], 16)
+            pos = ad.pair_dot(x, y, _index(u[:p_pos], v[:p_pos], n, n), 16)
+            rev = ad.pair_dot(x, y, _index(u[p_pos:], v[p_pos:], n, n), 16)
         leaves = [x, y] if logits == "pair_dot" else [pos, rev]
         loss = loss_fn(pos, rev if with_rev else None, margin)
         ad.backward(loss, leaves)
@@ -430,13 +483,13 @@ def _every_op_loss(leaves, a):
     of v and v2, which one add feeds.  u's grad is first a hadamard's, and
     then a concat slice sums into it; r's only grad is the hinge's."""
     xb, b, u, c, v, v2, w6, s, q, r, *gammas = leaves
-    idx, idx2 = np.array([0, 2, 2, 4, 1, 3]), np.array([1, 1, 4, 0, 3, 2])
+    index = _index([0, 2, 2, 4, 1, 3], [1, 1, 4, 0, 3, 2], 5, 5)
     h = ad.relu(ad.add_bias(xb, b))
     s_out, t_out = ad.sdgae_propagate(a, h, ad.spmm_const(a, add(v, v2)), gammas[:2],
                                       gammas[2:])
-    bce = ad.bce_with_logits(ad.matmul(ad.gather_rows(ad.concat_cols(u, c), idx), w6),
+    bce = ad.bce_with_logits(ad.matmul(ad.gather_rows(ad.concat_cols(u, c), index, 0), w6),
                              np.array([1, 0, 1, 0, 1, 0]))
-    z = ad.pair_dot(s_out, t_out, idx, idx2, 4)
+    z = ad.pair_dot(s_out, t_out, index, 4)
     ce = ad.ce_pairwise(ad.concat_cols(z, scale(z, s)), np.array([0, 1, 0, 1, 1, 0]))
     return add(add(add(add(bce, ce), sum_all(q)), ad.hinge(z, r, 0.1)),
                sum_all(ad.hadamard(ad.hadamard(u, s_out), t_out)))

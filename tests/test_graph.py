@@ -163,6 +163,26 @@ def test_directed_graph_dedups_and_sorts():
     assert not adjacency(g)[1, 2]
 
 
+@pytest.mark.parametrize("order", ["unsorted", "duplicated", "sorted", "sorted_fortran"])
+def test_directed_graph_edges_are_the_sorted_unique_pairs_in_an_array_of_their_own(order):
+    """Unsorted, duplicated and already sorted input give the same bytes:
+    the sorted unique pairs, in a C-ordered int64 array that shares no
+    memory with the input."""
+    rng = np.random.default_rng(41)
+    n = 50
+    keys = np.unique(rng.integers(0, n * n, size=400))
+    keys = keys[keys // n != keys % n]
+    expected = np.stack([keys // n, keys % n], axis=1)
+    edges = {"unsorted": expected[rng.permutation(len(expected))],
+             "duplicated": np.repeat(expected, 2, axis=0),  # sorted, each pair twice
+             "sorted": expected.copy(),
+             "sorted_fortran": np.asfortranarray(expected)}[order]
+    g = DirectedGraph(n, edges)
+    assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+    assert g.edges.tobytes() == expected.tobytes()
+    assert not np.shares_memory(g.edges, edges)
+
+
 def test_directed_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         DirectedGraph(3, [[0, 0]])

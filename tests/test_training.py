@@ -55,6 +55,60 @@ def test_negative_strategies_diverge():
     assert not np.array_equal(a.loss_history, b.loss_history)
 
 
+def _record_plan_builds(monkeypatch):
+    """The (index, side, pair) of every plan a PairIndex builds, in order."""
+    builds, real = [], ad.PairIndex._plan
+
+    def plan(self, side, pair):
+        builds.append((self, side, pair))
+        return real(self, side, pair)
+
+    monkeypatch.setattr(ad.PairIndex, "_plan", plan)
+    return builds
+
+
+@pytest.mark.parametrize("decoder", ["inner", "mlp_hadamard"])
+@pytest.mark.parametrize("strategy", ["per_run", "per_epoch"])
+def test_fit_builds_the_pairs_plans_once_per_negative_draw(monkeypatch, strategy, decoder):
+    """A fit indexes each draw of training pairs once, and the index builds
+    each side's plan on the draw's first backward pass: once per run under
+    per_run negatives and once per epoch under per_epoch.  Every epoch
+    decodes through the index of the latest draw, so no plan of an older
+    draw is read."""
+    builds = _record_plan_builds(monkeypatch)
+    draws, decoded = [], []
+    real_sample, real_decode = training.sample_train_negatives, models.decode
+
+    def sample(*args):
+        draws.append(real_sample(*args))
+        return draws[-1]
+
+    def decode(dec, enc, pairs, index=None):
+        if index is not None:  # the training loss; scoring passes no index
+            decoded.append((index, len(draws), len(builds)))
+        return real_decode(dec, enc, pairs, index)
+
+    monkeypatch.setattr(training, "sample_train_negatives", sample)
+    monkeypatch.setattr(models, "decode", decode)
+    bundle = small_bundle()
+    feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
+    cfg = small_cfg(decoder=decoder, neg_strategy=strategy, max_epochs=6, patience=5)
+    epochs = len(training.fit(cfg, bundle.train_graph, feats, lambda score: 0.5).loss_history)
+    assert epochs == 6 and len(draws) == (1 if strategy == "per_run" else epochs)
+    assert len(decoded) == epochs
+    indexes = list({id(index): index for index, _, _ in decoded}.values())
+    assert len(indexes) == len(draws)
+    assert [(id(i), side) for i, side, _ in builds] == [(id(i), side) for i in indexes
+                                                        for side in (1, 0)]
+    seen = set()
+    for index, draw, built_before in decoded:
+        pairs = np.vstack([bundle.train_graph.edges, draws[draw - 1]])
+        assert np.array_equal(np.stack(index.sides, axis=1), pairs)
+        if id(index) not in seen:  # a draw's index comes to its first pass without plans
+            assert all(i is not index for i, _, _ in builds[:built_before])
+            seen.add(id(index))
+
+
 def test_run_entropy_separates_configs_and_splits():
     cfg = small_cfg()
     assert training._run_entropy(cfg, 3) == training._run_entropy(small_cfg(), 3)
@@ -460,13 +514,14 @@ def _fixture_model(cfg):
     optimizer = ad.AdamState(model.parameters(), lr=cfg.lr)
     pos = bundle.train_graph.edges
     pairs = np.vstack([pos, splits.sample_train_negatives(bundle.train_graph, len(pos), 0)])
+    index = ad.PairIndex(pairs, bundle.train_graph.n, bundle.train_graph.n)
     labels = np.repeat([1.0, 0.0], len(pos))
     classes = np.repeat([0, 1], len(pos))
 
     def step():
-        # the encode and the step, as one iteration of fit runs them
-        training._train_step(cfg, model.dec_params, model.encode(), optimizer, pairs, labels,
-                             classes)
+        # the encode and the step, as one iteration of fit runs them on one draw
+        training._train_step(cfg, model.dec_params, model.encode(), optimizer, pairs, index,
+                             labels, classes)
 
     return model, step, pairs
 
