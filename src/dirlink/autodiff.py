@@ -19,7 +19,7 @@ import contextlib
 import threading
 
 import numpy as np
-from scipy.sparse import _sparsetools
+import scipy.sparse as sp
 
 from .graph import spmm as _spmm
 
@@ -211,13 +211,9 @@ class PairIndex:
     The backward pass of ``gather_rows`` and of ``pair_dot`` sums P rows
     onto the rows of one side of the pairs, in index order, like np.add.at:
     it is a product with the CSR whose row r lists the positions i with that
-    side's index r in ascending i.  The structure of that CSR (the stable
-    order of the side, its row pointer and its column indices) is the plan.
-    The first backward pass that needs a plan builds it and the index keeps
-    it, so a later pass only fills in the values and runs scipy's CSR
-    kernel, the one ``csr_matrix(...) @ x`` reaches, without building a
-    matrix.  Forward passes build no plan.  Row pointers and column indices
-    are int32 where a scipy CSR of the same shape would downcast them to it.
+    side's index r in ascending i.  That CSR is the plan.  The first backward
+    pass that needs a plan builds it and the index keeps it, so a later pass
+    only refills a ``pair_dot`` plan's values.  Forward passes build no plan.
     """
 
     __slots__ = ("sides", "n", "_plans")
@@ -248,28 +244,25 @@ class PairIndex:
         plan = self._plans.get((side, pair))
         if plan is None:
             plan = self._plans[side, pair] = self._plan(side, pair)
-        order, indptr, indices = plan
-        data = np.take(values, order) if pair else np.ones(len(indices))
-        n_rows, n_cols = len(indptr) - 1, (self.n[1 - side] if pair else len(indices))
-        out = np.zeros((n_rows, x.shape[1]))
-        _sparsetools.csr_matvecs(n_rows, n_cols, x.shape[1], indptr, indices, data,
-                                 np.ascontiguousarray(x).ravel(), out.ravel())
-        return out
+        order, m = plan
+        if pair:
+            np.take(values, order, out=m.data)
+        return m @ x
 
     def _plan(self, side, pair):
-        """(order, indptr, indices) of one side: its stable order, which a
-        pair plan keeps to put the values in it, the row pointer, and as
-        column indices the other side in that order, or the positions."""
+        """(order, CSR of ones) of one side.  The CSR's row pointer counts
+        the side's rows, and its column indices are, in the side's stable
+        order, the other side (a pair plan, which keeps that order to put
+        its values in) or the positions."""
         rows = self.sides[side]
         n, p = self.n[side], len(rows)
-        n_cols = self.n[1 - side] if pair else p
-        dtype = np.int32 if max(n, n_cols, p) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(n + 1, dtype=dtype)
+        indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         order = np.argsort(rows, kind="stable")
         if not pair:
-            return None, indptr, order.astype(dtype, copy=False)
-        return order, indptr, self.sides[1 - side][order].astype(dtype, copy=False)
+            return None, sp.csr_matrix((np.ones(p), order, indptr), shape=(n, p))
+        other = self.sides[1 - side][order]
+        return order, sp.csr_matrix((np.ones(p), other, indptr), shape=(n, self.n[1 - side]))
 
 
 def gather_rows(x, index, side):

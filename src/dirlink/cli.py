@@ -220,8 +220,9 @@ def cmd_preprocess(args):
 def cmd_split(args):
     cfg = _resolve(args)
     g = _load_graph(cfg.dataset)
-    os.makedirs(cfg.out, exist_ok=True)
     for seed in cfg.seeds:
+        # save_split makes --out; a graph that cannot be split fails on every
+        # seed, so on the first one, before --out is made
         bundle = split_edges(g, seed=seed)
         save_split(os.path.join(cfg.out, f"seed{seed}"), bundle)
         print(f"seed {seed}: train={len(bundle.train_pos)} val={len(bundle.val_pos)} "
@@ -332,6 +333,8 @@ def cmd_reconstruct(args):
         raise UsageError(f"--m-prime must be >= 0, got {args.m_prime}")
     model, _, g = _restore_model(args.checkpoint, args.dataset)
     m_prime = args.m_prime if args.m_prime is not None else g.edge_count
+    if m_prime > g.n * (g.n - 1):  # reconstruct_topm's check, before --out is made
+        raise DataError(f"m_prime {m_prime} exceeds the {g.n * (g.n - 1)} candidate pairs")
     os.makedirs(args.out, exist_ok=True)
     recon = analysis.reconstruct_topm(model.scorer(), g.n, m_prime)
     save_edge_list(os.path.join(args.out, "reconstructed.txt"), recon)

@@ -25,7 +25,11 @@ from .graph import DataError, normalize_sym  # noqa: F401
 from .metrics import MetricsReport, auc
 from .splits import FeatureInit, init_features, sample_train_negatives
 
-LOSSES = ("bce", "ce")
+# each loss: its op, its logits per pair, and the targets of an edge and a non-edge
+LOSSES = {
+    "bce": (ad.bce_with_logits, 1, (1.0, 0.0)),
+    "ce": (ad.ce_pairwise, 2, (0, 1)),
+}
 
 
 def check_field_types(obj):
@@ -134,8 +138,7 @@ class TrainedModel:
 def build_model(cfg, train_graph, feats, rng):
     feats = np.asarray(feats, dtype=np.float64)
     enc = models.ENCODERS[cfg.encoder].init(rng, train_graph, feats.shape[1], cfg)
-    dec = models.DecoderKind.init(rng, cfg.decoder, cfg.emb, cfg.dec_hidden,
-                                  1 if cfg.loss == "bce" else 2)
+    dec = models.DecoderKind.init(rng, cfg.decoder, cfg.emb, cfg.dec_hidden, LOSSES[cfg.loss][1])
     return TrainedModel(enc, dec, feats)
 
 
@@ -149,18 +152,14 @@ class FitResult:
     epochs_run: int
 
 
-def _train_step(cfg, dec, enc, optimizer, pairs, index, labels, classes):
+def _train_step(cfg, dec, enc, optimizer, pairs, index, targets):
     """Epoch's loss on the embeddings enc, its backward pass and the
     optimizer step; returns the loss value.  ``index`` is the
-    ``autodiff.PairIndex`` of the pairs.
+    ``autodiff.PairIndex`` of the pairs, and ``targets`` their loss targets.
 
     The loss's graph lives in this frame only, and the backward pass frees
     the embeddings' tape, so the caller that drops enc drops the epoch."""
-    logits = models.decode(dec, enc, pairs, index)
-    if cfg.loss == "bce":
-        loss = ad.bce_with_logits(logits, labels)
-    else:
-        loss = ad.ce_pairwise(logits, classes)
+    loss = LOSSES[cfg.loss][0](models.decode(dec, enc, pairs, index), targets)
     ad.backward(loss, optimizer.params)
     optimizer.step()
     return float(loss.data[0, 0])
@@ -189,8 +188,7 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
     pos_pairs = train_graph.edges
     count = len(pos_pairs)
     neg_seed = int(neg_ss.generate_state(1)[0])
-    labels = np.concatenate([np.ones(count), np.zeros(count)])
-    classes = np.concatenate([np.zeros(count, np.int64), np.ones(count, np.int64)])
+    targets = np.repeat(LOSSES[cfg.loss][2], count)
 
     pairs = None
     losses = []
@@ -228,7 +226,7 @@ def fit(cfg, train_graph, feats, validation_scorer, split_seed=0):
                 pairs = np.vstack([pos_pairs, negs])
                 index = ad.PairIndex(pairs, train_graph.n, train_graph.n)
             losses.append(_train_step(cfg, model.dec_params, enc, optimizer, pairs, index,
-                                      labels, classes))
+                                      targets))
         except FloatingPointError as exc:
             raise TrainingError(f"aborted at epoch {epoch}: {exc}") from exc
         except DataError as exc:

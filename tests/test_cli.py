@@ -171,6 +171,15 @@ def test_split_command_writes_seed_dirs(tmp_path, capsys):
     assert (out / "seed0" / "train.txt").read_bytes() == (out2 / "seed0" / "train.txt").read_bytes()
 
 
+def test_split_of_a_graph_it_cannot_split_exits_2_and_makes_no_out(tmp_path, capsys):
+    edges = tmp_path / "two_parts.txt"
+    edges.write_text("0 1\n1 2\n3 4\n4 5\n5 3\n")
+    out = tmp_path / "splits"
+    assert cli.main(["split", "--dataset", str(edges), "--seeds", "0,1", "--out", str(out)]) == 2
+    assert "split requires a weakly connected graph" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _train_config_text(tmp_path):
     return (
         "[experiment]\n"
@@ -237,6 +246,21 @@ def test_a_negative_m_prime_is_a_usage_error_before_anything_is_read(tmp_path, c
                      "--m-prime", "-1", "--out", str(tmp_path / "negative")]) == 1
     assert capsys.readouterr().err == "usage error: --m-prime must be >= 0, got -1\n"
     assert not (tmp_path / "negative").exists()
+
+
+def test_an_m_prime_above_the_candidate_pairs_exits_2_and_makes_no_out(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_train_config_text(tmp_path))
+    assert cli.main(["train", "--config", str(cfg_path), "--model", "mlp"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "recon"
+    assert cli.main(["reconstruct", "--checkpoint", str(tmp_path / "run" / "model.npz"),
+                     "--m-prime", "100000000", "--out", str(out)]) == 2
+    with pytest.raises(DataError) as raised:
+        analysis.reconstruct_topm(None, 200, 100000000)
+    assert capsys.readouterr().err == f"data error: {raised.value}\n"
+    assert str(raised.value) == "m_prime 100000000 exceeds the 39800 candidate pairs"
+    assert not out.exists()
 
 
 def test_train_takes_one_split_seed(tmp_path, capsys):

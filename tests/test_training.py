@@ -515,13 +515,12 @@ def _fixture_model(cfg):
     pos = bundle.train_graph.edges
     pairs = np.vstack([pos, splits.sample_train_negatives(bundle.train_graph, len(pos), 0)])
     index = ad.PairIndex(pairs, bundle.train_graph.n, bundle.train_graph.n)
-    labels = np.repeat([1.0, 0.0], len(pos))
-    classes = np.repeat([0, 1], len(pos))
+    targets = np.repeat(training.LOSSES[cfg.loss][2], len(pos))
 
     def step():
         # the encode and the step, as one iteration of fit runs them on one draw
         training._train_step(cfg, model.dec_params, model.encode(), optimizer, pairs, index,
-                             labels, classes)
+                             targets)
 
     return model, step, pairs
 
@@ -535,11 +534,12 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("loss", list(training.LOSSES))
 @pytest.mark.parametrize("encoder", list(models.ENCODERS))
-def test_train_step_allocates_no_pair_sized_array(encoder):
+def test_train_step_allocates_no_pair_sized_array(encoder, loss):
     """A training step with the inner decoder peaks, beyond what the encoder
     forward pass alone needs, at less than one (P, d) float64 array."""
-    cfg = training.TrainConfig(encoder=encoder, decoder="inner")
+    cfg = training.TrainConfig(encoder=encoder, decoder="inner", loss=loss)
     model, step, pairs = _fixture_model(cfg)
     step()  # warm-up: the optimizer state and the parameter grads exist from here on
     encode_peak = _traced_peak(model.encode)

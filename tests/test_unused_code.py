@@ -16,14 +16,17 @@ ALLOWED = {
 }
 
 
+def _files():
+    return [*sorted((ROOT / "src" / "dirlink").glob("*.py")),
+            *sorted((ROOT / "perfbench").glob("*.py"))]
+
+
 def _unused_names(private=False):
     """Defined names that nothing in the two trees names: the public functions,
     classes and methods, or with ``private`` the module-level functions and
     classes whose names start with an underscore."""
-    files = [*sorted((ROOT / "src" / "dirlink").glob("*.py")),
-             *sorted((ROOT / "perfbench").glob("*.py"))]
     defined, used = {}, set()
-    for path in files:
+    for path in _files():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -55,3 +58,21 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
 
 def test_every_private_module_function_and_class_is_referenced():
     assert _unused_names(private=True) == {}
+
+
+def _imported(tree):
+    """The dotted names a module imports, ``from a import b`` as a.b."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_only_graph_imports_the_private_sparse_kernels():
+    """``graph.spmm`` calls scipy's private ``_sparsetools`` kernels, for the
+    ``out=`` that scipy's ``@`` lacks; every other product goes through ``@``."""
+    importers = {path.relative_to(ROOT).as_posix() for path in _files()
+                 if any(name.startswith("scipy.sparse._sparsetools")
+                        for name in _imported(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert importers == {"src/dirlink/graph.py"}
