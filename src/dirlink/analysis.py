@@ -61,6 +61,16 @@ def _candidate_pairs(k, n):
     return np.stack([u, j + (j >= u)], axis=1)
 
 
+def _blocks(n):
+    """(start, stop) of the candidate blocks, cut at row starts: the whole
+    rows that fit in RECONSTRUCT_CHUNK, or pieces of one row longer than it."""
+    total, span = n * (n - 1), max(1, RECONSTRUCT_CHUNK // (n - 1)) * (n - 1)
+    for r0 in range(0, total, span):
+        r1 = min(r0 + span, total)
+        for k0 in range(r0, r1, RECONSTRUCT_CHUNK):
+            yield k0, min(k0 + RECONSTRUCT_CHUNK, r1)
+
+
 def _top(ks, ss, m):
     """The m best of the concatenated candidates by (score desc, k asc)."""
     k, s = np.concatenate(ks), np.concatenate(ss)
@@ -72,7 +82,9 @@ def reconstruct_topm(score_fn, n, m_prime):
     """The m_prime ordered pairs (u != v) with the highest scores.
 
     score_fn maps an (B, 2) int array of pairs to B scores; it is called on
-    consecutive blocks of at most RECONSTRUCT_CHUNK candidates in (u, v) order.
+    consecutive blocks of at most RECONSTRUCT_CHUNK candidates in (u, v) order:
+    whole rows, the n - 1 candidates of a source u each, when a row fits in a
+    block, else pieces of one row.
     Ties break deterministically by (score desc, u asc, v asc), which is also
     the order of the result; NaN scores rank last.  Working memory is the
     m_prime best candidates so far, at most m_prime newer survivors, and one
@@ -88,8 +100,8 @@ def reconstruct_topm(score_fn, n, m_prime):
     best_k, best_s = np.empty(0, dtype=np.int64), np.empty(0)
     new_k, new_s, pending = [], [], 0
     threshold = None
-    for k0 in range(0, total, RECONSTRUCT_CHUNK):
-        k = np.arange(k0, min(k0 + RECONSTRUCT_CHUNK, total), dtype=np.int64)
+    for k0, k1 in _blocks(n):
+        k = np.arange(k0, k1, dtype=np.int64)
         pairs = _candidate_pairs(k, n)
         s = np.asarray(score_fn(pairs), dtype=np.float64).reshape(-1)
         if len(s) != len(pairs):

@@ -246,7 +246,8 @@ class PairIndex:
             plan = self._plans[side, pair] = self._plan(side, pair)
         order, m = plan
         if pair:
-            np.take(values, order, out=m.data)
+            # order is a permutation, so nothing clips; "raise" would buffer out
+            np.take(values, order, out=m.data, mode="clip")
         return m @ x
 
     def _plan(self, side, pair):
@@ -295,16 +296,17 @@ def pair_dot(s, t, index, block):
                (s, lambda g: index.scatter(0, t.data, g[:, 0])))
 
 
-def spmm_const(m, x):
+def spmm_const(m, x, m_t):
     """Multiply a constant sparse matrix into a tensor: out = m @ x.
 
-    The backward pass multiplies the output grad by ``m.T``.  The scipy
-    ``.T`` of a CSR matrix is a CSC view of the same arrays, so no
-    transposed copy is ever built.
+    The backward pass multiplies the output grad by ``m_t``, m's transpose,
+    which the caller builds once for all its passes: the scipy ``.T`` of a
+    CSR matrix is a CSC view of the same arrays (and that of a CSC a CSR
+    view), so no transposed copy is ever built.
     """
     if x.data.shape[0] != m.shape[1]:
         raise ValueError(f"spmm_const shape mismatch: {m.shape} @ {x.data.shape}")
-    return _op(_spmm(m, x.data), "spmm_const", (x,), (x, lambda g: _spmm(m.T, g)))
+    return _op(_spmm(m, x.data), "spmm_const", (x,), (x, lambda g: _spmm(m_t, g)))
 
 
 class Workspace:
@@ -347,22 +349,23 @@ def _propagation_arrays(lease, k):
     return a[:k], a[k:2 * k], *a[2 * k:]
 
 
-def sdgae_propagate(m, s0, t0, gamma_s, gamma_t, workspace=None):
-    """k steps of S <- gamma_s[j] * (m @ T) + S and T <- gamma_t[j] * (m.T @ S) + T,
+def sdgae_propagate(m, m_t, s0, t0, gamma_s, gamma_t, workspace=None):
+    """k steps of S <- gamma_s[j] * (m @ T) + S and T <- gamma_t[j] * (m_t @ S) + T,
     both reading the pre-step values, as one tape node.  Returns (S, T).
 
     S is the node.  T hangs on it as a companion whose only parent is S and
     whose rule hands its grad over to S's rule, since a node has one output.
     The forward pass keeps the 2k sparse products, which the gamma grads
     read.  The backward pass runs the steps in reverse: g_S += m @ (gamma_t
-    g_T) and g_T += m.T @ (gamma_s g_S), from the pre-step grads, and each
+    g_T) and g_T += m_t @ (gamma_s g_S), from the pre-step grads, and each
     gamma gets (g * product).sum().  Those are the operations the composite
     of spmm_const, scale and add replays, and every grad there has two
     addends, so the numbers agree bit for bit when S0 and T0 are distinct
     tensors.  The products, the running sums and the backward temporaries
     are arrays leased from ``workspace`` (a fresh one if None); S, T and the
     grads written to the inputs are new arrays.  Products go through
-    ``_spmm``, 2k per pass each way.
+    ``_spmm``, 2k per pass each way.  ``m_t`` is m's transpose, which the
+    caller builds once for all its passes.
     """
     k = len(gamma_s)
     n, d = s0.data.shape
@@ -374,7 +377,6 @@ def sdgae_propagate(m, s0, t0, gamma_s, gamma_t, workspace=None):
                          f"{s0.data.shape} S0, {t0.data.shape} T0")
     if any(g.data.shape != (1, 1) for g in (*gamma_s, *gamma_t)):
         raise ValueError("sdgae_propagate coefficients must be 1x1 tensors")
-    m_t = m.T
     lease = (Workspace() if workspace is None else workspace).lease(2 * k + 5, (n, d))
     prod_s, prod_t, buf_s, buf_t, tmp, _, _ = _propagation_arrays(lease, k)
     s, t = s0.data, t0.data

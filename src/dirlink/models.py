@@ -89,6 +89,7 @@ class SdgaeParams:
     gamma_s: list
     gamma_t: list
     op: object = field(repr=False, compare=False)
+    op_t: object = field(repr=False, compare=False)  # op.T, one view for every pass
     # the propagation's scratch arrays, reused across the run's passes
     workspace: ad.Workspace = field(default_factory=ad.Workspace, repr=False, compare=False)
 
@@ -100,14 +101,15 @@ class SdgaeParams:
         # normalize_adj at exponents 1/2 is graph.normalize_sym; both encoders build
         # their operator through this one name, which perfbench/spans.py traces
         op = normalize_adj(g, 0.5, 0.5)
-        return cls(mlp_s, mlp_t, [ones() for _ in range(cfg.k)], [ones() for _ in range(cfg.k)], op)
+        return cls(mlp_s, mlp_t, [ones() for _ in range(cfg.k)], [ones() for _ in range(cfg.k)],
+                   op, op.T)
 
     @property
     def n(self):
         return self.op.shape[0]
 
     def __call__(self, x):
-        s, t = ad.sdgae_propagate(self.op, self.mlp_s(x), self.mlp_t(x),
+        s, t = ad.sdgae_propagate(self.op, self.op_t, self.mlp_s(x), self.mlp_t(x),
                                   self.gamma_s, self.gamma_t, self.workspace)
         return EncoderOutput(s, t)
 
@@ -135,25 +137,27 @@ class DigaeParams:
     w_s: list
     w_t: list
     op: object = field(repr=False, compare=False)
+    op_t: object = field(repr=False, compare=False)  # op.T, one view for every pass
 
     @classmethod
     def init(cls, rng, g, in_dim, cfg):
         dims = _widths(in_dim, cfg.hidden, cfg.emb, cfg.digae_layers)
         w_s = [_uniform_weight(rng, a, b) for a, b in zip(dims[:-1], dims[1:])]
         w_t = [_uniform_weight(rng, a, b) for a, b in zip(dims[:-1], dims[1:])]
-        return cls(w_s, w_t, normalize_adj(g, cfg.alpha, cfg.beta))
+        op = normalize_adj(g, cfg.alpha, cfg.beta)
+        return cls(w_s, w_t, op, op.T)
 
     @property
     def n(self):
         return self.op.shape[0]
 
     def __call__(self, x):
-        op, op_t = self.op, self.op.T
+        op, op_t = self.op, self.op_t
         s = t = x
         last = len(self.w_s) - 1
         for layer, (w_s, w_t) in enumerate(zip(self.w_s, self.w_t)):
-            s_next = ad.spmm_const(op, ad.matmul(t, w_t))
-            t_next = ad.spmm_const(op_t, ad.matmul(s, w_s))
+            s_next = ad.spmm_const(op, ad.matmul(t, w_t), op_t)
+            t_next = ad.spmm_const(op_t, ad.matmul(s, w_s), op)
             if layer < last:
                 s_next = ad.relu(s_next)
                 t_next = ad.relu(t_next)
@@ -273,16 +277,45 @@ def score_block_pairs(dec, enc):
     return max(1, SCORE_BLOCK_BYTES // (8 * width))
 
 
+def _inner_scores(s, t, pairs, block):
+    """S[u] . T[v] per pair: one BLAS ddot of the two rows each, so a pair's
+    score has the same bits on either path below, in any call.
+
+    When the pairs fill at least half of the box of their row range u0..u1
+    by their column range v0..v1, as whole or partial rows of candidates
+    do, the dots run broadcast over S[u0:u1] x T[v0:v1], which gathers
+    nothing, and the pairs are picked out of the box: at most 2P floats.
+    Otherwise they run on gathered blocks of ``block`` pairs."""
+    u, v = ad.PairIndex(pairs, s.shape[0], t.shape[0]).sides
+    if not len(pairs):
+        return np.empty(0)
+    u0, v0 = u.min(), v.min()
+    rows, cols = u.max() + 1 - u0, v.max() + 1 - v0
+    if 2 * len(pairs) >= rows * cols:
+        box = np.matmul(s[u0:u0 + rows, None, None, :], t[None, v0:v0 + cols, :, None])
+        return box.reshape(-1)[(u - u0) * cols + (v - v0)]
+    out = np.empty(len(pairs))
+    for b0 in range(0, len(pairs), block):
+        b = slice(b0, b0 + block)
+        out[b] = np.matmul(s[u[b], None, :], t[v[b], :, None])[:, 0, 0]
+    return out
+
+
 def ranking_scores(dec, enc, pairs):
     """Scalar scores for ranking: the logit, or the logit margin of the
     edge-present column for two-logit heads.
 
-    Forward-only: no tape is built.  Pairs are decoded in blocks of
-    score_block_pairs into one output array.  A pair's inner score does not
-    depend on the block it falls in; the BLAS decoders may differ by an ulp."""
+    Forward-only: no tape is built.  The inner decoder scores through
+    ``_inner_scores``, whose ddot may differ from training's ``pair_dot``
+    sum by an ulp; a pair's inner score does not depend on the other pairs
+    of the call.  The other decoders decode in blocks of score_block_pairs
+    into one output array, and may differ by an ulp from block to block."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    out = np.empty(len(pairs))
     block = score_block_pairs(dec, enc)
+    if dec.kind == "inner":
+        # a two-logit inner head pairs the dot with a zero logit
+        return _inner_scores(enc.S.data, enc.T.data, pairs, block)
+    out = np.empty(len(pairs))
     with ad.no_grad():
         for b0 in range(0, len(pairs), block):
             z = decode(dec, enc, pairs[b0:b0 + block]).data

@@ -205,8 +205,8 @@ def sdgae_encode_composite(p, a_norm, x):
     s = p.mlp_s(xt)
     t = p.mlp_t(xt)
     for step in range(len(p.gamma_s)):
-        s_next = add(scale(ad.spmm_const(a_norm, t), p.gamma_s[step]), s)
-        t_next = add(scale(ad.spmm_const(a_t, s), p.gamma_t[step]), t)
+        s_next = add(scale(ad.spmm_const(a_norm, t, a_t), p.gamma_s[step]), s)
+        t_next = add(scale(ad.spmm_const(a_t, s, a_norm), p.gamma_t[step]), t)
         s, t = s_next, t_next
     return EncoderOutput(s, t)
 
@@ -292,6 +292,25 @@ def digae_encode_bipartite(p, g, x, alpha, beta):
         if layer < last:
             s, t = np.maximum(s, 0.0), np.maximum(t, 0.0)
     return EncoderOutput(ad.Tensor(s), ad.Tensor(t))
+
+
+class MatmulSpy:
+    """numpy, with the operand shapes of each matmul recorded: patched in
+    for a module's ``np``, it shows which path of ``models._inner_scores``
+    ran, a 4-D broadcast matmul over a box or 3-D ones over gathered rows."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b):
+        self.shapes.append((a.shape, b.shape))
+        return np.matmul(a, b)
+
+    def boxes(self):
+        return [len(a) == 4 for a, _ in self.shapes]
 
 
 def rel_err(a, b, floor=1e-3):

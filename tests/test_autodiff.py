@@ -56,10 +56,10 @@ def _gradient_cases():
         "pair_dot": lambda: _squared_sum(ad.pair_dot(x, ad.relu(x), index, 2)),
         "row_sum": lambda: sum_all(ad.hadamard(row_sum(x), row_sum(x))),
         "scale": lambda: sum_all(scale(ad.matmul(x, w), s)),
-        "spmm": lambda: sum_all(ad.relu(ad.spmm_const(a, x))),
-        "spmm_t": lambda: sum_all(ad.relu(ad.spmm_const(a.T, x))),
+        "spmm": lambda: sum_all(ad.relu(ad.spmm_const(a, x, a.T))),
+        "spmm_t": lambda: sum_all(ad.relu(ad.spmm_const(a.T, x, a))),
         "sdgae_propagate": lambda: sum_all(ad.hadamard(*ad.sdgae_propagate(
-            a, ad.matmul(x, w), ad.hadamard(ad.matmul(x, w), ad.matmul(x, w)),
+            a, a.T, ad.matmul(x, w), ad.hadamard(ad.matmul(x, w), ad.matmul(x, w)),
             gammas[:2], gammas[2:]))),
         "hinge": lambda: ad.hinge(ad.matmul(x, c), None, 0.5),
         "hinge_rev": lambda: ad.hinge(ad.matmul(x, c), ad.matmul(ad.hadamard(x, x), c), 0.5),
@@ -388,11 +388,11 @@ def test_spmm_const_matches_dense_with_gradients():
     g = DirectedGraph(4, [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]])
     m = adjacency(g)
     x = _param(rng, 4, 3)
-    out = ad.spmm_const(m, x)
+    out = ad.spmm_const(m, x, m.T)
     assert np.allclose(out.data, m.toarray() @ x.data)
     ad.backward(sum_all(out))
     assert np.allclose(x.grad, m.toarray().T @ np.ones((4, 3)))
-    out_t = ad.spmm_const(m.T, ad.Tensor(x.data))
+    out_t = ad.spmm_const(m.T, ad.Tensor(x.data), m)
     assert np.allclose(out_t.data, m.toarray().T @ x.data)
 
 
@@ -485,8 +485,8 @@ def _every_op_loss(leaves, a):
     xb, b, u, c, v, v2, w6, s, q, r, *gammas = leaves
     index = _index([0, 2, 2, 4, 1, 3], [1, 1, 4, 0, 3, 2], 5, 5)
     h = ad.relu(ad.add_bias(xb, b))
-    s_out, t_out = ad.sdgae_propagate(a, h, ad.spmm_const(a, add(v, v2)), gammas[:2],
-                                      gammas[2:])
+    s_out, t_out = ad.sdgae_propagate(a, a.T, h, ad.spmm_const(a, add(v, v2), a.T),
+                                      gammas[:2], gammas[2:])
     bce = ad.bce_with_logits(ad.matmul(ad.gather_rows(ad.concat_cols(u, c), index, 0), w6),
                              np.array([1, 0, 1, 0, 1, 0]))
     z = ad.pair_dot(s_out, t_out, index, 4)

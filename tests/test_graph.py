@@ -74,9 +74,9 @@ def test_operators_are_canonical_and_transpose_views_match_copies_bitwise(operat
         for d in (1, 3, 8):
             x = ad.Tensor(rng.standard_normal((g.n, d)), requires_grad=True)
             up = rng.standard_normal((g.n, d))
-            out = ad.spmm_const(m.T, x)
+            out = ad.spmm_const(m.T, x, m)
             assert np.array_equal(out.data, m_t @ x.data)
-            out = ad.spmm_const(m, x)
+            out = ad.spmm_const(m, x, m.T)
             ad.backward(sum_all(ad.hadamard(out, ad.Tensor(up))))
             assert np.array_equal(out.data, m @ x.data)
             assert np.array_equal(x.grad, m_t @ up)

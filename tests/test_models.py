@@ -7,7 +7,7 @@ import dirlink.autodiff as ad
 from dirlink import models, training
 from dirlink.graph import normalize_sym
 from dirlink.training import TrainConfig
-from helpers import (digae_encode_bipartite, expand_coefficients, random_graph,
+from helpers import (MatmulSpy, digae_encode_bipartite, expand_coefficients, random_graph,
                      sdgae_encode_composite, sdgae_encode_explicit, sum_all)
 
 
@@ -165,13 +165,13 @@ def test_sdgae_propagate_checks_its_inputs():
     x = ad.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     one = ad.Tensor(np.ones((1, 1)), requires_grad=True)
     with pytest.raises(ValueError, match="coefficients per side"):
-        ad.sdgae_propagate(a, x, x, [], [])
+        ad.sdgae_propagate(a, a.T, x, x, [], [])
     with pytest.raises(ValueError, match="coefficients per side"):
-        ad.sdgae_propagate(a, x, x, [one], [one, one])
+        ad.sdgae_propagate(a, a.T, x, x, [one], [one, one])
     with pytest.raises(ValueError, match="shape mismatch"):
-        ad.sdgae_propagate(a, x, ad.Tensor(np.zeros((5, 2))), [one], [one])
+        ad.sdgae_propagate(a, a.T, x, ad.Tensor(np.zeros((5, 2))), [one], [one])
     with pytest.raises(ValueError, match="1x1"):
-        ad.sdgae_propagate(a, x, x, [ad.Tensor(np.ones((1, 2)))], [one])
+        ad.sdgae_propagate(a, a.T, x, x, [ad.Tensor(np.ones((1, 2)))], [one])
 
 
 def test_digae_matches_bipartite_oracle():
@@ -272,6 +272,26 @@ def test_ranking_scores_margin_for_two_logits():
     assert np.allclose(scores, [2.0])
 
 
+@pytest.mark.parametrize("encoder", ["sdgae", "digae"])
+def test_encoder_passes_build_no_operator_transpose(encoder, monkeypatch):
+    """The encoder builds op's scipy transpose once; its forward and backward
+    passes reuse it."""
+    rng = np.random.default_rng(57)
+    enc = models.ENCODERS[encoder].init(rng, random_graph(rng, 7), 4,
+                                        TrainConfig(hidden=8, emb=6, k=2))
+    assert enc.op_t.format == "csc" and np.shares_memory(enc.op_t.data, enc.op.data)
+    built = []
+    for cls in {type(enc.op), type(enc.op_t)}:
+        real = cls.transpose
+        monkeypatch.setattr(cls, "transpose",
+                            lambda self, *a, real=real, **kw: built.append(1) or real(self, *a, **kw))
+    params = list(enc.named_parameters().values())
+    for _ in range(2):
+        out = models.encoder_forward(enc, rng.standard_normal((7, 4)))
+        ad.backward(sum_all(ad.hadamard(out.S, out.T)), params)
+    assert built == []
+
+
 def test_encoder_forward_dispatch():
     rng = np.random.default_rng(51)
     g = random_graph(rng, 7)
@@ -352,12 +372,12 @@ def test_ranking_scores_build_no_tape(monkeypatch):
 
 
 @pytest.mark.parametrize("out_dim", [1, 2])
-@pytest.mark.parametrize("kind,width", [("inner", 64), ("mlp_hadamard", 64),
-                                        ("mlp_concat", 128), ("lr_concat", 128)])
+@pytest.mark.parametrize("kind,width", [("mlp_hadamard", 64), ("mlp_concat", 128),
+                                        ("lr_concat", 128)])
 def test_ranking_scores_are_block_invariant(kind, width, out_dim, monkeypatch):
-    """Blocked scoring equals one unblocked decode: bit for bit for inner,
-    whose rows reduce alike in any batch; within 1e-12 for the BLAS decoders,
-    whose matmul kernels may sum in another order for another block height."""
+    """Blocked scoring equals one unblocked decode within 1e-12 for the BLAS
+    decoders, whose matmul kernels may sum in another order for another
+    block height."""
     rng = np.random.default_rng(54)
     n, emb = 80, 64
     enc = models.EncoderOutput(ad.Tensor(rng.standard_normal((n, emb))),
@@ -380,8 +400,92 @@ def test_ranking_scores_are_block_invariant(kind, width, out_dim, monkeypatch):
     monkeypatch.setattr(models, "decode", spy)
     got = models.ranking_scores(dec, enc, pairs)
     assert sizes == [block, block, block, 17]
-    if kind == "inner":
-        assert np.array_equal(got, whole)
-    else:
-        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, whole, rtol=0, atol=1e-12)
+    assert models.ranking_scores(dec, enc, np.empty((0, 2), dtype=np.int64)).shape == (0,)
+
+
+def _inner_setup(rng, n, d, alias, out_dim):
+    s = rng.standard_normal((n, d))
+    t = s if alias else rng.standard_normal((n, d))
+    enc = models.EncoderOutput(ad.Tensor(s), ad.Tensor(s) if alias else ad.Tensor(t))
+    return enc, models.DecoderKind.init(rng, "inner", d, 64, out_dim), s, t
+
+
+def _rows(*spans):
+    """(u, v) for v in [v0, v1) minus v = u, for each (u, v0, v1)."""
+    return np.array([(u, v) for u, v0, v1 in spans for v in range(v0, v1) if v != u],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+N_INNER = 40
+# name -> (embedding width, T aliases S, pairs, the path that scores them)
+INNER_CASES = {
+    "whole_rows": (64, False, _rows(*((u, 0, N_INNER) for u in range(3, 7))), "box"),
+    "one_partial_row": (64, False, _rows((5, 3, 29)), "box"),
+    "two_straddling_rows": (64, False, _rows((5, 12, N_INNER), (6, 0, 30)), "box"),
+    "two_short_row_ends": (64, False, _rows((5, 34, N_INNER), (6, 0, 6)), "gathered"),
+    "random": (64, False, np.random.default_rng(7).integers(0, N_INNER, (700, 2)),
+               "gathered"),
+    "none": (64, False, np.empty((0, 2), dtype=np.int64), None),
+    "d1": (1, False, _rows((2, 0, N_INNER), (3, 0, N_INNER)), "box"),
+    "d1_random": (1, False, np.random.default_rng(8).integers(0, N_INNER, (300, 2)),
+                  "gathered"),
+    "aliased": (64, True, _rows((1, 0, 20), (2, 0, 20)), "box"),
+    "aliased_random": (64, True, np.random.default_rng(9).integers(0, N_INNER, (300, 2)),
+                       "gathered"),
+}
+
+
+@pytest.mark.parametrize("out_dim", [1, 2])
+@pytest.mark.parametrize("case", list(INNER_CASES))
+def test_inner_scores_have_the_same_bits_on_both_paths(case, out_dim, monkeypatch):
+    """The box path, the gathered path and one np.dot per pair give equal
+    bits: each is one ddot of the same two rows.  The box path runs when
+    the pairs fill half of their row range by their column range."""
+    d, alias, pairs, path = INNER_CASES[case]
+    enc, dec, s, t = _inner_setup(np.random.default_rng(55), N_INNER, d, alias, out_dim)
+    oracle = np.array([np.dot(s[u], t[v]) for u, v in pairs])
+    spy = MatmulSpy()
+    monkeypatch.setattr(models, "np", spy)
+    got = models.ranking_scores(dec, enc, pairs)
+    assert np.array_equal(got, oracle) and got.dtype == np.float64
+    if path is None:
+        assert spy.shapes == []
+        return
+    # a box path runs one broadcast matmul over (rows, 1, 1, d) x (1, cols, d, 1)
+    boxes = spy.boxes()
+    assert boxes == ([True] if path == "box" else [False] * len(boxes))
+    # two far corners stretch the box to n x n, so the same pairs gather
+    spy.shapes.clear()
+    corners = [[0, N_INNER - 1], [N_INNER - 1, 0]]
+    gathered = models.ranking_scores(dec, enc, np.vstack([pairs, corners]))
+    assert not any(spy.boxes())
+    assert np.array_equal(gathered[:len(pairs)], oracle)
+
+
+def test_inner_scores_reject_a_pair_out_of_range():
+    enc, dec, _, _ = _inner_setup(np.random.default_rng(56), 5, 3, False, 1)
+    for bad in ([0, 5], [5, 0], [-1, 2], [2, -1]):
+        with pytest.raises(IndexError, match="out of range"):
+            models.ranking_scores(dec, enc, [[0, 1], bad])
+
+
+@pytest.mark.parametrize("out_dim", [1, 2])
+def test_inner_ranking_scores_are_block_invariant(out_dim, monkeypatch):
+    """The inner decoder decodes nothing, and a pair's score has the same
+    bits whatever the block height and whichever call it falls in."""
+    rng = np.random.default_rng(54)
+    n, emb = 80, 64
+    enc, dec, s, t = _inner_setup(rng, n, emb, False, out_dim)
+    block = models.score_block_pairs(dec, enc)
+    assert block == models.SCORE_BLOCK_BYTES // (8 * emb)
+    pairs = rng.integers(0, n, size=(3 * block + 17, 2))
+    monkeypatch.setattr(models, "decode", None)
+    got = models.ranking_scores(dec, enc, pairs)
+    assert np.array_equal(got, [np.dot(s[u], t[v]) for u, v in pairs])
+    for height in (1, 17, 4 * block):
+        monkeypatch.setattr(models, "score_block_pairs", lambda dec, enc: height)
+        assert np.array_equal(models.ranking_scores(dec, enc, pairs), got)
+    pieces = [models.ranking_scores(dec, enc, pairs[i:i + 13]) for i in range(0, len(pairs), 13)]
+    assert np.array_equal(np.concatenate(pieces), got)
     assert models.ranking_scores(dec, enc, np.empty((0, 2), dtype=np.int64)).shape == (0,)
