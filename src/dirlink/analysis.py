@@ -233,6 +233,8 @@ def check_expressiveness(g, mode, decoder, dim, attempts):
             raise ValueError(f"{name} must be >= 1, got {value}")
     if g.n > 10:
         raise ValueError("expressiveness checks are for small graphs (n <= 10)")
+    if not g.edge_count:
+        raise ValueError("expressiveness checks need an edge to orient; the graph has none")
     pos_pairs, rev_pairs = _constraint_pairs(g)
 
     if mode == "single" and decoder in ("inner", "mlp_hadamard") and len(rev_pairs):

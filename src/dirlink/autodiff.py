@@ -9,8 +9,8 @@ and ``_op`` makes the rule that applies them to the inputs that require
 gradients; only the fused ``sdgae_propagate`` writes a rule of its own.
 Rules capture their inputs, never their own output, so a graph holds no
 reference cycles and is freed as soon as its last tensor is dropped.  Inside
-``no_grad()`` ops record nothing.  No broadcasting beyond the dedicated
-row-gather and bias ops, no higher-order derivatives.
+``no_grad()`` ops record nothing.  No broadcasting beyond the row gather
+and matmul's bias row, no higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -161,19 +161,18 @@ def _op(data, op, parents, *grads):
     return _result(data, op, parents, rule)
 
 
-def matmul(a, b):
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    return _op(a.data @ b.data, "matmul", (a, b),
-               (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
-
-
-def add_bias(x, b):
-    """Add a (1, d) bias row to every row of x."""
-    if b.data.shape != (1, x.data.shape[1]):
-        raise ValueError(f"bias shape {b.data.shape} incompatible with {x.data.shape}")
-    return _op(x.data + b.data, "add_bias", (x, b),
-               (x, lambda g: g.copy()), (b, lambda g: g.sum(axis=0, keepdims=True)))
+def matmul(a, w, bias=None):
+    """a @ w, plus the (1, d) row ``bias`` on every row when given: a dense
+    layer as one node, whose bias grad is the column sums of g."""
+    if a.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {w.data.shape}")
+    out, grads = a.data @ w.data, [(a, lambda g: g @ w.data.T), (w, lambda g: a.data.T @ g)]
+    if bias is not None:
+        if bias.data.shape != (1, out.shape[1]):
+            raise ValueError(f"bias shape {bias.data.shape} incompatible with {out.shape}")
+        out += bias.data
+        grads.append((bias, lambda g: g.sum(axis=0, keepdims=True)))
+    return _op(out, "matmul", tuple(x for x, _ in grads), *grads)
 
 
 def hadamard(a, b):

@@ -44,7 +44,7 @@ def _widths(in_dim, hidden, out_dim, depth):
 
 
 class Mlp:
-    """Dense layers with relu between them and a linear final layer."""
+    """Dense layers, one ``matmul`` node each, relu between them, the last linear."""
 
     def __init__(self, layers):
         self.layers = layers
@@ -58,9 +58,7 @@ class Mlp:
 
     def __call__(self, x):
         for i, (w, b) in enumerate(self.layers):
-            x = ad.add_bias(ad.matmul(x, w), b)
-            if i < len(self.layers) - 1:
-                x = ad.relu(x)
+            x = ad.matmul(x if i == 0 else ad.relu(x), w, b)
         return x
 
     def named_parameters(self, prefix):
@@ -278,26 +276,26 @@ def score_block_pairs(dec, enc):
 
 
 def _inner_scores(s, t, pairs, block):
-    """S[u] . T[v] per pair: one BLAS ddot of the two rows each, so a pair's
+    """S[u] . T[v] per pair, summed by numpy's einsum (no BLAS), so a pair's
     score has the same bits on either path below, in any call.
 
     When the pairs fill at least half of the box of their row range u0..u1
     by their column range v0..v1, as whole or partial rows of candidates
-    do, the dots run broadcast over S[u0:u1] x T[v0:v1], which gathers
-    nothing, and the pairs are picked out of the box: at most 2P floats.
-    Otherwise they run on gathered blocks of ``block`` pairs."""
+    do, the dots run over S[u0:u1] x T[v0:v1], which gathers nothing, and
+    the pairs are picked out of the box: at most 2P floats.  Otherwise they
+    run on gathered blocks of ``block`` pairs."""
     u, v = ad.PairIndex(pairs, s.shape[0], t.shape[0]).sides
     if not len(pairs):
         return np.empty(0)
     u0, v0 = u.min(), v.min()
     rows, cols = u.max() + 1 - u0, v.max() + 1 - v0
     if 2 * len(pairs) >= rows * cols:
-        box = np.matmul(s[u0:u0 + rows, None, None, :], t[None, v0:v0 + cols, :, None])
+        box = np.einsum("id,jd->ij", s[u0:u0 + rows], t[v0:v0 + cols])
         return box.reshape(-1)[(u - u0) * cols + (v - v0)]
     out = np.empty(len(pairs))
     for b0 in range(0, len(pairs), block):
         b = slice(b0, b0 + block)
-        out[b] = np.matmul(s[u[b], None, :], t[v[b], :, None])[:, 0, 0]
+        out[b] = np.einsum("ij,ij->i", s[u[b]], t[v[b]])
     return out
 
 
@@ -306,7 +304,7 @@ def ranking_scores(dec, enc, pairs):
     edge-present column for two-logit heads.
 
     Forward-only: no tape is built.  The inner decoder scores through
-    ``_inner_scores``, whose ddot may differ from training's ``pair_dot``
+    ``_inner_scores``, whose einsum may differ from training's ``pair_dot``
     sum by an ulp; a pair's inner score does not depend on the other pairs
     of the call.  The other decoders decode in blocks of score_block_pairs
     into one output array, and may differ by an ulp from block to block."""

@@ -1,9 +1,10 @@
 """Shared test utilities: random graph builders, the generator of the
 synthetic200 fixture, loop-based reference implementations of the data path,
 dense and explicit-form oracles of the encoders, of ``pair_dot``, of the
-backward scatter of ``pair_dot`` and ``gather_rows`` and of ``hinge``, the tape ops that only tests build graphs with (``row_sum``,
-``add``, ``scale``, ``sum_all``), finite-difference checks and a
-memory-bounded subprocess runner."""
+backward scatter of ``pair_dot`` and ``gather_rows``, of ``hinge`` and of a
+biased ``matmul``, the tape ops that only tests build graphs with
+(``row_sum``, ``add_bias``, ``add``, ``scale``, ``sum_all``),
+finite-difference checks and a memory-bounded subprocess runner."""
 
 import os
 import subprocess
@@ -231,6 +232,15 @@ def row_sum(x):
                   (x, lambda g: np.broadcast_to(g, x.data.shape).copy()))
 
 
+def add_bias(x, b):
+    """Add a (1, d) bias row to every row of x, as a tape op: after a
+    ``matmul`` without a bias, the two-op oracle of ``matmul(x, w, b)``."""
+    if b.data.shape != (1, x.data.shape[1]):
+        raise ValueError(f"bias shape {b.data.shape} incompatible with {x.data.shape}")
+    return ad._op(x.data + b.data, "add_bias", (x, b),
+                  (x, lambda g: g.copy()), (b, lambda g: g.sum(axis=0, keepdims=True)))
+
+
 def add(a, b):
     """Elementwise a + b as a tape op; both grad maps return a copy of g."""
     if a.data.shape != b.data.shape:
@@ -294,23 +304,23 @@ def digae_encode_bipartite(p, g, x, alpha, beta):
     return EncoderOutput(ad.Tensor(s), ad.Tensor(t))
 
 
-class MatmulSpy:
-    """numpy, with the operand shapes of each matmul recorded: patched in
-    for a module's ``np``, it shows which path of ``models._inner_scores``
-    ran, a 4-D broadcast matmul over a box or 3-D ones over gathered rows."""
+class EinsumSpy:
+    """numpy, with the subscripts of each einsum recorded: patched in for a
+    module's ``np``, it shows which path of ``models._inner_scores`` ran,
+    an "id,jd->ij" einsum over a box or "ij,ij->i" ones over gathered rows."""
 
     def __init__(self):
-        self.shapes = []
+        self.calls = []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def matmul(self, a, b):
-        self.shapes.append((a.shape, b.shape))
-        return np.matmul(a, b)
+    def einsum(self, subscripts, *operands):
+        self.calls.append(subscripts)
+        return np.einsum(subscripts, *operands)
 
     def boxes(self):
-        return [len(a) == 4 for a, _ in self.shapes]
+        return [c == "id,jd->ij" for c in self.calls]
 
 
 def rel_err(a, b, floor=1e-3):

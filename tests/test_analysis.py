@@ -1,4 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from scipy.sparse.csgraph import connected_components
 import dirlink.autodiff as ad
 from dirlink import analysis, datasets, models
 from dirlink.graph import DataError, DirectedGraph
-from helpers import MatmulSpy, planted_graph, run_under_memory_bound
+from helpers import EinsumSpy, planted_graph, run_under_memory_bound
 
 
 def test_degree_histograms_hand_cases():
@@ -179,12 +184,12 @@ def test_reconstruct_scores_inner_blocks_in_boxes_without_decoding(monkeypatch):
     enc = models.EncoderOutput(ad.Tensor(s), ad.Tensor(t))
     dec = models.DecoderKind.init(rng, "inner", emb, 64, 1)
     us, vs = np.nonzero(~np.eye(n, dtype=bool))
-    scores = np.array([np.dot(s[u], t[v]) for u, v in zip(us, vs)])
+    scores = np.array([np.einsum("i,i->", s[u], t[v]) for u, v in zip(us, vs)])
     order = np.lexsort((vs, us, -scores))[:m_prime]
     monkeypatch.setattr(models, "decode", None)
     for chunk in (10, 29, 100, analysis.RECONSTRUCT_CHUNK):
         monkeypatch.setattr(analysis, "RECONSTRUCT_CHUNK", chunk)
-        spy = MatmulSpy()
+        spy = EinsumSpy()
         monkeypatch.setattr(models, "np", spy)
         got = analysis.reconstruct_topm(lambda p: models.ranking_scores(dec, enc, p), n, m_prime)
         assert spy.boxes() == [True] * len(list(analysis._blocks(n))), chunk
@@ -273,7 +278,7 @@ CERTIFICATES = (
     ("ring3", "single", "mlp_hadamard", "infeasible", "None"),
     ("ring3", "single", "mlp_concat", "feasible", "0.12150761704636069"),
     ("ring3", "single", "lr_concat", "infeasible", "None"),
-    ("ring3", "dual", "inner", "feasible", "0.11974145448619532"),
+    ("ring3", "dual", "inner", "feasible", "0.11974145448619533"),
     ("ring3", "dual", "mlp_hadamard", "feasible", "0.10440934042115486"),
     ("ring3", "dual", "mlp_concat", "feasible", "0.12059994757291184"),
     ("ring3", "dual", "lr_concat", "infeasible", "None"),
@@ -288,6 +293,13 @@ CERTIFICATES = (
 )
 
 
+@pytest.mark.parametrize("mode", analysis.EMBEDDING_MODES)
+@pytest.mark.parametrize("decoder", models.DECODER_KINDS)
+def test_expressiveness_rejects_a_graph_without_edges(mode, decoder):
+    with pytest.raises(ValueError, match="has none"):
+        analysis.check_expressiveness(DirectedGraph(3, []), mode, decoder, dim=2, attempts=1)
+
+
 def test_certificate_table():
     got = tuple(
         (name, mode, decoder, cert.verdict, repr(cert.margin))
@@ -296,6 +308,28 @@ def test_certificate_table():
                                                      dim=2, attempts=50)]
     )
     assert got == CERTIFICATES
+
+
+def _has_avx2():
+    if not (sys.platform.startswith("linux") and platform.machine() == "x86_64"):
+        return False
+    with open("/proc/cpuinfo", encoding="utf-8") as fh:
+        return any("avx2" in line.split() for line in fh if line.startswith("flags"))
+
+
+@pytest.mark.skipif(not _has_avx2(), reason="OpenBLAS's Haswell kernels need an x86-64 "
+                                            "Linux CPU with AVX2")
+def test_certificate_table_holds_under_haswell_kernels():
+    """The table holds under OpenBLAS's Haswell (AVX2) kernels, the ones a
+    CPU without AVX-512 gets: inner margins are einsum sums, not ddot ones.
+    OpenBLAS reads its kernel at load, so the table runs in a fresh process."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).name}::test_certificate_table"],
+        cwd=root / "tests", env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"),
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
 
 
 def _random_small_graph(rng):

@@ -8,7 +8,8 @@ import pytest
 
 import dirlink.autodiff as ad
 from dirlink.graph import DirectedGraph, adjacency, normalize_sym
-from helpers import add, check_gradients, hinge_composite, row_sum, scale, scatter, sum_all
+from helpers import (add, add_bias, check_gradients, hinge_composite, row_sum, scale, scatter,
+                     sum_all)
 
 
 def _param(rng, *shape):
@@ -47,7 +48,7 @@ def _gradient_cases():
     builders = {
         "matmul": lambda: sum_all(ad.matmul(x, w)),
         "add": lambda: sum_all(add(x, x)),
-        "add_bias": lambda: sum_all(ad.add_bias(ad.matmul(x, w), b)),
+        "matmul_bias": lambda: _squared_sum(ad.matmul(x, w, b)),
         "hadamard": lambda: sum_all(ad.hadamard(x, x)),
         "concat": lambda: sum_all(ad.matmul(ad.concat_cols(x, x), _ones(8, 1))),
         "relu": lambda: sum_all(ad.relu(ad.matmul(x, w))),
@@ -99,6 +100,31 @@ def test_every_public_op_has_a_gradient_check():
     for build, params, _ in _gradient_cases().values():
         checked.update(t.op for t in ad.backward(build(), params))
     assert public - checked == set()
+
+
+# (rows, fan-in, fan-out) of the models' dense layers: degree features into
+# a hidden layer, hidden to hidden, concat rows into a head's hidden layer,
+# and the one- and two-logit outputs
+DENSE_LAYERS = [(200, 2, 64), (200, 64, 64), (300, 128, 64), (300, 64, 1), (300, 64, 2)]
+
+
+@pytest.mark.parametrize("rows,fan_in,fan_out", DENSE_LAYERS)
+def test_matmul_with_a_bias_matches_matmul_then_add_bias_bitwise(rows, fan_in, fan_out):
+    """The one-node dense layer gives the value and the grads of x, w and b
+    of its two-op oracle, bit for bit."""
+    rng = np.random.default_rng(26)
+    x, w, b = _param(rng, rows, fan_in), _param(rng, fan_in, fan_out), _param(rng, 1, fan_out)
+    up = ad.Tensor(rng.standard_normal((rows, fan_out)))
+    results = []
+    for layer in (lambda: ad.matmul(x, w, b), lambda: add_bias(ad.matmul(x, w), b)):
+        out = layer()
+        ad.backward(sum_all(ad.hadamard(out, up)), [x, w, b])
+        results.append([out.data, x.grad, w.grad, b.grad])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+    for shape in ((1, fan_out + 1), (2, fan_out), (rows, fan_out)):
+        with pytest.raises(ValueError, match="bias shape"):
+            ad.matmul(x, w, ad.Tensor(np.ones(shape)))
 
 
 def _ones(r, c):
@@ -374,7 +400,7 @@ def test_shape_mismatches_rejected():
     with pytest.raises(ValueError):
         ad.matmul(x, ad.Tensor(np.ones((2, 2))))
     with pytest.raises(ValueError):
-        ad.add_bias(x, ad.Tensor(np.ones((1, 2))))
+        ad.matmul(x, y, ad.Tensor(np.ones((1, 3))))
     with pytest.raises(ValueError):
         scale(x, ad.Tensor(np.ones((2, 1))))
     with pytest.raises(ValueError, match="hinge"):
@@ -479,15 +505,15 @@ def test_first_gradient_write_is_a_copy():
 def _every_op_loss(leaves, a):
     """A scalar loss through every op, the engine's and the tests' own.  A
     grad map that copies g or a slice of g, fills a shape with it or sums it
-    to (1, 1) feeds a leaf's first contribution: those of xb, c, q and s, and
-    of v and v2, which one add feeds.  u's grad is first a hadamard's, and
+    to (1, 1) feeds a leaf's first contribution: those of xb, c, q, s and b6,
+    and of v and v2, which one add feeds.  u's grad is first a hadamard's, and
     then a concat slice sums into it; r's only grad is the hinge's."""
-    xb, b, u, c, v, v2, w6, s, q, r, *gammas = leaves
+    xb, b, u, c, v, v2, w6, s, q, r, b6, *gammas = leaves
     index = _index([0, 2, 2, 4, 1, 3], [1, 1, 4, 0, 3, 2], 5, 5)
-    h = ad.relu(ad.add_bias(xb, b))
+    h = ad.relu(add_bias(xb, b))
     s_out, t_out = ad.sdgae_propagate(a, a.T, h, ad.spmm_const(a, add(v, v2), a.T),
                                       gammas[:2], gammas[2:])
-    bce = ad.bce_with_logits(ad.matmul(ad.gather_rows(ad.concat_cols(u, c), index, 0), w6),
+    bce = ad.bce_with_logits(ad.matmul(ad.gather_rows(ad.concat_cols(u, c), index, 0), w6, b6),
                              np.array([1, 0, 1, 0, 1, 0]))
     z = ad.pair_dot(s_out, t_out, index, 4)
     ce = ad.ce_pairwise(ad.concat_cols(z, scale(z, s)), np.array([0, 1, 0, 1, 1, 0]))
@@ -498,7 +524,7 @@ def _every_op_loss(leaves, a):
 def test_handed_over_grads_share_no_memory_and_match_copies(monkeypatch):
     rng = np.random.default_rng(25)
     a = normalize_sym(DirectedGraph(5, [[0, 1], [1, 2], [3, 4], [4, 0], [2, 3], [0, 3]]))
-    shapes = [(5, 3), (1, 3), (5, 3), (5, 3), (5, 3), (5, 3), (6, 1), (1, 1), (2, 2), (6, 1)]
+    shapes = [(5, 3), (1, 3), (5, 3), (5, 3), (5, 3), (5, 3), (6, 1), (1, 1), (2, 2), (6, 1), (1, 1)]
     leaves = [_param(rng, *shape) for shape in shapes + [(1, 1)] * 4]
     real = ad._accumulate
     tape = ad.backward(_every_op_loss(leaves, a), leaves)

@@ -7,7 +7,7 @@ import dirlink.autodiff as ad
 from dirlink import models, training
 from dirlink.graph import normalize_sym
 from dirlink.training import TrainConfig
-from helpers import (MatmulSpy, digae_encode_bipartite, expand_coefficients, random_graph,
+from helpers import (EinsumSpy, digae_encode_bipartite, expand_coefficients, random_graph,
                      sdgae_encode_composite, sdgae_encode_explicit, sum_all)
 
 
@@ -439,24 +439,25 @@ INNER_CASES = {
 @pytest.mark.parametrize("out_dim", [1, 2])
 @pytest.mark.parametrize("case", list(INNER_CASES))
 def test_inner_scores_have_the_same_bits_on_both_paths(case, out_dim, monkeypatch):
-    """The box path, the gathered path and one np.dot per pair give equal
-    bits: each is one ddot of the same two rows.  The box path runs when
-    the pairs fill half of their row range by their column range."""
+    """The box path, the gathered path and one einsum per pair give equal
+    bits: each sums the products of the same two rows in einsum's order.
+    The box path runs when the pairs fill half of their row range by their
+    column range."""
     d, alias, pairs, path = INNER_CASES[case]
     enc, dec, s, t = _inner_setup(np.random.default_rng(55), N_INNER, d, alias, out_dim)
-    oracle = np.array([np.dot(s[u], t[v]) for u, v in pairs])
-    spy = MatmulSpy()
+    oracle = np.array([np.einsum("i,i->", s[u], t[v]) for u, v in pairs])
+    spy = EinsumSpy()
     monkeypatch.setattr(models, "np", spy)
     got = models.ranking_scores(dec, enc, pairs)
     assert np.array_equal(got, oracle) and got.dtype == np.float64
     if path is None:
-        assert spy.shapes == []
+        assert spy.calls == []
         return
-    # a box path runs one broadcast matmul over (rows, 1, 1, d) x (1, cols, d, 1)
+    # a box path runs one "id,jd->ij" einsum over S[u0:u1] and T[v0:v1]
     boxes = spy.boxes()
     assert boxes == ([True] if path == "box" else [False] * len(boxes))
     # two far corners stretch the box to n x n, so the same pairs gather
-    spy.shapes.clear()
+    spy.calls.clear()
     corners = [[0, N_INNER - 1], [N_INNER - 1, 0]]
     gathered = models.ranking_scores(dec, enc, np.vstack([pairs, corners]))
     assert not any(spy.boxes())
@@ -482,7 +483,7 @@ def test_inner_ranking_scores_are_block_invariant(out_dim, monkeypatch):
     pairs = rng.integers(0, n, size=(3 * block + 17, 2))
     monkeypatch.setattr(models, "decode", None)
     got = models.ranking_scores(dec, enc, pairs)
-    assert np.array_equal(got, [np.dot(s[u], t[v]) for u, v in pairs])
+    assert np.array_equal(got, [np.einsum("i,i->", s[u], t[v]) for u, v in pairs])
     for height in (1, 17, 4 * block):
         monkeypatch.setattr(models, "score_block_pairs", lambda dec, enc: height)
         assert np.array_equal(models.ranking_scores(dec, enc, pairs), got)
