@@ -72,8 +72,16 @@ def _blocks(n):
 
 
 def _top(ks, ss, m):
-    """The m best of the concatenated candidates by (score desc, k asc)."""
+    """The m best of the concatenated candidates by (score desc, k asc).
+
+    A partition finds the m-th best score first, so only the candidates that
+    beat or tie it are sorted: all of them when it is NaN, which ranks last."""
     k, s = np.concatenate(ks), np.concatenate(ss)
+    if len(s) > m:
+        neg = -s  # ascending, with NaN last, as np.partition and np.lexsort order it
+        mth = np.partition(neg, m - 1)[m - 1]
+        keep = (neg <= mth) | np.isnan(mth)
+        k, s = k[keep], s[keep]
     order = np.lexsort((k, -s))[:m]
     return k[order], s[order]
 

@@ -6,17 +6,27 @@ backward rule on the output; backward() linearizes the graph into a list
 (parents before children) and replays it in reverse exactly once.  An op
 states one grad map per input, from the output grad to that input's grad,
 and ``_op`` makes the rule that applies them to the inputs that require
-gradients; only the fused ``sdgae_propagate`` writes a rule of its own.
-Rules capture their inputs, never their own output, so a graph holds no
-reference cycles and is freed as soon as its last tensor is dropped.  Inside
-``no_grad()`` ops record nothing.  No broadcasting beyond the row gather
-and matmul's bias row, no higher-order derivatives.
+gradients; only the fused ``pair_dot`` and ``sdgae_propagate`` write rules
+of their own.  Rules capture their inputs, never their own output, so a
+graph holds no reference cycles and is freed as soon as its last tensor is
+dropped.  Inside ``no_grad()`` ops record nothing.  No broadcasting beyond
+the row gather and matmul's bias row, no higher-order derivatives.
+
+Importing the module caps numpy's OpenBLAS at one thread for the whole
+process (``cap_blas_threads``), so trained bits do not depend on the core
+count.  The second core goes to ``lanes`` instead: the S and the T side of
+SDGAE's work, which share no array they write, run on two threads.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import os
 import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +36,49 @@ from .graph import spmm as _spmm
 # No op calls this: perfbench/spans.py patches the name, so it stays
 # importable until the layers report their own spans (ROADMAP item 5).
 _spmm_t = _spmm
+
+# the set-num-threads symbols of numpy's wheel (a prefixed ILP64 build) and
+# of a system OpenBLAS
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _blas_setters():
+    """(path, set-num-threads function or None) of each OpenBLAS mapped into
+    this process, by /proc/self/maps.  scipy's wheel brings a second one,
+    whose symbols are named otherwise and which numpy does not call."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = dict.fromkeys(line.split()[-1] for line in fh
+                                  if "openblas" in line.rpartition("/")[2])
+    except OSError:  # no /proc: not Linux
+        paths = {}
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        names = [name for name in _BLAS_SET_THREADS if hasattr(lib, name)]
+        found.append((path, getattr(lib, names[0]) if names else None))
+    return found
+
+
+def cap_blas_threads():
+    """Run numpy's OpenBLAS on one thread in this process, and in the
+    processes it forks.  A GEMM summed by two threads can differ in the last
+    bits from one summed by one, so uncapped the trained bits would follow
+    the core count.  Warns, naming the libraries it found, when none has a
+    set-num-threads symbol it knows."""
+    found = _blas_setters()
+    setters = [setter for _, setter in found if setter is not None]
+    if not setters:
+        reason = (f"{', '.join(path for path, _ in found)} has none of "
+                  f"{', '.join(_BLAS_SET_THREADS)}" if found else "no OpenBLAS library is loaded")
+        warnings.warn(f"cannot cap BLAS at one thread: {reason}; trained bits may follow the "
+                      f"core count", RuntimeWarning, stacklevel=2)
+    for setter in setters:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
+cap_blas_threads()
 
 
 class Tensor:
@@ -69,6 +122,79 @@ def no_grad():
         yield
     finally:
         _mode.record = previous
+
+
+# A laned call runs its two sides on two threads only when the embedding
+# block holds at least this many values (n * d).  Below it, handing a side to
+# the lane thread costs more than the side's work: a step's two SpMMs took
+# 93-111 us laned against 66-77 us serially at n = 200, d = 64, and 0.37-0.42
+# ms against 0.51-0.79 ms at n = 1,513.
+LANE_MIN_VALUES = 2 ** 16
+
+_lane_lock = threading.Lock()
+_lane_pool = None  # the process's lane thread, started by its first laned call
+_lanes_serial = False  # set in a grid worker, whose sibling workers use the other cores
+
+
+def _reset_lane():
+    # a forked child has none of its parent's threads, only their objects
+    global _lane_lock, _lane_pool
+    _lane_lock, _lane_pool = threading.Lock(), None
+
+
+os.register_at_fork(after_in_child=_reset_lane)
+
+
+def serial_lanes():
+    """Run every laned call of this process on its caller's thread."""
+    global _lanes_serial
+    _lanes_serial = True
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _lane(values):
+    """The lane thread's executor, started on first use, or None when a call
+    on an embedding block of ``values`` values runs serially."""
+    global _lane_pool
+    if values < LANE_MIN_VALUES or _lanes_serial or _usable_cpus() < 2:
+        return None
+    with _lane_lock:
+        if _lane_pool is None:
+            _lane_pool = ThreadPoolExecutor(1, thread_name_prefix="dirlink-lane")
+        return _lane_pool
+
+
+def _in_mode(record, side):
+    _mode.record = record
+    return side()
+
+
+def lanes(values, s_side, t_side):
+    """(s_side(), t_side()): the S and the T side of one piece of work on an
+    embedding block of ``values`` values.  The two sides may read the same
+    arrays but must not write what the other reads.
+
+    On a block of at least LANE_MIN_VALUES values, with two usable CPUs and
+    outside a grid worker, t_side runs on the process's one lane thread,
+    under the caller's ``no_grad`` state, while s_side runs on the caller's;
+    otherwise both run here, S first.  Either way each side runs the same
+    operations on the same arrays, so the results have the same bits.  An
+    exception of either side propagates once both have finished."""
+    pool = _lane(values)
+    if pool is None:
+        return s_side(), t_side()
+    future = pool.submit(_in_mode, _recording(), t_side)
+    try:
+        s = s_side()
+    finally:
+        wait((future,))
+    return s, future.result()
 
 
 def _trace(loss):
@@ -281,18 +407,34 @@ def pair_dot(s, t, index, block):
     backward pass is two sparse-dense products with W, the CSR of the
     output grads at (u, v): first dT = W.T @ S, then dS = W @ T, the order
     in which the three-op graph replays them, so a T that aliases S sums
-    its grad the same way.
+    its grad the same way.  ``lanes`` splits the forward blocks into two
+    halves, and runs the two products of the backward pass, dS and dT,
+    as its two sides.
     """
     u, v = index.rows(s, 0, "pair_dot"), index.rows(t, 1, "pair_dot")
     if s.data.shape[1] != t.data.shape[1]:
         raise ValueError(f"pair_dot width mismatch: {s.data.shape} vs {t.data.shape}")
     out = np.empty((len(u), 1))
-    for b0 in range(0, len(u), block):
-        b = slice(b0, b0 + block)
-        out[b, 0] = (s.data[u[b]] * t.data[v[b]]).sum(axis=1)
-    return _op(out, "pair_dot", (s, t),
-               (t, lambda g: index.scatter(1, s.data, g[:, 0])),
-               (s, lambda g: index.scatter(0, t.data, g[:, 0])))
+
+    def dots(b0, b1):
+        for start in range(b0, b1, block):
+            b = slice(start, min(start + block, b1))
+            out[b, 0] = (s.data[u[b]] * t.data[v[b]]).sum(axis=1)
+
+    blocks = -(-len(u) // block)
+    half = (blocks + 1) // 2 * block
+    lanes(s.data.size, functools.partial(dots, 0, half), functools.partial(dots, half, len(u)))
+
+    def rule(g):
+        ds, dt = lanes(s.data.size,
+                       lambda: index.scatter(0, t.data, g[:, 0]) if s.requires_grad else None,
+                       lambda: index.scatter(1, s.data, g[:, 0]) if t.requires_grad else None)
+        if dt is not None:
+            _accumulate(t, dt)
+        if ds is not None:
+            _accumulate(s, ds)
+
+    return _result(out, "pair_dot", (s, t), rule)
 
 
 def spmm_const(m, x, m_t):
@@ -343,9 +485,28 @@ class _Lease:
 
 
 def _propagation_arrays(lease, k):
-    """The 2k products, the two running sums and three temporaries."""
+    """The 2k products, and two running sums and one temporary per side."""
     a = lease.arrays
-    return a[:k], a[k:2 * k], *a[2 * k:]
+    return a[:k], a[k:2 * k], a[2 * k:2 * k + 2], a[2 * k + 2:2 * k + 4], a[2 * k + 4:]
+
+
+def _step(m, x, prod, gamma, y, out):
+    """One side of a forward step, y + gamma * (m @ x), into out; m @ x into prod."""
+    np.multiply(_spmm(m, x, out=prod), gamma.data[0, 0], out=out)
+    return np.add(out, y, out=out)
+
+
+def _step_back(m, g_other, gamma_other, g, prod, gamma, tmp, buf):
+    """One side of a backward step: its gamma's grad (g * prod).sum() when
+    wanted, else None, and its pre-step grad, g plus m @ (gamma_other
+    g_other) into buf; either addend may be None."""
+    d_gamma = None
+    if g is not None and gamma.requires_grad:
+        d_gamma = np.multiply(g, prod, out=tmp).sum(keepdims=True)
+    if g_other is not None:
+        h = _spmm(m, np.multiply(g_other, gamma_other.data[0, 0], out=tmp), out=buf)
+        g = h if g is None else np.add(g, h, out=h)
+    return d_gamma, g
 
 
 def sdgae_propagate(m, m_t, s0, t0, gamma_s, gamma_t, workspace=None):
@@ -360,11 +521,14 @@ def sdgae_propagate(m, m_t, s0, t0, gamma_s, gamma_t, workspace=None):
     gamma gets (g * product).sum().  Those are the operations the composite
     of spmm_const, scale and add replays, and every grad there has two
     addends, so the numbers agree bit for bit when S0 and T0 are distinct
-    tensors.  The products, the running sums and the backward temporaries
-    are arrays leased from ``workspace`` (a fresh one if None); S, T and the
-    grads written to the inputs are new arrays.  Products go through
-    ``_spmm``, 2k per pass each way.  ``m_t`` is m's transpose, which the
-    caller builds once for all its passes.
+    tensors.  Each step of either pass is one ``lanes`` call, whose S side
+    writes only S's arrays and T side only T's: each side keeps two running
+    sums (or grads), written on alternate steps, so neither overwrites the
+    pre-step value the other side reads.  The products, the running sums and
+    the temporaries are arrays leased from ``workspace`` (a fresh one if
+    None); S, T and the grads written to the inputs are new arrays.
+    Products go through ``_spmm``, 2k per pass each way.  ``m_t`` is m's
+    transpose, which the caller builds once for all its passes.
     """
     k = len(gamma_s)
     n, d = s0.data.shape
@@ -376,43 +540,35 @@ def sdgae_propagate(m, m_t, s0, t0, gamma_s, gamma_t, workspace=None):
                          f"{s0.data.shape} S0, {t0.data.shape} T0")
     if any(g.data.shape != (1, 1) for g in (*gamma_s, *gamma_t)):
         raise ValueError("sdgae_propagate coefficients must be 1x1 tensors")
-    lease = (Workspace() if workspace is None else workspace).lease(2 * k + 5, (n, d))
-    prod_s, prod_t, buf_s, buf_t, tmp, _, _ = _propagation_arrays(lease, k)
+    lease = (Workspace() if workspace is None else workspace).lease(2 * k + 6, (n, d))
+    prod_s, prod_t, bufs_s, bufs_t, _ = _propagation_arrays(lease, k)
     s, t = s0.data, t0.data
     for j in range(k):
-        _spmm(m, t, out=prod_s[j])
-        _spmm(m_t, s, out=prod_t[j])
         last = j == k - 1
-        s_next = np.empty((n, d)) if last else buf_s
-        t_next = np.empty((n, d)) if last else buf_t
-        np.add(np.multiply(prod_s[j], gamma_s[j].data[0, 0], out=tmp), s, out=s_next)
-        np.add(np.multiply(prod_t[j], gamma_t[j].data[0, 0], out=tmp), t, out=t_next)
-        s, t = s_next, t_next
+        s, t = lanes(n * d,
+                     functools.partial(_step, m, t, prod_s[j], gamma_s[j], s,
+                                       np.empty((n, d)) if last else bufs_s[j % 2]),
+                     functools.partial(_step, m_t, s, prod_t[j], gamma_t[j], t,
+                                       np.empty((n, d)) if last else bufs_t[j % 2]))
     companion = []
 
-    def plus(g, h, buf):
-        # the grad of a pre-step value: one addend, or two, as the composite sums them
-        if h is None:
-            return g
-        if g is None:
-            buf[...] = h
-            return buf
-        return np.add(g, h, out=buf)
-
     def rule(g_s):
-        prod_s, prod_t, buf_s, buf_t, tmp, into_s, into_t = _propagation_arrays(lease, k)
+        prod_s, prod_t, bufs_s, bufs_t, (tmp_s, tmp_t) = _propagation_arrays(lease, k)
         g_t = companion.pop() if companion else None
         for j in reversed(range(k)):
-            if g_s is not None and gamma_s[j].requires_grad:
-                _accumulate(gamma_s[j], np.multiply(g_s, prod_s[j], out=tmp).sum(keepdims=True))
-            if g_t is not None and gamma_t[j].requires_grad:
-                _accumulate(gamma_t[j], np.multiply(g_t, prod_t[j], out=tmp).sum(keepdims=True))
-            h_s = h_t = None
-            if g_t is not None:
-                h_s = _spmm(m, np.multiply(g_t, gamma_t[j].data[0, 0], out=tmp), out=into_s)
-            if g_s is not None:
-                h_t = _spmm(m_t, np.multiply(g_s, gamma_s[j].data[0, 0], out=tmp), out=into_t)
-            g_s, g_t = plus(g_s, h_s, buf_s), plus(g_t, h_t, buf_t)
+            # a side's grad, once written, is rewritten every step, so step j
+            # writes the buffer that step j + 1 did not
+            (d_gamma_s, g_s_next), (d_gamma_t, g_t_next) = lanes(
+                n * d,
+                functools.partial(_step_back, m, g_t, gamma_t[j], g_s, prod_s[j], gamma_s[j],
+                                  tmp_s, bufs_s[j % 2]),
+                functools.partial(_step_back, m_t, g_s, gamma_s[j], g_t, prod_t[j], gamma_t[j],
+                                  tmp_t, bufs_t[j % 2]))
+            if d_gamma_s is not None:
+                _accumulate(gamma_s[j], d_gamma_s)
+            if d_gamma_t is not None:
+                _accumulate(gamma_t[j], d_gamma_t)
+            g_s, g_t = g_s_next, g_t_next
         if g_s is not None and s0.requires_grad:
             _accumulate(s0, g_s.copy())
         if g_t is not None and t0.requires_grad:

@@ -80,6 +80,8 @@ class SdgaeParams:
     T <- gamma_t[j] * (op.T @ S) + T, both reading the pre-step values: two
     sparse products of the edge set.  The k steps are one tape node,
     ``autodiff.sdgae_propagate``, working in the arrays of ``workspace``.
+    The two MLPs, like each step, are the two sides of an ``autodiff.lanes``
+    call.
     """
 
     mlp_s: Mlp
@@ -107,8 +109,11 @@ class SdgaeParams:
         return self.op.shape[0]
 
     def __call__(self, x):
-        s, t = ad.sdgae_propagate(self.op, self.op_t, self.mlp_s(x), self.mlp_t(x),
-                                  self.gamma_s, self.gamma_t, self.workspace)
+        # the embedding block: n rows as wide as the last layer's bias
+        values = self.n * self.mlp_s.layers[-1][1].shape[1]
+        s0, t0 = ad.lanes(values, lambda: self.mlp_s(x), lambda: self.mlp_t(x))
+        s, t = ad.sdgae_propagate(self.op, self.op_t, s0, t0, self.gamma_s, self.gamma_t,
+                                  self.workspace)
         return EncoderOutput(s, t)
 
     def named_parameters(self):

@@ -357,7 +357,8 @@ def grid_run(configs, bundles, feature_init=None, workers=1):
     tasks = [(cfg, bundle, feature_init) for cfg in configs for bundle in bundles]
     workers = min(workers, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the workers use the cores, so their fits run S and T on one thread
+        with ProcessPoolExecutor(max_workers=workers, initializer=ad.serial_lanes) as pool:
             rows = list(pool.map(_grid_task, tasks))
     else:
         rows = list(map(_grid_task, tasks))

@@ -4,11 +4,13 @@ dense and explicit-form oracles of the encoders, of ``pair_dot``, of the
 backward scatter of ``pair_dot`` and ``gather_rows``, of ``hinge`` and of a
 biased ``matmul``, the tape ops that only tests build graphs with
 (``row_sum``, ``add_bias``, ``add``, ``scale``, ``sum_all``),
-finite-difference checks and a memory-bounded subprocess runner."""
+finite-difference checks, a switch that runs ``autodiff.lanes`` on two
+threads at any size, and a memory-bounded subprocess runner."""
 
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -323,6 +325,22 @@ class EinsumSpy:
         return [c == "id,jd->ij" for c in self.calls]
 
 
+def force_lanes(monkeypatch):
+    """Run every ``autodiff.lanes`` call of this test on two threads, at any
+    block size and CPU count.  Returns the list to which each T side run on
+    the lane thread appends that thread's name."""
+    monkeypatch.setattr(ad, "LANE_MIN_VALUES", 0)
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+    threads, real = [], ad._in_mode
+
+    def in_mode(record, side):
+        threads.append(threading.current_thread().name)
+        return real(record, side)
+
+    monkeypatch.setattr(ad, "_in_mode", in_mode)
+    return threads
+
+
 def rel_err(a, b, floor=1e-3):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
@@ -388,14 +406,15 @@ threading.Thread(target=_watchdog, args=(float(sys.argv[1]),), daemon=True).star
 """
 
 
-def run_under_memory_bound(child_code, bound_mb, timeout=600):
+def run_under_memory_bound(child_code, bound_mb, timeout=600, env=None):
     """Run child_code in a fresh interpreter that imports dirlink from this
-    checkout, stopping it once its peak RSS passes bound_mb.
+    checkout, with the variables of ``env`` added to this environment,
+    stopping it once its peak RSS passes bound_mb.
 
     child_code prints whitespace-separated key=value pairs.  Returns them as
     a dict, plus the process's peak RSS in MB under "peak", after asserting
     a clean exit and a peak within the bound."""
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     src = os.path.dirname(os.path.dirname(dirlink.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = _WATCHDOG + child_code + '\nprint(f"peak={peak_mb():.0f}", flush=True)\n'

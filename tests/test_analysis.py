@@ -112,13 +112,17 @@ def _score_table(case, n, rng):
         return rng.integers(0, 3, size=(n, n)).astype(np.float64)
     if case == "all_equal":
         return np.full((n, n), 0.5)
+    if case == "nan_ties":
+        # about 22 ones, 14 zeros and 36 NaN: the m'-th best is a tie at 1 for
+        # m' = 8 and 9, at 0 for m' = 30 and NaN for m' = 60
+        return rng.choice([1.0, 0.0, np.nan], size=(n, n), p=[0.3, 0.2, 0.5])
     table = rng.integers(0, 4, size=(n, n)).astype(np.float64)
     table[rng.random((n, n)) < 0.3] = np.nan
     table[0, 3], table[4, 1], table[8, 2] = np.inf, -np.inf, -np.inf
     return table
 
 
-@pytest.mark.parametrize("case", ["distinct", "few_values", "all_equal", "nan_inf"])
+@pytest.mark.parametrize("case", ["distinct", "few_values", "all_equal", "nan_ties", "nan_inf"])
 def test_reconstruct_streaming_matches_lexsort_oracle(case, monkeypatch):
     """Streamed top-m' equals an exhaustive lexsort on every block size:
     ties lose to earlier pairs across block boundaries, NaN ranks last."""

@@ -1,6 +1,7 @@
 import ast
 import gc
 import inspect
+import warnings
 import weakref
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 import dirlink.autodiff as ad
 from dirlink.graph import DirectedGraph, adjacency, normalize_sym
-from helpers import (add, add_bias, check_gradients, hinge_composite, row_sum, scale, scatter,
-                     sum_all)
+from helpers import (add, add_bias, check_gradients, force_lanes, hinge_composite, row_sum,
+                     scale, scatter, sum_all)
 
 
 def _param(rng, *shape):
@@ -173,10 +174,13 @@ def _pair_dot_composite(s, t, index):
     return row_sum(ad.hadamard(ad.gather_rows(s, index, 0), ad.gather_rows(t, index, 1)))
 
 
+@pytest.mark.parametrize("laned", [False, True])
 @pytest.mark.parametrize("case", ["distinct", "duplicates", "empty", "aliased_leaf", "aliased_mlp"])
-def test_pair_dot_matches_gather_composite_bitwise(case):
+def test_pair_dot_matches_gather_composite_bitwise(case, laned, monkeypatch):
     """Same forward values and the same grads, bit for bit, as the three-op
-    graph it replaces, including a T that aliases S (the MLP encoder)."""
+    graph it replaces, including a T that aliases S (the MLP encoder), with
+    its two halves of blocks and its two backward products on one thread
+    or on two."""
     rng = np.random.default_rng(25)
     n, d = 40, 9
     p = {"distinct": 300, "duplicates": 1000, "empty": 0}.get(case, 1000)
@@ -206,8 +210,10 @@ def test_pair_dot_matches_gather_composite_bitwise(case):
         ad.backward(sum_all(ad.hadamard(z, ad.Tensor(g))), params=[x, y, w])
         return z.data, x.grad, y.grad, w.grad
 
-    fused = run(lambda s, t, index: ad.pair_dot(s, t, index, 7))
     composite = run(_pair_dot_composite)
+    threads = force_lanes(monkeypatch) if laned else []
+    fused = run(lambda s, t, index: ad.pair_dot(s, t, index, 7))
+    assert len(threads) == (2 if laned else 0)  # the forward pass and the backward pass
     assert fused[0].shape == (p, 1)
     for a, b in zip(fused, composite):
         assert np.array_equal(a, b)
@@ -550,3 +556,24 @@ def test_no_grad_records_nothing():
     with pytest.raises(ValueError), ad.no_grad():
         ad.matmul(x, ad.Tensor(np.ones((2, 2))))
     assert ad.matmul(x, x).requires_grad  # recording resumes on every exit
+
+
+def test_blas_cap_warns_once_naming_a_library_it_cannot_cap(monkeypatch):
+    calls = []
+
+    def setter(threads):
+        calls.append(threads)
+
+    monkeypatch.setattr(ad, "_blas_setters", lambda: [("/usr/lib/libopenblas.so.0", None)])
+    with pytest.warns(RuntimeWarning) as record:
+        ad.cap_blas_threads()
+    assert len(record) == 1 and "/usr/lib/libopenblas.so.0 has none of" in str(record[0].message)
+    monkeypatch.setattr(ad, "_blas_setters", lambda: [])
+    with pytest.warns(RuntimeWarning, match="no OpenBLAS library is loaded"):
+        ad.cap_blas_threads()
+    # scipy's own OpenBLAS, mapped beside numpy's, has other names: no warning then
+    monkeypatch.setattr(ad, "_blas_setters", lambda: [("scipy.so", None), ("numpy.so", setter)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ad.cap_blas_threads()
+    assert calls == [1]

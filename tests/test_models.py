@@ -7,8 +7,8 @@ import dirlink.autodiff as ad
 from dirlink import models, training
 from dirlink.graph import normalize_sym
 from dirlink.training import TrainConfig
-from helpers import (EinsumSpy, digae_encode_bipartite, expand_coefficients, random_graph,
-                     sdgae_encode_composite, sdgae_encode_explicit, sum_all)
+from helpers import (EinsumSpy, digae_encode_bipartite, expand_coefficients, force_lanes,
+                     random_graph, sdgae_encode_composite, sdgae_encode_explicit, sum_all)
 
 
 def _sdgae(rng, g, in_dim=4, k=3, **kw):
@@ -113,16 +113,37 @@ def _assert_bitwise(got, want):
         assert np.array_equal(got[name], want[name]), name
 
 
+@pytest.mark.parametrize("laned", [False, True])
 @pytest.mark.parametrize("read", ["S", "T", "both"])
 @pytest.mark.parametrize("k", [1, 5, 8])
-def test_sdgae_propagate_matches_composite_bitwise(k, read):
+def test_sdgae_propagate_matches_composite_bitwise(k, read, laned, monkeypatch):
     """One fused node gives the values and grads of the 6k primitive nodes it
-    replaces, bit for bit, whichever outputs the loss reads."""
+    replaces, bit for bit, whichever outputs the loss reads, with its S and
+    T sides on one thread or on two."""
     p, a, x = _sdgae_case(k)
-    fused = _sdgae_backward(p, models.encoder_forward(p, x), read)
     composite = _sdgae_backward(p, sdgae_encode_composite(p, a, x), read)
+    threads = force_lanes(monkeypatch) if laned else []
+    fused = _sdgae_backward(p, models.encoder_forward(p, x), read)
+    # the two MLPs and k steps forward, and k steps back
+    assert len(threads) == (1 + 2 * k if laned else 0)
     assert len(composite) == 2 + 8 + 2 * k
     _assert_bitwise(fused, composite)
+
+
+def test_laned_encode_under_no_grad_records_no_tape(monkeypatch):
+    # the lane thread runs the T side in the caller's recording state, which
+    # the thread keeps no memory of from one call to the next
+    threads = force_lanes(monkeypatch)
+    p, _, x = _sdgae_case(3)
+    for _ in range(2):
+        with ad.no_grad():
+            enc = models.encoder_forward(p, x)
+        assert not (enc.S.requires_grad or enc.T.requires_grad)
+        assert enc.S.parents == enc.T.parents == ()
+        enc = models.encoder_forward(p, x)
+        ad.backward(_sdgae_loss(enc, "T"))
+        assert p.mlp_t.layers[0][0].grad is not None and p.gamma_t[0].grad is not None
+    assert threads
 
 
 def test_second_recorded_pass_gets_its_own_buffers():

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import dirlink.autodiff as ad
 from dirlink import datasets, models, splits, training
 from dirlink.graph import DirectedGraph
 from dirlink.metrics import MetricsReport
-from helpers import run_under_memory_bound, sum_all, weakly_connected_random_graph
+from helpers import (force_lanes, run_under_memory_bound, sum_all,
+                     weakly_connected_random_graph)
 
 
 def small_bundle(seed=0, n=30):
@@ -98,8 +100,11 @@ def test_fit_builds_the_pairs_plans_once_per_negative_draw(monkeypatch, strategy
     assert len(decoded) == epochs
     indexes = list({id(index): index for index, _, _ in decoded}.values())
     assert len(indexes) == len(draws)
-    assert [(id(i), side) for i, side, _ in builds] == [(id(i), side) for i in indexes
-                                                        for side in (1, 0)]
+    # each index builds both sides' plans, in either order: autodiff.lanes may
+    # run pair_dot's two backward products at once
+    got = [(id(i), side) for i, side, _ in builds]
+    assert [set(got[j:j + 2]) for j in range(0, len(got), 2)] == [{(id(i), 0), (id(i), 1)}
+                                                                  for i in indexes]
     seen = set()
     for index, draw, built_before in decoded:
         pairs = np.vstack([bundle.train_graph.edges, draws[draw - 1]])
@@ -400,10 +405,11 @@ def test_grid_pool_starts_no_more_workers_than_tasks(monkeypatch):
     pools = []
 
     class InlinePool:
-        """Records the pool size and runs the tasks in this process."""
+        """Records the pool size and initializer, and runs the tasks in this
+        process without the initializer."""
 
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+        def __init__(self, max_workers, initializer):
+            pools.append((max_workers, initializer))
 
         def __enter__(self):
             return self
@@ -416,7 +422,7 @@ def test_grid_pool_starts_no_more_workers_than_tasks(monkeypatch):
     monkeypatch.setattr(training, "ProcessPoolExecutor", InlinePool)
     cfgs = [small_cfg(max_epochs=3, patience=2), small_cfg(max_epochs=3, patience=2, lr=0.1)]
     result = training.grid_run(cfgs, [small_bundle()], workers=64)
-    assert pools == [2]
+    assert pools == [(2, ad.serial_lanes)]
     assert [r.status for r in result.rows] == ["ok", "ok"]
 
 
@@ -593,7 +599,7 @@ def test_dropping_the_model_frees_its_workspace_by_refcount():
         step()
         workspace = model.enc_params.workspace
         arrays = workspace._free  # the step's arrays, given back by its backward pass
-        assert len(arrays) == 2 * cfg.k + 5
+        assert len(arrays) == 2 * cfg.k + 6
         refs = [weakref.ref(o) for o in (model, workspace, *arrays)]
         del model, step, workspace, arrays
         assert [r() for r in refs] == [None] * len(refs)
@@ -627,3 +633,93 @@ def test_sdgae_trains_at_scale_within_memory_bound():
     keeps its graphs alive passes it within the first epoch."""
     stats = run_under_memory_bound(SCALE_CHILD, bound_mb=1024)
     assert stats["epochs"] == "2" and int(stats["m"]) > 199_000
+
+
+def test_laned_fit_matches_serial_bitwise(monkeypatch):
+    """An SDGAE fit with its S and T sides on two threads trains the same
+    parameters and histories, bit for bit, as one on one thread."""
+    bundle = small_bundle()
+    feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
+    cfg = small_cfg(max_epochs=8, patience=7)
+    scorer = training.make_validation_scorer(bundle)
+    serial = training.fit(cfg, bundle.train_graph, feats, scorer)
+    threads = force_lanes(monkeypatch)
+    laned = training.fit(cfg, bundle.train_graph, feats, scorer)
+    assert threads and all(name.startswith("dirlink-lane") for name in threads)
+    for history in ("loss_history", "val_history"):
+        assert np.array_equal(getattr(laned, history), getattr(serial, history))
+    want = serial.model.named_parameters()
+    for name, t in laned.model.named_parameters().items():
+        assert np.array_equal(t.data, want[name].data), name
+
+
+_RMAT = Path(__file__).resolve().parents[1] / "perfbench"
+
+BLAS_BITS_CHILD = """
+import hashlib, sys, warnings
+sys.path.insert(0, {perfbench!r})
+from rmat import rmat_edges, write_edge_list
+from dirlink import graph, splits, training
+
+write_edge_list({raw!r}, rmat_edges(11, 14_000, 7))
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # the raw R-MAT edges keep their self-loops
+    g, _ = graph.preprocess(graph.load_edge_list({raw!r}))
+bundle = splits.split_edges(g, seed=0)
+feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundle.train_graph)
+cfg = training.TrainConfig(max_epochs=1, patience=0)
+fitted = training.fit(cfg, bundle.train_graph, feats, training.make_validation_scorer(bundle),
+                      bundle.seed)
+h = hashlib.sha256()
+for name, t in sorted(fitted.model.named_parameters().items()):
+    h.update(name.encode())
+    h.update(t.data.tobytes())
+print(f"n={{g.n}} digest={{h.hexdigest()}}", flush=True)
+"""
+
+
+def test_trained_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """One SDGAE epoch on the R-MAT 2^11 graph of the benchmark (seed 7, n =
+    1,513) trains the same parameters under OPENBLAS_NUM_THREADS=1 and =2:
+    importing dirlink caps numpy's BLAS at one thread.  Uncapped, its
+    weight-gradient products sum differently on two threads."""
+    digests = set()
+    for threads in ("1", "2"):
+        code = BLAS_BITS_CHILD.format(perfbench=str(_RMAT), raw=str(tmp_path / f"raw{threads}.txt"))
+        stats = run_under_memory_bound(code, bound_mb=400, env={"OPENBLAS_NUM_THREADS": threads})
+        assert stats["n"] == "1513"
+        digests.add(stats["digest"])
+    assert len(digests) == 1
+
+
+FORK_CHILD = """
+import dataclasses, os, signal, threading
+from dirlink import autodiff as ad, datasets, splits, training
+
+ad.LANE_MIN_VALUES = 0  # lanes at the fixture's size, on any machine
+ad._usable_cpus = lambda: 2
+bundles = [splits.split_edges(datasets.load_fixture("synthetic200"), seed=s) for s in (0, 1)]
+feats = splits.init_features(splits.FeatureInit(mode="degrees"), bundles[0].train_graph)
+cfg = training.TrainConfig(max_epochs=3, patience=2)
+training.fit(cfg, bundles[0].train_graph, feats, training.make_validation_scorer(bundles[0]))
+lane = any(t.name.startswith("dirlink-lane") for t in threading.enumerate())
+cfgs = [cfg, training.TrainConfig(encoder="mlp", max_epochs=3, patience=2)]
+rows = [[dataclasses.replace(r, seconds=0.0) for r in training.grid_run(cfgs, bundles,
+                                                                         workers=w).rows]
+        for w in (2, 1)]
+pid = os.fork()
+if pid == 0:  # a forked child starts a lane thread of its own, or is ended by the alarm
+    signal.alarm(30)
+    os._exit(0 if ad.lanes(0, lambda: "s", lambda: "t") == ("s", "t") else 1)
+_, status = os.waitpid(pid, 0)
+print(f"lane={lane} same={rows[0] == rows[1]} ok={all(r.status == 'ok' for r in rows[0])} "
+      f"child={os.waitstatus_to_exitcode(status)}", flush=True)
+"""
+
+
+def test_a_process_with_a_lane_thread_forks_grid_workers_and_children_safely():
+    """After a laned fit, grid_run(workers=2) finishes with the rows of
+    workers=1, and a forked child's laned call runs: a fork inherits the
+    lane thread's objects but not the thread, so the child starts its own."""
+    stats = run_under_memory_bound(FORK_CHILD, bound_mb=600, timeout=120)
+    assert stats == {**stats, "lane": "True", "same": "True", "ok": "True", "child": "0"}
