@@ -14,8 +14,12 @@ the row gather and matmul's bias row, no higher-order derivatives.
 
 Importing the module caps numpy's OpenBLAS at one thread for the whole
 process (``cap_blas_threads``), so trained bits do not depend on the core
-count.  The second core goes to ``lanes`` instead: the S and the T side of
-SDGAE's work, which share no array they write, run on two threads.
+count.  It calls OpenBLAS's set-num-threads symbol through a handle to
+numpy's own extension module, whose linked libraries dlsym searches; where
+the handle finds no such symbol (on Windows it searches no dependencies),
+the import warns once, naming the extension.  The second core goes to
+``lanes`` instead: the S and the T side of SDGAE's work, which share no
+array they write, run on two threads.
 """
 
 from __future__ import annotations
@@ -42,40 +46,27 @@ _spmm_t = _spmm
 _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-def _blas_setters():
-    """(path, set-num-threads function or None) of each OpenBLAS mapped into
-    this process, by /proc/self/maps.  scipy's wheel brings a second one,
-    whose symbols are named otherwise and which numpy does not call."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = dict.fromkeys(line.split()[-1] for line in fh
-                                  if "openblas" in line.rpartition("/")[2])
-    except OSError:  # no /proc: not Linux
-        paths = {}
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        names = [name for name in _BLAS_SET_THREADS if hasattr(lib, name)]
-        found.append((path, getattr(lib, names[0]) if names else None))
-    return found
-
-
 def cap_blas_threads():
     """Run numpy's OpenBLAS on one thread in this process, and in the
     processes it forks.  A GEMM summed by two threads can differ in the last
     bits from one summed by one, so uncapped the trained bits would follow
-    the core count.  Warns, naming the libraries it found, when none has a
-    set-num-threads symbol it knows."""
-    found = _blas_setters()
-    setters = [setter for _, setter in found if setter is not None]
-    if not setters:
-        reason = (f"{', '.join(path for path, _ in found)} has none of "
-                  f"{', '.join(_BLAS_SET_THREADS)}" if found else "no OpenBLAS library is loaded")
-        warnings.warn(f"cannot cap BLAS at one thread: {reason}; trained bits may follow the "
-                      f"core count", RuntimeWarning, stacklevel=2)
-    for setter in setters:
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(1)
+    the core count.  The set-num-threads symbol is looked up on a handle to
+    numpy's own extension module: dlsym on it searches the libraries the
+    extension links, so it finds the OpenBLAS numpy calls, wherever it is
+    installed.  Warns, naming the extension, when it finds neither symbol."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    setter = next((getattr(lib, name) for name in _BLAS_SET_THREADS if hasattr(lib, name)), None)
+    if setter is None:
+        warnings.warn(f"cannot cap BLAS at one thread: {_multiarray_umath.__file__} finds none "
+                      f"of {', '.join(_BLAS_SET_THREADS)}; trained bits may follow the core "
+                      f"count", RuntimeWarning, stacklevel=2)
+        return
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(1)
 
 
 cap_blas_threads()
@@ -509,7 +500,7 @@ def _step_back(m, g_other, gamma_other, g, prod, gamma, tmp, buf):
     return d_gamma, g
 
 
-def sdgae_propagate(m, m_t, s0, t0, gamma_s, gamma_t, workspace=None):
+def sdgae_propagate(m, m_t, s0, t0, gamma_s, gamma_t, workspace):
     """k steps of S <- gamma_s[j] * (m @ T) + S and T <- gamma_t[j] * (m_t @ S) + T,
     both reading the pre-step values, as one tape node.  Returns (S, T).
 
@@ -525,10 +516,10 @@ def sdgae_propagate(m, m_t, s0, t0, gamma_s, gamma_t, workspace=None):
     writes only S's arrays and T side only T's: each side keeps two running
     sums (or grads), written on alternate steps, so neither overwrites the
     pre-step value the other side reads.  The products, the running sums and
-    the temporaries are arrays leased from ``workspace`` (a fresh one if
-    None); S, T and the grads written to the inputs are new arrays.
-    Products go through ``_spmm``, 2k per pass each way.  ``m_t`` is m's
-    transpose, which the caller builds once for all its passes.
+    the temporaries are arrays leased from ``workspace``; S, T and the grads
+    written to the inputs are new arrays.  Products go through ``_spmm``, 2k
+    per pass each way.  ``m_t`` is m's transpose, which the caller builds
+    once for all its passes.
     """
     k = len(gamma_s)
     n, d = s0.data.shape
@@ -540,7 +531,7 @@ def sdgae_propagate(m, m_t, s0, t0, gamma_s, gamma_t, workspace=None):
                          f"{s0.data.shape} S0, {t0.data.shape} T0")
     if any(g.data.shape != (1, 1) for g in (*gamma_s, *gamma_t)):
         raise ValueError("sdgae_propagate coefficients must be 1x1 tensors")
-    lease = (Workspace() if workspace is None else workspace).lease(2 * k + 6, (n, d))
+    lease = workspace.lease(2 * k + 6, (n, d))
     prod_s, prod_t, bufs_s, bufs_t, _ = _propagation_arrays(lease, k)
     s, t = s0.data, t0.data
     for j in range(k):

@@ -1,11 +1,18 @@
 import ast
 import gc
 import inspect
+import os
+import shutil
+import subprocess
+import sys
+import types
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 
 import dirlink.autodiff as ad
 from dirlink.graph import DirectedGraph, adjacency, normalize_sym
@@ -62,7 +69,7 @@ def _gradient_cases():
         "spmm_t": lambda: sum_all(ad.relu(ad.spmm_const(a.T, x, a))),
         "sdgae_propagate": lambda: sum_all(ad.hadamard(*ad.sdgae_propagate(
             a, a.T, ad.matmul(x, w), ad.hadamard(ad.matmul(x, w), ad.matmul(x, w)),
-            gammas[:2], gammas[2:]))),
+            gammas[:2], gammas[2:], ad.Workspace()))),
         "hinge": lambda: ad.hinge(ad.matmul(x, c), None, 0.5),
         "hinge_rev": lambda: ad.hinge(ad.matmul(x, c), ad.matmul(ad.hadamard(x, x), c), 0.5),
     }
@@ -518,7 +525,7 @@ def _every_op_loss(leaves, a):
     index = _index([0, 2, 2, 4, 1, 3], [1, 1, 4, 0, 3, 2], 5, 5)
     h = ad.relu(add_bias(xb, b))
     s_out, t_out = ad.sdgae_propagate(a, a.T, h, ad.spmm_const(a, add(v, v2), a.T),
-                                      gammas[:2], gammas[2:])
+                                      gammas[:2], gammas[2:], ad.Workspace())
     bce = ad.bce_with_logits(ad.matmul(ad.gather_rows(ad.concat_cols(u, c), index, 0), w6, b6),
                              np.array([1, 0, 1, 0, 1, 0]))
     z = ad.pair_dot(s_out, t_out, index, 4)
@@ -558,22 +565,75 @@ def test_no_grad_records_nothing():
     assert ad.matmul(x, x).requires_grad  # recording resumes on every exit
 
 
+def _fake_cdll(opened, **symbols):
+    """A stand-in for ctypes.CDLL whose handles have exactly ``symbols``."""
+    def cdll(path):
+        opened.append(path)
+        return types.SimpleNamespace(**symbols)
+    return cdll
+
+
 def test_blas_cap_warns_once_naming_a_library_it_cannot_cap(monkeypatch):
-    calls = []
+    calls, opened = [], []
+    first, system = ad._BLAS_SET_THREADS
 
-    def setter(threads):
-        calls.append(threads)
+    def setter(name):
+        return lambda threads: calls.append((name, threads))
 
-    monkeypatch.setattr(ad, "_blas_setters", lambda: [("/usr/lib/libopenblas.so.0", None)])
+    # the first symbol the handle has is the one called, once, with 1
+    for names in ([first, system], [system]):
+        monkeypatch.setattr(ad.ctypes, "CDLL",
+                            _fake_cdll(opened, **{name: setter(name) for name in names}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ad.cap_blas_threads()
+    assert calls == [(first, 1), (system, 1)]
+    monkeypatch.setattr(ad.ctypes, "CDLL", _fake_cdll(opened))
     with pytest.warns(RuntimeWarning) as record:
         ad.cap_blas_threads()
-    assert len(record) == 1 and "/usr/lib/libopenblas.so.0 has none of" in str(record[0].message)
-    monkeypatch.setattr(ad, "_blas_setters", lambda: [])
-    with pytest.warns(RuntimeWarning, match="no OpenBLAS library is loaded"):
-        ad.cap_blas_threads()
-    # scipy's own OpenBLAS, mapped beside numpy's, has other names: no warning then
-    monkeypatch.setattr(ad, "_blas_setters", lambda: [("scipy.so", None), ("numpy.so", setter)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ad.cap_blas_threads()
-    assert calls == [1]
+    message = str(record[0].message)
+    assert len(record) == 1 and _multiarray_umath.__file__ in message
+    assert first in message and system in message
+    # every lookup opens numpy's own extension module
+    assert opened == [_multiarray_umath.__file__] * 3
+
+
+SPACED_NUMPY_CHILD = """
+import ctypes
+import numpy
+import dirlink
+from numpy._core import _multiarray_umath
+lib = ctypes.CDLL(_multiarray_umath.__file__)
+get = next(getattr(lib, name.replace("_set_", "_get_"))
+           for name in dirlink.autodiff._BLAS_SET_THREADS if hasattr(lib, name))
+print(numpy.__file__)
+print(get())
+"""
+
+
+def _link_or_copy(src, dst):
+    try:
+        os.link(src, dst)
+    except OSError:  # another filesystem
+        shutil.copy2(src, dst)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="links numpy's Linux wheel layout")
+def test_blas_cap_finds_numpy_installed_under_a_path_with_a_space(tmp_path):
+    """numpy and its bundled OpenBLAS under a directory whose name has a
+    space: importing dirlink warns nothing and caps that OpenBLAS at one
+    thread, though OPENBLAS_NUM_THREADS asks for two."""
+    site = Path(np.__file__).resolve().parents[1]
+    spaced = tmp_path / "with space"
+    for name in ("numpy", "numpy.libs"):
+        if (site / name).is_dir():
+            shutil.copytree(site / name, spaced / name, copy_function=_link_or_copy)
+    src = Path(ad.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([str(spaced), str(src)])}
+    proc = subprocess.run([sys.executable, "-c", SPACED_NUMPY_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    numpy_file, threads = proc.stdout.splitlines()
+    assert numpy_file.startswith(str(spaced)) and threads == "1"

@@ -185,14 +185,15 @@ def test_sdgae_propagate_checks_its_inputs():
     a = normalize_sym(random_graph(rng, 5))
     x = ad.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     one = ad.Tensor(np.ones((1, 1)), requires_grad=True)
+    ws = ad.Workspace()
     with pytest.raises(ValueError, match="coefficients per side"):
-        ad.sdgae_propagate(a, a.T, x, x, [], [])
+        ad.sdgae_propagate(a, a.T, x, x, [], [], ws)
     with pytest.raises(ValueError, match="coefficients per side"):
-        ad.sdgae_propagate(a, a.T, x, x, [one], [one, one])
+        ad.sdgae_propagate(a, a.T, x, x, [one], [one, one], ws)
     with pytest.raises(ValueError, match="shape mismatch"):
-        ad.sdgae_propagate(a, a.T, x, ad.Tensor(np.zeros((5, 2))), [one], [one])
+        ad.sdgae_propagate(a, a.T, x, ad.Tensor(np.zeros((5, 2))), [one], [one], ws)
     with pytest.raises(ValueError, match="1x1"):
-        ad.sdgae_propagate(a, a.T, x, x, [ad.Tensor(np.ones((1, 2)))], [one])
+        ad.sdgae_propagate(a, a.T, x, x, [ad.Tensor(np.ones((1, 2)))], [one], ws)
 
 
 def test_digae_matches_bipartite_oracle():
