@@ -1,9 +1,10 @@
 """Ranking and classification metrics for link prediction, all as percentages.
 
-Every positive is ranked against one shared negative pool.  Ties are handled
-pessimistically for Hits@K and MRR (a tied negative counts as ranked above
-the positive), with the standard 0.5 convention for AUC.  Inputs are raw
-scores; only accuracy interprets them as pre-sigmoid logits with the decision
+Every positive is ranked against one shared negative pool, and the four rank
+metrics read one count: the negatives below each positive, and for AUC also
+those tied with it.  A tie ranks the positive below the negative for Hits@K,
+MRR and AP's precision, and counts half for AUC.  Inputs are raw scores;
+only accuracy interprets them as pre-sigmoid logits with the decision
 threshold at zero.
 """
 
@@ -24,61 +25,53 @@ def _validate(pos_scores, neg_scores):
     return pos, neg
 
 
-def _ranks(pos, neg):
-    # rank = 1 + #{negatives >= positive}; ties count as greater (pessimistic)
-    neg_sorted = np.sort(neg)
-    geq = len(neg) - np.searchsorted(neg_sorted, pos, side="left")
-    return 1 + geq
+def _below(keys, ref, ties=False):
+    """How many entries of ref fall below each key, and with ``ties`` also
+    how many equal it."""
+    ref = np.sort(ref)
+    below = np.searchsorted(ref, keys, side="left")
+    if not ties:
+        return below
+    return below, np.searchsorted(ref, keys, side="right") - below
 
 
 def hits_at_k(pos_scores, neg_scores, k):
-    """Percentage of positives whose rank against the shared negatives is <= k."""
+    """Percentage of positives whose rank against the shared negatives is <= k.
+
+    A positive's rank is 1 + the negatives at or above it."""
     if k < 1:
         raise ValueError("k must be >= 1")
     pos, neg = _validate(pos_scores, neg_scores)
-    return 100.0 * np.mean(_ranks(pos, neg) <= k)
+    return 100.0 * np.mean(1 + len(neg) - _below(pos, neg) <= k)
 
 
 def mrr(pos_scores, neg_scores):
     """Mean reciprocal rank of each positive against the shared negatives, x100."""
     pos, neg = _validate(pos_scores, neg_scores)
-    return 100.0 * np.mean(1.0 / _ranks(pos, neg))
+    return 100.0 * np.mean(1.0 / (1 + len(neg) - _below(pos, neg)))
 
 
 def auc(pos_scores, neg_scores):
     """Probability that a positive outranks a negative, ties counting 0.5, x100.
 
-    Computed in O((M+N) log(M+N)) from midranks of the pooled scores:
-    AUC = (sum of positive midranks - M(M+1)/2) / (M*N).
+    The Mann-Whitney U over M*N: U sums, over the positives, the negatives
+    below each plus half those tied with it.
     """
     pos, neg = _validate(pos_scores, neg_scores)
-    m, n = len(pos), len(neg)
-    pooled = np.concatenate([pos, neg])
-    uniq, inv = np.unique(pooled, return_inverse=True)
-    counts = np.bincount(inv, minlength=len(uniq)).astype(np.float64)
-    below = np.concatenate([[0.0], np.cumsum(counts)[:-1]])
-    midrank = below + (counts + 1.0) / 2.0
-    pos_rank_sum = midrank[inv[:m]].sum()
-    return 100.0 * (pos_rank_sum - m * (m + 1) / 2.0) / (m * n)
+    # sorted keys make searchsorted's binary searches cheap; the sums are exact
+    below, tied = _below(np.sort(pos), neg, ties=True)
+    return 100.0 * (below.sum() + 0.5 * tied.sum()) / (len(pos) * len(neg))
 
 
 def ap(pos_scores, neg_scores):
-    """Average precision: sum of precision-weighted recall increments, x100.
-
-    Thresholds sweep the distinct pooled scores in descending order with tied
-    scores grouped, so AP = sum_i (R_i - R_{i-1}) * P_i.
-    """
+    """Average precision, x100: the mean over positives of the precision at
+    each one's score, tp / (tp + fp), counting the positives (tp) and the
+    negatives (fp) at or above it."""
     pos, neg = _validate(pos_scores, neg_scores)
-    m = len(pos)
-    pos_sorted = np.sort(pos)
-    neg_sorted = np.sort(neg)
-    thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
-    tp = m - np.searchsorted(pos_sorted, thresholds, side="left")
-    fp = len(neg) - np.searchsorted(neg_sorted, thresholds, side="left")
-    precision = tp / (tp + fp)
-    recall = tp / m
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    return 100.0 * np.sum((recall - prev_recall) * precision)
+    pos = np.sort(pos)
+    tp = len(pos) - _below(pos, pos)
+    fp = len(neg) - _below(pos, neg)
+    return 100.0 * np.mean(tp / (tp + fp))
 
 
 def accuracy(pos_scores, neg_scores):

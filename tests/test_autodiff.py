@@ -351,6 +351,30 @@ def test_loss_rejects_bad_labels():
         ad.bce_with_logits(ad.Tensor(np.array([[np.nan]]), requires_grad=True), [1.0])
 
 
+def _adam_step_on_a_grad_of_the_wrong_shape():
+    p = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+    p.grad = np.ones((1, 2))
+    ad.AdamState([p], lr=0.1).step()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ad.concat_cols(_ones(2, 1), _ones(3, 1)), ValueError, "concat_cols row mismatch"),
+    (lambda: ad.spmm_const(normalize_sym(DirectedGraph(3, [[0, 1]])), _ones(2, 1), None),
+     ValueError, "spmm_const shape mismatch"),
+    (lambda: ad.bce_with_logits(_ones(2, 2), [0, 1]), ValueError, r"expects \(n, 1\) logits"),
+    (lambda: ad.bce_with_logits(_ones(2, 1), [0]), ValueError, "labels length mismatch"),
+    (lambda: ad.ce_pairwise(_ones(2, 1), [0, 1]), ValueError, r"expects \(n, 2\) logits"),
+    (lambda: ad.ce_pairwise(_ones(2, 2), [0]), ValueError, "classes length mismatch"),
+    (lambda: ad.ce_pairwise(ad.Tensor(np.array([[np.nan, 0.0]])), [0]),
+     FloatingPointError, "non-finite loss"),
+    (_adam_step_on_a_grad_of_the_wrong_shape, ValueError, "gradient shape mismatch"),
+], ids=["concat_rows", "spmm_shape", "bce_shape", "bce_length", "ce_shape", "ce_length",
+        "ce_non_finite", "adam_grad_shape"])
+def test_ops_reject_bad_inputs(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_tape_orders_parents_before_children():
     rng = np.random.default_rng(13)
     x = _param(rng, 3, 3)
@@ -596,6 +620,22 @@ def test_blas_cap_warns_once_naming_a_library_it_cannot_cap(monkeypatch):
     assert first in message and system in message
     # every lookup opens numpy's own extension module
     assert opened == [_multiarray_umath.__file__] * 3
+
+
+def test_blas_cap_falls_back_to_numpy_core_without_numpy_private_core(monkeypatch):
+    """The numpy < 2 branch: with ``numpy._core`` unimportable the cap takes
+    the extension from ``numpy.core``.  On numpy 2 that name is a deprecated
+    shim over the same extension, so the branch's code runs here, though not
+    against a numpy 1.x install."""
+    calls, opened = [], []
+    first = ad._BLAS_SET_THREADS[0]
+    monkeypatch.setitem(sys.modules, "numpy._core", None)
+    monkeypatch.setattr(ad.ctypes, "CDLL",
+                        _fake_cdll(opened, **{first: lambda threads: calls.append(threads)}))
+    with pytest.warns(DeprecationWarning, match="numpy.core is deprecated"):
+        ad.cap_blas_threads()
+    assert opened == [_multiarray_umath.__file__]
+    assert calls == [1]
 
 
 SPACED_NUMPY_CHILD = """

@@ -9,7 +9,7 @@ import pytest
 
 import dirlink
 from dirlink import analysis, cli, datasets, models, training
-from dirlink.graph import DataError, save_features
+from dirlink.graph import DataError, load_features, save_features
 from dirlink.metrics import MetricsReport
 from dirlink.splits import FeatureInit, init_features, split_edges
 
@@ -155,6 +155,29 @@ def test_preprocess_is_idempotent(tmp_path, capsys):
     assert (out1 / "stats.txt").read_text().strip() == line
     assert cli.main(["preprocess", "--dataset", str(out1 / "edges.txt"), "--out", str(out2)]) == 0
     assert (out1 / "edges.txt").read_bytes() == (out2 / "edges.txt").read_bytes()
+
+
+def test_preprocess_writes_the_kept_nodes_feature_rows_in_their_new_order(tmp_path, capsys):
+    raw = tmp_path / "raw.txt"
+    # the triangle on 0, 2, 4 is the largest component: 1 and 3 are dropped,
+    # and 2 and 4 become nodes 1 and 2
+    raw.write_text("0 2\n1 3\n2 4\n4 0\n")
+    feats = np.column_stack([np.arange(5.0), np.arange(5.0) / 3.0])
+    save_features(tmp_path / "feats.txt", feats)
+    out = tmp_path / "o"
+    assert cli.main(["preprocess", "--dataset", str(raw), "--features-file",
+                     str(tmp_path / "feats.txt"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("n=3 m=3 ")
+    assert np.array_equal(load_features(out / "features.txt"), feats[[0, 2, 4]])
+
+
+def test_original_features_without_a_features_path_exit_1(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("[experiment]\ndataset = synthetic200\nfeatures = original\nseeds = 0\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: feature mode 'original' needs features_path\n"
+    assert not out.exists()
 
 
 def test_split_command_writes_seed_dirs(tmp_path, capsys):

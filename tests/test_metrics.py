@@ -70,7 +70,8 @@ def test_hits_and_mrr_match_sort_oracle():
 
 def test_auc_matches_pairwise_oracle():
     for pos, neg in _instances(21):
-        assert auc(pos, neg) == pytest.approx(_oracle_auc(pos, neg), abs=1e-12)
+        # U is a sum of halves, exact in float64 on either side
+        assert auc(pos, neg) == _oracle_auc(pos, neg)
 
 
 def test_ap_matches_threshold_sweep_oracle():
@@ -97,6 +98,20 @@ def test_hand_worked_example():
     assert mrr(pos, neg) == pytest.approx(100.0 * (1.0 + 0.5) / 2)
     assert auc(pos, neg) == pytest.approx(75.0)
     assert accuracy(pos, neg) == pytest.approx(75.0)  # 2 pos > 0, 1 neg <= 0
+
+
+def test_ap_hand_worked_with_positives_tied_to_each_other_and_to_a_negative():
+    pos = np.array([3.0, 2.0, 2.0, 0.0])
+    neg = np.array([2.0, 1.0])
+    # precision at each positive's score, tp / (tp + fp): at 3 it is 1/1; at
+    # the two tied 2s, 3 positives and the tied negative are at or above, 3/4;
+    # at 0 everything is, 4/6
+    assert ap(pos, neg) == pytest.approx(100.0 * (1.0 + 0.75 + 0.75 + 4.0 / 6.0) / 4)
+    assert ap(pos, neg) == pytest.approx(_oracle_ap(pos, neg), abs=1e-12)
+    # the tied pair counts half for AUC: (2 + 1.5 + 1.5 + 0) / 8
+    assert auc(pos, neg) == 62.5
+    # and ranks the tied positives second for MRR
+    assert mrr(pos, neg) == pytest.approx(100.0 * (1.0 + 0.5 + 0.5 + 1.0 / 3.0) / 4)
 
 
 def test_perfect_and_inverted_separation():

@@ -1,7 +1,8 @@
 """The package keeps only what its commands and the benchmark run: every public
-function, class and method of ``src/dirlink`` and ``perfbench``, and every
-private module-level function and class, is named somewhere in those two
-trees.  Code that only tests call belongs in ``tests/``."""
+function, class and method of ``src/dirlink`` and ``perfbench``, every
+private module-level function and class, and every module-level assigned
+name but the dunders, is read somewhere in those two trees.  Code that only
+tests call belongs in ``tests/``."""
 
 import ast
 from pathlib import Path
@@ -21,10 +22,19 @@ def _files():
             *sorted((ROOT / "perfbench").glob("*.py"))]
 
 
+def _assigned(node):
+    """The names a module-level statement assigns, tuple targets included."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+
+
 def _unused_names(private=False):
-    """Defined names that nothing in the two trees names: the public functions,
-    classes and methods, or with ``private`` the module-level functions and
-    classes whose names start with an underscore."""
+    """Defined names that nothing in the two trees reads: the public functions,
+    classes, methods and module-level assigned names, or with ``private`` the
+    module-level functions, classes and assigned names whose names start with
+    an underscore.  Dunders such as ``__all__`` are left out."""
     defined, used = {}, set()
     for path in _files():
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -32,12 +42,15 @@ def _unused_names(private=False):
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and node.name.startswith("_") == private):
                 defined[node.name] = path.name
+            defined.update((name, path.name) for name in _assigned(node)
+                           if name.startswith("_") == private
+                           and not (name.startswith("__") and name.endswith("__")))
             if isinstance(node, ast.ClassDef) and not private:
                 defined.update((item.name, f"{path.name}: {node.name}") for item in node.body
                                if isinstance(item, ast.FunctionDef)
                                and not item.name.startswith("_"))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
